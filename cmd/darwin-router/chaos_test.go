@@ -266,6 +266,11 @@ func TestChaosPartitionAndSIGKILLFailoverE2E(t *testing.T) {
 		t.Fatalf("post-SIGKILL transcript is not byte-identical (%d vs %d bytes)", len(got), len(exportBefore))
 	}
 	annotate(3)
+	// The router promotes the dead shard's datasets one after another, in
+	// name order, so musicians (whose primary alpha died in the same
+	// SIGKILL) may still be promoting once directions is served again. Its
+	// placement on beta means beta has counted the promotion.
+	waitPlacement(t, routerURL, "musicians", "beta", 2)
 
 	// --- Telemetry: the failover trail is on /metrics. ---
 	routerMetrics := scrapeMetrics(t, routerURL)

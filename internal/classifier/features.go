@@ -78,3 +78,39 @@ func (f *Featurizer) FeaturesBatch(sentences [][]string) [][]float64 {
 	}
 	return out
 }
+
+// sparseFeatures is a feature vector in sparse form: a dense prefix (the
+// embedding block) plus (index, value) pairs, in ascending index order, for
+// the nonzero entries after it.
+type sparseFeatures struct {
+	emb []float64
+	idx []int32
+	val []float64
+}
+
+// sparsify converts a dense vector into sparse form, keeping the first
+// prefix entries dense.
+func sparsify(full []float64, prefix int) *sparseFeatures {
+	sf := &sparseFeatures{}
+	if prefix > 0 {
+		sf.emb = append([]float64(nil), full[:prefix]...)
+	}
+	for i := prefix; i < len(full); i++ {
+		if full[i] != 0 {
+			sf.idx = append(sf.idx, int32(i))
+			sf.val = append(sf.val, full[i])
+		}
+	}
+	return sf
+}
+
+// densify writes the vector into dst, which must be at least as wide, and
+// returns dst.
+func (sf *sparseFeatures) densify(dst []float64) []float64 {
+	clear(dst)
+	copy(dst, sf.emb)
+	for k, ix := range sf.idx {
+		dst[ix] = sf.val[k]
+	}
+	return dst
+}

@@ -16,6 +16,8 @@ type MLP struct {
 	w2      []float64 // hidden
 	b2      float64
 	trained bool
+	// dense is the buffer probaSparse expands a sparse vector into.
+	dense []float64
 }
 
 // NewMLP creates an MLP with the given config.
@@ -109,4 +111,25 @@ func (m *MLP) Proba(x []float64) float64 {
 		z += m.w2[j] * math.Tanh(dot(m.w1[j], x)+m.b1[j])
 	}
 	return sigmoid(z + m.b2)
+}
+
+// fitSparse trains the network on sparse examples, expanded to dense
+// vectors of width dim: the MLP's hidden layer reads every input weight.
+func (m *MLP) fitSparse(X []*sparseFeatures, y []int, dim int) error {
+	dense := make([][]float64, len(X))
+	for i, x := range X {
+		dense[i] = x.densify(make([]float64, dim))
+	}
+	return m.Fit(dense, y)
+}
+
+// probaSparse returns P(y=1|x) for a sparse vector of the trained width.
+func (m *MLP) probaSparse(x *sparseFeatures) float64 {
+	if !m.trained || len(m.w1) == 0 {
+		return 0.5
+	}
+	if m.dense == nil {
+		m.dense = make([]float64, len(m.w1[0]))
+	}
+	return m.Proba(x.densify(m.dense))
 }

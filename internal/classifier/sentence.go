@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/bitset"
 	"repro/internal/corpus"
 	"repro/internal/embedding"
 	"repro/internal/obs"
@@ -23,7 +25,7 @@ var (
 	fitsTotal = obs.Default().Counter("darwin_classifier_fits_total",
 		"Classifier training rounds (one per accepted rule).")
 	fitDurations = obs.Default().Histogram("darwin_classifier_fit_duration_seconds",
-		"Latency of one classifier training round (featurize + model fit).",
+		"Latency of one classifier training round (feature lookup + model fit).",
 		obs.LatencyBuckets)
 )
 
@@ -51,24 +53,16 @@ type SentenceClassifier struct {
 	// positive training example (default 3).
 	NegativeFactor int
 
-	model  Model
+	model  sparseModel
 	scores []float64
 	scored bool
 
-	// cache holds each sentence's feature vector in sparse form. By default
-	// it is private to this classifier; classifiers over one shared corpus
-	// and embedding model should share a single cache via ShareFeatureCache
-	// so concurrent sessions do not each featurize the whole corpus.
-	cache   *FeatureCache
-	scratch []float64
-}
-
-// sparseFeatures is one cached feature vector: the dense embedding prefix
-// plus (index, value) pairs for the nonzero hashed entries.
-type sparseFeatures struct {
-	emb []float64
-	idx []int32
-	val []float64
+	// cache holds each sentence's feature vector in sparse form, the form
+	// the model trains and scores on. By default it is private to this
+	// classifier; classifiers over one shared corpus and embedding model
+	// should share a single cache via ShareFeatureCache so concurrent
+	// sessions do not each featurize the whole corpus.
+	cache *FeatureCache
 }
 
 // FeatureCache caches per-sentence sparse feature vectors. Entries are
@@ -166,7 +160,7 @@ func (sc *SentenceClassifier) Reseed(seed int64) {
 }
 
 // newModel builds a fresh underlying model for one training round.
-func (sc *SentenceClassifier) newModel() Model {
+func (sc *SentenceClassifier) newModel() sparseModel {
 	switch sc.kind {
 	case KindMLP:
 		return NewMLP(sc.cfg)
@@ -184,46 +178,20 @@ func (sc *SentenceClassifier) ShareFeatureCache(fc *FeatureCache) {
 	}
 }
 
-// featuresInto fills dst (sized Dim) with sentence id's feature vector,
-// populating the sparse cache on first use, and returns dst.
-func (sc *SentenceClassifier) featuresInto(id int, dst []float64) []float64 {
+// features returns sentence id's sparse feature vector, featurizing it and
+// populating the cache on first use. The result is shared and read-only.
+func (sc *SentenceClassifier) features(id int) *sparseFeatures {
 	if sc.cache == nil {
 		sc.cache = NewFeatureCache(sc.corp.Len())
 	}
-	fc := sc.cache.get(id)
-	if fc == nil {
-		featureCacheMisses.Inc()
-		full := sc.feat.Features(sc.corp.Sentence(id).Tokens)
-		fc = &sparseFeatures{}
-		embDim := sc.feat.EmbDim()
-		if embDim > 0 {
-			fc.emb = append([]float64(nil), full[:embDim]...)
-		}
-		for i := embDim; i < len(full); i++ {
-			if full[i] != 0 {
-				fc.idx = append(fc.idx, int32(i))
-				fc.val = append(fc.val, full[i])
-			}
-		}
-		sc.cache.put(id, fc)
-	} else {
+	if sf := sc.cache.get(id); sf != nil {
 		featureCacheHits.Inc()
+		return sf
 	}
-	clear(dst)
-	copy(dst, fc.emb)
-	for i, ix := range fc.idx {
-		dst[ix] = fc.val[i]
-	}
-	return dst
-}
-
-// features returns sentence id's feature vector in the classifier's scratch
-// buffer; the result is only valid until the next features/featuresInto call.
-func (sc *SentenceClassifier) features(id int) []float64 {
-	if sc.scratch == nil {
-		sc.scratch = make([]float64, sc.feat.Dim())
-	}
-	return sc.featuresInto(id, sc.scratch)
+	featureCacheMisses.Inc()
+	sf := sparsify(sc.feat.Features(sc.corp.Sentence(id).Tokens), sc.feat.EmbDim())
+	sc.cache.put(id, sf)
+	return sf
 }
 
 // TrainFromPositives retrains the classifier using the given positive
@@ -235,13 +203,19 @@ func (sc *SentenceClassifier) TrainFromPositives(positiveIDs map[int]bool) error
 	}
 	fitsTotal.Inc()
 	defer fitDurations.ObserveSince(time.Now())
-	var X [][]float64
-	var y []int
-	for id := 0; id < sc.corp.Len(); id++ {
-		if positiveIDs[id] {
-			X = append(X, sc.featuresInto(id, make([]float64, sc.feat.Dim())))
-			y = append(y, 1)
+	n := sc.corp.Len()
+	pos := make([]int, 0, len(positiveIDs))
+	for id, ok := range positiveIDs {
+		if ok && id >= 0 && id < n {
+			pos = append(pos, id)
 		}
+	}
+	sort.Ints(pos)
+	X := make([]*sparseFeatures, 0, len(pos)*(1+sc.NegativeFactor))
+	y := make([]int, 0, cap(X))
+	for _, id := range pos {
+		X = append(X, sc.features(id))
+		y = append(y, 1)
 	}
 	// Sample negatives uniformly from the rest of the corpus. In imbalanced
 	// corpora a uniform sample is overwhelmingly negative, matching the
@@ -254,20 +228,46 @@ func (sc *SentenceClassifier) TrainFromPositives(positiveIDs map[int]bool) error
 	negSeen := map[int]bool{}
 	for len(negSeen) < wantNeg && tries < wantNeg*20 {
 		tries++
-		id := sc.rng.Intn(sc.corp.Len())
+		id := sc.rng.Intn(n)
 		if positiveIDs[id] || negSeen[id] {
 			continue
 		}
 		negSeen[id] = true
-		X = append(X, sc.featuresInto(id, make([]float64, sc.feat.Dim())))
+		X = append(X, sc.features(id))
 		y = append(y, 0)
 	}
 	model := sc.newModel()
-	if err := model.Fit(X, y); err != nil {
+	if err := model.fitSparse(X, y, sc.feat.Dim()); err != nil {
 		return fmt.Errorf("classifier: fit: %w", err)
 	}
 	sc.model = model
 	sc.scored = false
+	return nil
+}
+
+// Refit is the retraining step of an accepted answer (Algorithm 1, lines
+// 11-12): it retrains on the positive set P (positives, mirrored by posBits)
+// and refreshes scores — the caller's p_s vector — in place. rounds counts
+// the caller's successful refits and is incremented by this one. The first
+// round and every third one rescore the whole corpus; in between, with lazy
+// set, only sentences in P or whose previous score exceeds thr are rescored
+// (the §4.5 lazy re-scoring optimization). A failed fit returns its error
+// and leaves the model, scores and rounds as they were.
+func (sc *SentenceClassifier) Refit(positives map[int]bool, posBits bitset.Set, scores []float64, rounds *int, lazy bool, thr float64) error {
+	if err := sc.TrainFromPositives(positives); err != nil {
+		return err
+	}
+	*rounds++
+	if !lazy || *rounds%3 == 1 {
+		copy(scores, sc.ScoreAll())
+		return nil
+	}
+	n := min(len(scores), sc.corp.Len())
+	for id, p := range scores[:n] {
+		if p > thr || posBits.Contains(id) {
+			scores[id] = sc.model.probaSparse(sc.features(id))
+		}
+	}
 	return nil
 }
 
@@ -308,7 +308,7 @@ func (sc *SentenceClassifier) ensureScores() {
 			sc.scores[id] = 0.5
 			continue
 		}
-		sc.scores[id] = sc.model.Proba(sc.features(id))
+		sc.scores[id] = sc.model.probaSparse(sc.features(id))
 	}
 	sc.scored = true
 }
@@ -321,7 +321,7 @@ func (sc *SentenceClassifier) ScoreOne(id int) float64 {
 	if sc.model == nil || id < 0 || id >= sc.corp.Len() {
 		return 0.5
 	}
-	return sc.model.Proba(sc.features(id))
+	return sc.model.probaSparse(sc.features(id))
 }
 
 // PredictPositive returns the IDs of all sentences with p_s >= threshold.

@@ -488,23 +488,7 @@ func (s *Session) Report() *Report {
 func (s *Session) retrain() {
 	s.e.ixMu.RLock()
 	defer s.e.ixMu.RUnlock()
-	if err := s.clf.TrainFromPositives(s.positives); err != nil {
-		// Not enough signal to train (should not happen once P is non-empty);
-		// keep previous scores.
-		return
-	}
-	*s.retrainCount++
-	n := *s.retrainCount
-	fullRescore := !s.e.cfg.LazyScoring || n%3 == 1 || n <= 1
-	if fullRescore {
-		all := s.clf.ScoreAll()
-		copy(s.scores, all)
-		return
-	}
-	thr := s.e.cfg.LazyScoreThreshold
-	for id := 0; id < len(s.scores) && id < s.e.corp.Len(); id++ {
-		if s.scores[id] > thr || s.positives[id] {
-			s.scores[id] = s.clf.ScoreOne(id)
-		}
-	}
+	// A failed fit (not enough signal, which should not happen once P is
+	// non-empty) keeps the previous scores.
+	_ = s.clf.Refit(s.positives, s.posBits, s.scores, s.retrainCount, s.e.cfg.LazyScoring, s.e.cfg.LazyScoreThreshold)
 }

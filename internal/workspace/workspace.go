@@ -344,7 +344,8 @@ func (ws *Workspace) retrain() {
 	ws.eng.WithIndexRead(func(*index.Index) {
 		ws.growLocked()
 		ws.clf.Reseed(mix(ws.seed, ws.eventSeq))
-		if err := ws.clf.TrainFromPositives(ws.positives); err != nil {
+		lazy, thr := ws.eng.LazyScoring()
+		if err := ws.clf.Refit(ws.positives, ws.posBits, ws.scores, &ws.retrains, lazy, thr); err != nil {
 			// Training failure is tolerated live (previous model and scores
 			// keep serving); lastRetrainSeq deliberately still points at the
 			// last successful fit, so a snapshot Restore refits a seq that is
@@ -352,17 +353,6 @@ func (ws *Workspace) retrain() {
 			return
 		}
 		ws.lastRetrainSeq = ws.eventSeq
-		ws.retrains++
-		lazy, thr := ws.eng.LazyScoring()
-		if !lazy || ws.retrains%3 == 1 || ws.retrains <= 1 {
-			copy(ws.scores, ws.clf.ScoreAll())
-			return
-		}
-		for id := 0; id < ws.corpusLen && id < len(ws.scores); id++ {
-			if ws.scores[id] > thr || ws.positives[id] {
-				ws.scores[id] = ws.clf.ScoreOne(id)
-			}
-		}
 	})
 }
 
