@@ -8,6 +8,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/bitset"
 	"repro/internal/classifier"
 	"repro/internal/core"
 	"repro/internal/datagen"
@@ -156,10 +157,7 @@ func runPerf(outPath string) error {
 	if err != nil {
 		return err
 	}
-	positives := map[int]bool{}
-	for _, id := range seedCov {
-		positives[id] = true
-	}
+	positives := bitset.FromSorted(seedCov)
 	hcfg := hierarchy.Config{NumCandidates: 10000, MaxRuleDepth: 8, MinCoverage: 2, Cleanup: true}
 	const genRounds = 5
 	genStart := time.Now()

@@ -3,6 +3,7 @@ package baselines
 import (
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/classifier"
 	"repro/internal/corpus"
 	"repro/internal/datagen"
@@ -25,11 +26,12 @@ func smallCorpus(t *testing.T) *corpus.Corpus {
 	return c
 }
 
-func buildState(t *testing.T, c *corpus.Corpus, positives map[int]bool) *traversal.State {
+func buildState(t *testing.T, c *corpus.Corpus) *traversal.State {
 	t.Helper()
 	reg := grammar.NewRegistry(tokensregex.New())
 	ix := index.Build(c, sketch.NewBuilder(reg, 4))
 	ix.Prune(2)
+	positives := bitset.New(c.Len())
 	h := hierarchy.Generate(ix, positives, hierarchy.Config{NumCandidates: 300, MaxRuleDepth: 5, MinCoverage: 2, Cleanup: true})
 	scores := make([]float64, c.Len())
 	for id, s := range c.Sentences {
@@ -50,7 +52,7 @@ func buildState(t *testing.T, c *corpus.Corpus, positives map[int]bool) *travers
 
 func TestHighPPicksPreciseSmallRules(t *testing.T) {
 	c := smallCorpus(t)
-	st := buildState(t, c, map[int]bool{})
+	st := buildState(t, c)
 	hp := NewHighP()
 	if hp.Name() != "highP" {
 		t.Errorf("Name = %q", hp.Name())
@@ -82,7 +84,7 @@ func TestHighPPicksPreciseSmallRules(t *testing.T) {
 
 func TestHighCPicksLargestCoverage(t *testing.T) {
 	c := smallCorpus(t)
-	st := buildState(t, c, map[int]bool{})
+	st := buildState(t, c)
 	hc := NewHighC()
 	if hc.Name() != "highC" {
 		t.Errorf("Name = %q", hc.Name())
@@ -104,7 +106,7 @@ func TestHighCPicksLargestCoverage(t *testing.T) {
 
 func TestHighCAndHighPExhaustion(t *testing.T) {
 	c := smallCorpus(t)
-	st := buildState(t, c, map[int]bool{})
+	st := buildState(t, c)
 	// Mark everything as queried: nothing to propose.
 	for _, k := range st.Hierarchy.NonRootKeys() {
 		st.Queried[k] = true

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"repro/internal/bitset"
 	"repro/internal/classifier"
 	"repro/internal/corpus"
 	"repro/internal/embedding"
@@ -62,18 +63,23 @@ func instanceRun(c *corpus.Corpus, emb *embedding.Model, cfg InstanceLabelingCon
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	sc := classifier.NewSentenceClassifier(c, emb, cfg.Classifier, cfg.Kind)
-	labeled := map[int]bool{}   // all labeled sentence IDs
-	positives := map[int]bool{} // labeled positives
+	labeled := map[int]bool{} // all labeled sentence IDs
+	positives := bitset.New(c.Len())
+	npos := 0 // labeled positives
+	addPositive := func(id int) {
+		if c.Sentence(id).Gold == corpus.Positive && !positives.Contains(id) {
+			positives.Add(id)
+			npos++
+		}
+	}
 	for _, id := range cfg.SeedPositiveIDs {
-		if s := c.Sentence(id); s != nil {
+		if c.Sentence(id) != nil {
 			labeled[id] = true
-			if s.Gold == corpus.Positive {
-				positives[id] = true
-			}
+			addPositive(id)
 		}
 	}
 	retrain := func() {
-		if len(positives) > 0 {
+		if npos > 0 {
 			_ = sc.TrainFromPositives(positives)
 		}
 	}
@@ -87,9 +93,7 @@ func instanceRun(c *corpus.Corpus, emb *embedding.Model, cfg InstanceLabelingCon
 			break
 		}
 		labeled[id] = true
-		if c.Sentence(id).Gold == corpus.Positive {
-			positives[id] = true
-		}
+		addPositive(id)
 		if q%cfg.RetrainEvery == 0 {
 			retrain()
 		}
@@ -101,12 +105,12 @@ func instanceRun(c *corpus.Corpus, emb *embedding.Model, cfg InstanceLabelingCon
 			res.FScore.Points = append(res.FScore.Points, eval.CurvePoint{Questions: q, Value: f1})
 			cov := 0.0
 			if totalPos > 0 {
-				cov = float64(len(positives)) / float64(totalPos)
+				cov = float64(npos) / float64(totalPos)
 			}
 			res.Coverage.Points = append(res.Coverage.Points, eval.CurvePoint{Questions: q, Value: cov})
 		}
 	}
-	res.LabeledPositives = len(positives)
+	res.LabeledPositives = npos
 	return res
 }
 

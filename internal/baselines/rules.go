@@ -41,16 +41,11 @@ func (h *HighP) Next(st *traversal.State) (string, bool) {
 		if n == nil {
 			continue
 		}
-		newCov := 0
-		for _, id := range n.Coverage {
-			if !st.Positives[id] {
-				newCov++
-			}
-		}
+		benefit, newCov := n.Bits.AndNotSum(st.Positives, st.Scores)
 		if newCov < minNew {
 			continue
 		}
-		avg := traversal.AvgBenefit(n.Coverage, st.Positives, st.Scores)
+		avg := benefit / float64(newCov)
 		// Ties are broken toward SMALLER coverage: HighP optimizes expected
 		// precision irrespective of coverage, which is exactly why the paper
 		// finds it picks rules that label very few new sentences.
@@ -91,12 +86,7 @@ func (h *HighC) Next(st *traversal.State) (string, bool) {
 		if n == nil {
 			continue
 		}
-		newCov := 0
-		for _, id := range n.Coverage {
-			if !st.Positives[id] {
-				newCov++
-			}
-		}
+		newCov := n.Bits.AndNotCount(st.Positives)
 		if newCov > bestNew || (newCov == bestNew && newCov > 0 && (best == "" || key < best)) {
 			best, bestNew = key, newCov
 		}

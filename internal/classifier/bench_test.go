@@ -1,6 +1,7 @@
 package classifier
 
 import (
+	"repro/internal/bitset"
 	"testing"
 )
 
@@ -8,15 +9,12 @@ import (
 // daemon's dimensions (32-dim embedding + 512 hashed features) on the
 // directions corpus at scale 0.5, its feature cache warm, and 400 positives:
 // the gold positives topped up with the lowest-numbered other sentences.
-func benchClassifier(b *testing.B) (*SentenceClassifier, map[int]bool) {
+func benchClassifier(b *testing.B) (*SentenceClassifier, bitset.Set) {
 	b.Helper()
 	c, emb := directionsCorpus(b, 0.5)
-	pos := map[int]bool{}
-	for _, id := range c.Positives() {
-		pos[id] = true
-	}
-	for id := 0; len(pos) < 400; id++ {
-		pos[id] = true
+	pos := bitset.FromSorted(c.Positives()).Grow(c.Len())
+	for id := 0; pos.Count() < 400; id++ {
+		pos.Add(id)
 	}
 	sc := NewSentenceClassifier(c, emb, DefaultConfig(), KindLogReg)
 	if err := sc.TrainFromPositives(pos); err != nil {

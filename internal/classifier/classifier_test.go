@@ -3,6 +3,7 @@ package classifier
 import (
 	"math"
 	"math/rand"
+	"repro/internal/bitset"
 	"testing"
 	"testing/quick"
 
@@ -249,7 +250,7 @@ func TestSentenceClassifierTrainAndScore(t *testing.T) {
 		t.Errorf("untrained Score = %f", p)
 	}
 
-	pos := map[int]bool{0: true, 1: true, 2: true}
+	pos := bitset.FromSorted([]int{0, 1, 2})
 	if err := sc.TrainFromPositives(pos); err != nil {
 		t.Fatalf("TrainFromPositives: %v", err)
 	}
@@ -285,7 +286,7 @@ func TestSentenceClassifierErrorsAndEntropy(t *testing.T) {
 	if err := sc.TrainFromPositives(nil); err == nil {
 		t.Error("training with no positives should error")
 	}
-	if err := sc.TrainFromPositives(map[int]bool{0: true, 1: true}); err != nil {
+	if err := sc.TrainFromPositives(bitset.FromSorted([]int{0, 1})); err != nil {
 		t.Fatal(err)
 	}
 	for id := 0; id < c.Len(); id++ {
@@ -306,7 +307,7 @@ func TestSentenceClassifierErrorsAndEntropy(t *testing.T) {
 func TestSentenceClassifierDefaultKind(t *testing.T) {
 	c := buildScoredCorpus()
 	sc := NewSentenceClassifier(c, nil, DefaultConfig(), "")
-	if err := sc.TrainFromPositives(map[int]bool{0: true, 1: true}); err != nil {
+	if err := sc.TrainFromPositives(bitset.FromSorted([]int{0, 1})); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := sc.model.(*LogisticRegression); !ok {

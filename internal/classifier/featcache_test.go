@@ -1,6 +1,7 @@
 package classifier
 
 import (
+	"repro/internal/bitset"
 	"sync"
 	"testing"
 
@@ -37,7 +38,7 @@ func capTestCorpus(t *testing.T) *corpus.Corpus {
 // deterministic featurizer.
 func TestFeatureCacheCapIsBitIdentical(t *testing.T) {
 	c := capTestCorpus(t)
-	positives := map[int]bool{0: true, 1: true, 6: true, 9: true}
+	positives := bitset.FromSorted([]int{0, 1, 6, 9})
 
 	score := func(cache *FeatureCache) []float64 {
 		sc := NewSentenceClassifier(c, nil, Config{Epochs: 6, LearningRate: 0.3, Seed: 5}, KindLogReg)
@@ -78,7 +79,7 @@ func TestFeatureCacheCapUnderConcurrentFills(t *testing.T) {
 			defer wg.Done()
 			sc := NewSentenceClassifier(c, nil, Config{Epochs: 2, LearningRate: 0.3, Seed: int64(w + 1)}, KindLogReg)
 			sc.ShareFeatureCache(cache)
-			if err := sc.TrainFromPositives(map[int]bool{0: true, 1: true}); err != nil {
+			if err := sc.TrainFromPositives(bitset.FromSorted([]int{0, 1})); err != nil {
 				t.Error(err)
 				return
 			}
@@ -107,7 +108,7 @@ func TestFeatureCacheUncappedFillsCorpus(t *testing.T) {
 	cache := NewFeatureCache(c.Len())
 	sc := NewSentenceClassifier(c, nil, Config{Epochs: 2, LearningRate: 0.3, Seed: 1}, KindLogReg)
 	sc.ShareFeatureCache(cache)
-	if err := sc.TrainFromPositives(map[int]bool{0: true, 1: true}); err != nil {
+	if err := sc.TrainFromPositives(bitset.FromSorted([]int{0, 1})); err != nil {
 		t.Fatal(err)
 	}
 	sc.ScoreAll()

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -194,23 +193,20 @@ func (sc *SentenceClassifier) features(id int) *sparseFeatures {
 	return sf
 }
 
-// TrainFromPositives retrains the classifier using the given positive
-// sentence IDs and randomly sampled negatives (skipping known positives).
-// It invalidates the cached scores.
-func (sc *SentenceClassifier) TrainFromPositives(positiveIDs map[int]bool) error {
-	if len(positiveIDs) == 0 {
+// TrainFromPositives retrains the classifier on the positive set P (ids
+// beyond the corpus are ignored) and randomly sampled negatives (skipping
+// known positives). It invalidates the cached scores.
+func (sc *SentenceClassifier) TrainFromPositives(positives bitset.Set) error {
+	pos := positives.AppendTo(nil)
+	if len(pos) == 0 {
 		return fmt.Errorf("classifier: %w", ErrNoTrainingData)
 	}
 	fitsTotal.Inc()
 	defer fitDurations.ObserveSince(time.Now())
 	n := sc.corp.Len()
-	pos := make([]int, 0, len(positiveIDs))
-	for id, ok := range positiveIDs {
-		if ok && id >= 0 && id < n {
-			pos = append(pos, id)
-		}
+	for len(pos) > 0 && pos[len(pos)-1] >= n {
+		pos = pos[:len(pos)-1]
 	}
-	sort.Ints(pos)
 	X := make([]*sparseFeatures, 0, len(pos)*(1+sc.NegativeFactor))
 	y := make([]int, 0, cap(X))
 	for _, id := range pos {
@@ -229,7 +225,7 @@ func (sc *SentenceClassifier) TrainFromPositives(positiveIDs map[int]bool) error
 	for len(negSeen) < wantNeg && tries < wantNeg*20 {
 		tries++
 		id := sc.rng.Intn(n)
-		if positiveIDs[id] || negSeen[id] {
+		if positives.Contains(id) || negSeen[id] {
 			continue
 		}
 		negSeen[id] = true
@@ -246,14 +242,14 @@ func (sc *SentenceClassifier) TrainFromPositives(positiveIDs map[int]bool) error
 }
 
 // Refit is the retraining step of an accepted answer (Algorithm 1, lines
-// 11-12): it retrains on the positive set P (positives, mirrored by posBits)
-// and refreshes scores — the caller's p_s vector — in place. rounds counts
-// the caller's successful refits and is incremented by this one. The first
-// round and every third one rescore the whole corpus; in between, with lazy
-// set, only sentences in P or whose previous score exceeds thr are rescored
-// (the §4.5 lazy re-scoring optimization). A failed fit returns its error
+// 11-12): it retrains on the positive set P and refreshes scores — the
+// caller's p_s vector — in place. rounds counts the caller's successful
+// refits and is incremented by this one. The first round and every third one
+// rescore the whole corpus; in between, with lazy set, only sentences in P or
+// whose previous score exceeds thr are rescored (the §4.5 lazy re-scoring
+// optimization). A failed fit returns its error
 // and leaves the model, scores and rounds as they were.
-func (sc *SentenceClassifier) Refit(positives map[int]bool, posBits bitset.Set, scores []float64, rounds *int, lazy bool, thr float64) error {
+func (sc *SentenceClassifier) Refit(positives bitset.Set, scores []float64, rounds *int, lazy bool, thr float64) error {
 	if err := sc.TrainFromPositives(positives); err != nil {
 		return err
 	}
@@ -264,7 +260,7 @@ func (sc *SentenceClassifier) Refit(positives map[int]bool, posBits bitset.Set, 
 	}
 	n := min(len(scores), sc.corp.Len())
 	for id, p := range scores[:n] {
-		if p > thr || posBits.Contains(id) {
+		if p > thr || positives.Contains(id) {
 			scores[id] = sc.model.probaSparse(sc.features(id))
 		}
 	}

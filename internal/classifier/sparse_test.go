@@ -131,7 +131,7 @@ func checkAgainstOracle(t *testing.T, sc *SentenceClassifier, emb *embedding.Mod
 		dense[id] = feat.Features(c.Sentence(id).Tokens)
 	}
 	for r, pos := range rounds {
-		if err := sc.TrainFromPositives(pos); err != nil {
+		if err := sc.TrainFromPositives(bitset.FromMap(pos)); err != nil {
 			t.Fatal(err)
 		}
 		X, y := oracleTrainingSet(c, feat, rng, sc.NegativeFactor, pos)
@@ -280,13 +280,13 @@ func TestRefitRescorePolicy(t *testing.T) {
 	n := 0
 	for r, pos := range rounds {
 		bits := bitset.FromMap(pos)
-		if err := sc.Refit(pos, bits, scores, &n, true, thr); err != nil {
+		if err := sc.Refit(bits, scores, &n, true, thr); err != nil {
 			t.Fatal(err)
 		}
 		if n != r+1 {
 			t.Fatalf("round %d: rounds counter = %d", r, n)
 		}
-		if err := ref.TrainFromPositives(pos); err != nil {
+		if err := ref.TrainFromPositives(bits); err != nil {
 			t.Fatal(err)
 		}
 		full := r%3 == 0
@@ -301,7 +301,7 @@ func TestRefitRescorePolicy(t *testing.T) {
 			}
 		}
 	}
-	if err := sc.Refit(nil, nil, scores, &n, true, thr); err == nil {
+	if err := sc.Refit(nil, scores, &n, true, thr); err == nil {
 		t.Fatal("Refit with no positives succeeded")
 	}
 	if n != len(rounds) {

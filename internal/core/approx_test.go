@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/corpus"
 	"repro/internal/grammar"
 	"repro/internal/hierarchy"
@@ -44,7 +45,7 @@ func buildSyntheticHierarchy(t *testing.T, clusterSizes []int, noiseSentences in
 	return c, &traversal.State{
 		Hierarchy: h,
 		Index:     ix,
-		Positives: map[int]bool{},
+		Positives: bitset.New(c.Len()),
 		Queried:   map[string]bool{},
 	}
 }
@@ -135,7 +136,7 @@ func TestUniversalSearchApproximatesGreedyCoverage(t *testing.T) {
 		accepted := float64(pos)/float64(len(cov)) >= 0.8
 		if accepted {
 			for _, id := range cov {
-				st.Positives[id] = true
+				st.Positives.Add(id)
 				if c.Sentence(id).Gold == corpus.Positive {
 					found[id] = true
 				}

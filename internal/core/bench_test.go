@@ -110,23 +110,3 @@ func BenchmarkSessionNextRejects(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkSuggestRules measures the parallel-discovery scoring pass.
-func BenchmarkSuggestRules(b *testing.B) {
-	e := benchEngine(b)
-	key, cov, err := e.MaterializeRule("best way to get to")
-	if err != nil {
-		b.Fatal(err)
-	}
-	_ = key
-	positives := map[int]bool{}
-	for _, id := range cov {
-		positives[id] = true
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if sugs := e.SuggestRules(positives, nil, 10); len(sugs) == 0 {
-			b.Fatal("no suggestions")
-		}
-	}
-}

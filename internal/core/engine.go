@@ -16,7 +16,6 @@ import (
 	"repro/internal/index"
 	"repro/internal/oracle"
 	"repro/internal/sketch"
-	"repro/internal/traversal"
 )
 
 // RuleRecord describes one oracle interaction (or seed rule) of a run.
@@ -47,7 +46,8 @@ type Report struct {
 	Accepted []RuleRecord
 	// History lists every oracle query in order (seeds excluded).
 	History []RuleRecord
-	// Positives is the final discovered positive set P.
+	// Positives is the final discovered positive set P, a snapshot derived
+	// from the session's bitset.
 	Positives map[int]bool
 	// Questions is the number of oracle queries spent.
 	Questions int
@@ -86,7 +86,7 @@ func (r *Report) PositiveIDs() []int {
 // index-reading step), so these methods are safe for concurrent use:
 //
 //   - NewSession, and all methods of distinct Sessions
-//   - SuggestRules, MaterializeRule
+//   - MaterializeRule, CoverageBits
 //   - ParseRule, Corpus, Index, Registry (but mutating methods of the
 //     returned Index — EnsureHeuristic, Prune, Merge — must never be called
 //     while sessions are live; use MaterializeRule instead)
@@ -114,9 +114,6 @@ type Engine struct {
 	// traversal reads in concurrent sessions.
 	//darwin:lockrank index
 	ixMu sync.RWMutex
-	// rngMu serializes the engine-owned RNG, which SuggestRules uses for
-	// sampling presentation sentences.
-	rngMu sync.Mutex
 	// matHook, when set, observes seed-rule materializations under the index
 	// write lock (see SetMaterializeHook).
 	matHook func(specs []string)
@@ -210,9 +207,9 @@ func (e *Engine) ParseRule(spec string) (grammar.Heuristic, error) {
 // MaterializeRule parses a rule specification, materializes it in the shared
 // index under the engine's write lock, and returns its key and coverage (a
 // copy). It is the concurrency-safe way to resolve an ad-hoc rule's coverage
-// — e.g. to seed the positives map passed to SuggestRules — without going
-// through Index().EnsureHeuristic, which must not be called while sessions
-// are stepping.
+// — e.g. to seed a workspace's positive set — without going through
+// Index().EnsureHeuristic, which must not be called while sessions are
+// stepping.
 func (e *Engine) MaterializeRule(spec string) (string, []int, error) {
 	h, err := e.reg.Parse(spec)
 	if err != nil {
@@ -313,12 +310,13 @@ func (e *Engine) Run(opts RunOptions) (*Report, error) {
 		}
 	}
 	report := s.report
+	report.Positives = s.Positives()
 	report.IndexBuild = e.indexBuild
 	report.Total = time.Since(start)
 	return report, nil
 }
 
-// Suggestion is one candidate rule proposed by SuggestRules, with the
+// Suggestion is one candidate rule proposed by Session.Next, with the
 // statistics an annotator (or a downstream tool) needs to judge it.
 type Suggestion struct {
 	Key         string
@@ -328,96 +326,6 @@ type Suggestion struct {
 	Benefit     float64
 	AvgBenefit  float64
 	SampleIDs   []int
-}
-
-// SuggestRules returns the k most promising unqueried candidate rules given
-// the already-discovered positive set, ranked by benefit. It supports the
-// paper's parallel-discovery mode: the returned suggestions can be dispatched
-// to different annotators simultaneously, and their answers fed back through
-// a subsequent Run (seeding it with the accepted rules) or used directly.
-// SuggestRules only reads shared engine state (plus the engine RNG, which has
-// its own lock) and is safe for concurrent use.
-//
-//darwin:replaypure
-func (e *Engine) SuggestRules(positives map[int]bool, exclude map[string]bool, k int) []Suggestion {
-	if k <= 0 {
-		k = 10
-	}
-	if positives == nil {
-		positives = map[int]bool{}
-	}
-	if exclude == nil {
-		exclude = map[string]bool{}
-	}
-	posBits := bitset.FromMap(positives)
-	e.ixMu.RLock()
-	h := hierarchy.GenerateBits(e.ix, posBits, e.cfg.hierarchyConfig())
-	// Capture the score slice inside the lock: ingest grows it under the
-	// write lock, and the published prefix is immutable.
-	scores := e.scores
-	e.ixMu.RUnlock()
-	var out []Suggestion
-	for _, key := range h.NonRootKeys() {
-		if exclude[key] {
-			continue
-		}
-		n := h.Node(key)
-		var benefit float64
-		var newCov int
-		if n.Bits != nil {
-			benefit, newCov = n.Bits.AndNotSum(posBits, scores)
-		} else {
-			benefit = traversal.Benefit(n.Coverage, positives, scores)
-			for _, id := range n.Coverage {
-				if !positives[id] {
-					newCov++
-				}
-			}
-		}
-		if newCov == 0 {
-			continue
-		}
-		avgBenefit := benefit / float64(newCov)
-		e.rngMu.Lock()
-		samples := oracle.SampleCoverage(n.Coverage, e.cfg.OracleSampleSize, e.rng)
-		e.rngMu.Unlock()
-		out = append(out, Suggestion{
-			Key:         key,
-			Rule:        n.Heuristic.String(),
-			Coverage:    len(n.Coverage),
-			NewCoverage: newCov,
-			Benefit:     benefit,
-			AvgBenefit:  avgBenefit,
-			SampleIDs:   samples,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Benefit != out[j].Benefit {
-			return out[i].Benefit > out[j].Benefit
-		}
-		if out[i].NewCoverage != out[j].NewCoverage {
-			return out[i].NewCoverage > out[j].NewCoverage
-		}
-		return out[i].Key < out[j].Key
-	})
-	if len(out) > k {
-		out = out[:k]
-	}
-	return out
-}
-
-// addCoverage inserts the coverage IDs into P and returns the newly added
-// ones (sorted).
-func addCoverage(positives map[int]bool, cov []int) []int {
-	var added []int
-	for _, id := range cov {
-		if !positives[id] {
-			positives[id] = true
-			added = append(added, id)
-		}
-	}
-	sort.Ints(added)
-	return added
 }
 
 // coverageOf resolves a rule key's coverage from the hierarchy or the index.

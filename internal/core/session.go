@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"time"
 
 	"repro/internal/bitset"
@@ -76,13 +77,14 @@ type Session struct {
 	seedKeys     []string
 	seeded       bool
 
-	positives map[int]bool
-	// posBits mirrors positives as a dense bitset sized to the corpus; it is
-	// the set the scoring kernels run against.
-	posBits bitset.Set
-	report  *Report
-	budget  int
-	start   time.Time
+	// positives is the discovered positive set P, a bitset sized to the
+	// corpus; npos is |P|, kept by addPositives, the only routine that
+	// grows P. Report and Positives derive their id views from the bitset.
+	positives bitset.Set
+	npos      int
+	report    *Report
+	budget    int
+	start     time.Time
 
 	// hier is the cached candidate hierarchy. It depends only on the shared
 	// index and the positive set, so it stays valid across rejected answers
@@ -146,7 +148,7 @@ func (e *Engine) NewSession(opts SessionOptions) (*Session, error) {
 		retrainCount: &count,
 		travOverride: opts.Traversal,
 	}
-	// scores and posBits are sized by init under the index lock, so the
+	// scores and positives are sized by init under the index lock, so the
 	// length read cannot race a concurrent ingest growing the corpus.
 	return s, s.init(opts)
 }
@@ -176,8 +178,7 @@ func (s *Session) init(opts SessionOptions) error {
 	if s.budget <= 0 {
 		s.budget = e.cfg.Budget
 	}
-	s.report = &Report{Positives: make(map[int]bool)}
-	s.positives = s.report.Positives
+	s.report = &Report{}
 	s.queried = make(map[string]bool)
 
 	// Parse the seed rules before touching shared state so a bad spec leaves
@@ -191,10 +192,10 @@ func (s *Session) init(opts SessionOptions) error {
 		heuristics = append(heuristics, h)
 	}
 
-	// Size the session's score and positive-set mirrors, materialize ad-hoc
+	// Size the session's score vector and positive set, materialize ad-hoc
 	// seed rules (a shared-index mutation) and resolve seed positives in one
 	// write-locked section: the corpus length, the seed coverage and the
-	// mirror sizes are read under the same lock, so a concurrent ingest
+	// set sizes are read under the same lock, so a concurrent ingest
 	// cannot grow the corpus between the sizing and the seeding. The index's
 	// parent/child edges are left rebuilt so subsequent read-locked steps
 	// never trigger a lazy rebuild.
@@ -214,7 +215,7 @@ func (s *Session) init(opts SessionOptions) error {
 	for len(s.scores) < e.corp.Len() {
 		s.scores = append(s.scores, 0.5)
 	}
-	s.posBits = bitset.New(e.corp.Len())
+	s.positives = bitset.New(e.corp.Len())
 	for _, h := range heuristics {
 		node := e.ix.EnsureHeuristic(h, e.corp)
 		added := s.addPositives(node.Postings)
@@ -227,7 +228,7 @@ func (s *Session) init(opts SessionOptions) error {
 			Accepted:       true,
 			CoverageIDs:    append([]int(nil), node.Postings...),
 			AddedIDs:       added,
-			PositivesAfter: len(s.positives),
+			PositivesAfter: s.npos,
 		})
 	}
 	if len(heuristics) > 0 {
@@ -236,14 +237,15 @@ func (s *Session) init(opts SessionOptions) error {
 			e.matHook(opts.SeedRules)
 		}
 	}
+	var seedIDs []int
 	for _, id := range opts.SeedPositiveIDs {
-		if sent := e.corp.Sentence(id); sent != nil {
-			s.positives[id] = true
-			s.posBits.Add(id)
+		if e.corp.Sentence(id) != nil {
+			seedIDs = append(seedIDs, id)
 		}
 	}
+	s.addPositives(seedIDs)
 	e.ixMu.Unlock()
-	if len(s.positives) == 0 {
+	if s.npos == 0 {
 		return fmt.Errorf("core: seeds produced no positive instances (need a seed rule with non-empty coverage or seed positive IDs)")
 	}
 
@@ -295,7 +297,7 @@ func (s *Session) Next() (Suggestion, bool) {
 	defer e.ixMu.RUnlock()
 
 	// Self-heal after live-corpus growth: extend the session's score vector
-	// and positive-set mirror to the current corpus length (new sentences
+	// and positive set to the current corpus length (new sentences
 	// start at the untrained prior 0.5 until the next retrain). The index
 	// version bump that accompanied the growth forces the hierarchy
 	// regeneration below.
@@ -303,14 +305,14 @@ func (s *Session) Next() (Suggestion, bool) {
 		for len(s.scores) < n {
 			s.scores = append(s.scores, 0.5)
 		}
-		s.posBits = s.posBits.Grow(n)
+		s.positives = s.positives.Grow(n)
 	}
 
 	// Line 6: (re)generate the candidate hierarchy, unless the cached one is
 	// still valid.
-	if ixVer := e.ix.Version(); s.hier == nil || s.hierPos != len(s.positives) || s.hierIxVer != ixVer {
-		s.hier = hierarchy.GenerateBits(e.ix, s.posBits, e.cfg.hierarchyConfig())
-		s.hierPos = len(s.positives)
+	if ixVer := e.ix.Version(); s.hier == nil || s.hierPos != s.npos || s.hierIxVer != ixVer {
+		s.hier = hierarchy.Generate(e.ix, s.positives, e.cfg.hierarchyConfig())
+		s.hierPos = s.npos
 		s.hierIxVer = ixVer
 		s.hierGens++
 	}
@@ -319,7 +321,6 @@ func (s *Session) Next() (Suggestion, bool) {
 		Hierarchy: h,
 		Index:     e.ix,
 		Positives: s.positives,
-		PosBits:   s.posBits,
 		Scores:    s.scores,
 		Queried:   s.queried,
 	}
@@ -397,7 +398,7 @@ func (s *Session) Answer(key string, accept bool) (RuleRecord, error) {
 		s.report.Accepted = append(s.report.Accepted, rec)
 		s.retrain()
 	}
-	rec.PositivesAfter = len(s.positives)
+	rec.PositivesAfter = s.npos
 	s.report.History = append(s.report.History, rec)
 	s.report.Questions = q
 
@@ -408,15 +409,20 @@ func (s *Session) Answer(key string, accept bool) (RuleRecord, error) {
 	return rec, nil
 }
 
-// addPositives inserts the coverage IDs into both representations of P (the
-// report map and the kernel bitset) and returns the newly added ids.
+// addPositives inserts the ids into P, keeping |P| in step, and returns the
+// newly added ones (sorted).
 //
 //darwin:replaypure
-func (s *Session) addPositives(cov []int) []int {
-	added := addCoverage(s.positives, cov)
-	for _, id := range added {
-		s.posBits.Add(id)
+func (s *Session) addPositives(ids []int) []int {
+	var added []int
+	for _, id := range ids {
+		if !s.positives.Contains(id) {
+			s.positives.Add(id)
+			added = append(added, id)
+		}
 	}
+	s.npos += len(added)
+	sort.Ints(added)
 	return added
 }
 
@@ -447,14 +453,15 @@ func (s *Session) Budget() int { return s.budget }
 func (s *Session) Questions() int { return s.report.Questions }
 
 // PositivesCount returns |P| without copying the set.
-func (s *Session) PositivesCount() int { return len(s.positives) }
+func (s *Session) PositivesCount() int { return s.npos }
 
 // Positives returns a copy of the discovered positive set P.
 func (s *Session) Positives() map[int]bool {
-	out := make(map[int]bool, len(s.positives))
-	for id := range s.positives {
+	out := make(map[int]bool, s.npos)
+	s.positives.Range(func(id int) bool {
 		out[id] = true
-	}
+		return true
+	})
 	return out
 }
 
@@ -490,5 +497,5 @@ func (s *Session) retrain() {
 	defer s.e.ixMu.RUnlock()
 	// A failed fit (not enough signal, which should not happen once P is
 	// non-empty) keeps the previous scores.
-	_ = s.clf.Refit(s.positives, s.posBits, s.scores, s.retrainCount, s.e.cfg.LazyScoring, s.e.cfg.LazyScoreThreshold)
+	_ = s.clf.Refit(s.positives, s.scores, s.retrainCount, s.e.cfg.LazyScoring, s.e.cfg.LazyScoreThreshold)
 }

@@ -232,7 +232,7 @@ func TestSessionMatchesRun(t *testing.T) {
 }
 
 // TestConcurrentSessionsSharedEngine runs many sessions in parallel on one
-// shared engine (plus concurrent SuggestRules readers); under -race this
+// shared engine (plus concurrent stepping-only sessions); under -race this
 // verifies the documented lock discipline.
 func TestConcurrentSessionsSharedEngine(t *testing.T) {
 	c := testCorpus(t, 0.05)
@@ -289,18 +289,30 @@ func TestConcurrentSessionsSharedEngine(t *testing.T) {
 			results[w] = result{keys: keys, pos: s.Report().PositiveIDs()}
 		}(w)
 	}
-	// Concurrent read-only suggesters against the same engine.
+	// Concurrent readers that only step: each session's Next regenerates a
+	// hierarchy and traverses it under the engine's read lock while the
+	// workers above answer and retrain.
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
+			s, err := e.NewSession(SessionOptions{SeedRules: []string{"best way to get to"}, Budget: 5, Seed: int64(10 + w)})
+			if err != nil {
+				t.Errorf("reader %d: %v", w, err)
+				return
+			}
 			for i := 0; i < 5; i++ {
-				if sugs := e.SuggestRules(nil, nil, 5); len(sugs) == 0 {
-					t.Error("SuggestRules returned nothing")
+				sug, ok := s.Next()
+				if !ok {
+					t.Errorf("reader %d: Next returned nothing", w)
+					return
+				}
+				if _, err := s.Answer(sug.Key, false); err != nil {
+					t.Errorf("reader %d: %v", w, err)
 					return
 				}
 			}
-		}()
+		}(w)
 	}
 	wg.Wait()
 

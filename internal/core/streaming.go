@@ -21,8 +21,8 @@ func (e *Engine) Config() Config { return e.cfg }
 // rule coverage resolves through the CoverageBits corpus-scan fallback, so
 // construction is O(preprocess) instead of O(index build). The result
 // supports exactly the batch pipeline surface (ParseRule, CoverageBits,
-// CorpusView, CorpusLen); interactive discovery (SuggestRules, sessions)
-// needs the full New constructor.
+// CorpusView, CorpusLen); interactive discovery (sessions) needs the full
+// New constructor.
 func NewStreaming(c *corpus.Corpus, cfg Config) (*Engine, error) {
 	if c == nil || c.Len() == 0 {
 		return nil, fmt.Errorf("core: empty corpus")

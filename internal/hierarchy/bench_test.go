@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/corpus"
 	"repro/internal/datagen"
 	"repro/internal/grammar"
@@ -40,13 +41,10 @@ func genIndex(b *testing.B) *index.Index {
 }
 
 // benchPositives returns a positive set seeded from a common phrase.
-func benchPositives(b *testing.B, ix *index.Index) map[int]bool {
+func benchPositives(b *testing.B, ix *index.Index) bitset.Set {
 	b.Helper()
-	p := map[int]bool{}
-	for _, id := range ix.Coverage("tokensregex:best way to") {
-		p[id] = true
-	}
-	if len(p) == 0 {
+	p := bitset.FromSorted(ix.Coverage("tokensregex:best way to")).Grow(genCorp.Len())
+	if p.Count() == 0 {
 		b.Fatal("empty benchmark positive set")
 	}
 	return p

@@ -14,6 +14,17 @@ import (
 	"repro/internal/tokensregex"
 )
 
+// referenceOverlap is the map-based |C_r ∩ P| scan the kernel replaced.
+func referenceOverlap(ix *index.Index, key string, positives map[int]bool) int {
+	n := 0
+	for _, id := range ix.Coverage(key) {
+		if positives[id] {
+			n++
+		}
+	}
+	return n
+}
+
 // referenceGenerateCandidates is the pre-kernel implementation of Algorithm 2
 // (greedy best-first expansion with per-id map scoring), kept verbatim as the
 // oracle the bitset path must match key-for-key.
@@ -23,7 +34,7 @@ func referenceGenerateCandidates(ix *index.Index, positives map[int]bool, cfg Co
 		k = 10000
 	}
 	score := func(key string) cand {
-		return cand{key: key, overlap: ix.CoverageOverlap(key, positives), total: ix.Count(key)}
+		return cand{key: key, overlap: referenceOverlap(ix, key, positives), total: ix.Count(key)}
 	}
 	selected := make([]string, 0, k)
 	inSelected := map[string]bool{grammar.RootKey: true}
@@ -104,14 +115,15 @@ func TestGenerateCandidatesMatchesReference(t *testing.T) {
 			positives[rng.Intn(c.Len())] = true
 		}
 		cfg := Config{NumCandidates: 200 + trial*100, MaxRuleDepth: 6, MinCoverage: 2, Cleanup: true}
+		posBits := bitset.FromMap(positives)
 		want := referenceGenerateCandidates(ix, positives, cfg)
-		got := GenerateCandidates(ix, positives, cfg)
+		got := GenerateCandidates(ix, posBits, cfg)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: bitset candidates diverge from reference\n got: %v\nwant: %v", trial, got, want)
 		}
 		// The assembled hierarchies match too (same nodes, same edges).
-		hWant := BuildBits(ix, want, bitset.FromMap(positives), cfg)
-		hGot := Generate(ix, positives, cfg)
+		hWant := Build(ix, want, posBits, cfg)
+		hGot := Generate(ix, posBits, cfg)
 		if !reflect.DeepEqual(hGot.Keys(), hWant.Keys()) {
 			t.Fatalf("trial %d: hierarchy keys diverge", trial)
 		}

@@ -7,8 +7,7 @@
 //
 // Candidate scoring runs on the dense bitset coverage kernel (word-wise
 // intersection + popcount against the positive set) and fans large scoring
-// batches across a bounded worker pool; the map-based Generate entry point
-// is a thin wrapper that converts the positive set once.
+// batches across a bounded worker pool.
 package hierarchy
 
 import (
@@ -26,7 +25,7 @@ import (
 
 // Hierarchy regeneration is the dominant cost of a suggest step whenever the
 // positive set changed; every interactive caller (solo sessions and shared
-// workspaces) funnels through GenerateBits, so one counter + histogram here
+// workspaces) funnels through Generate, so one counter + histogram here
 // covers the fleet.
 var (
 	regensTotal = obs.Default().Counter("darwin_hierarchy_regens_total",
@@ -46,7 +45,7 @@ type Node struct {
 	Coverage []int
 	// Bits is the coverage-kernel mirror of Coverage — dense or adaptive,
 	// shared with the index node when the hierarchy was generated from an
-	// index; nil for nodes added by hand. Read-only.
+	// index, materialized from Coverage otherwise. Never nil. Read-only.
 	Bits bitset.Cover
 	// Parents and Children are hierarchy edges (superset / subset).
 	Parents  []string
@@ -93,19 +92,25 @@ func (h *Hierarchy) Contains(key string) bool {
 }
 
 // Add inserts a node for the heuristic with the given coverage if absent and
-// returns it. Edges are not recomputed automatically; call LinkEdges after a
-// batch of additions.
+// returns it, materializing its coverage bits from the posting list. Edges
+// are not recomputed automatically; call LinkEdges after a batch of
+// additions.
 func (h *Hierarchy) Add(heur grammar.Heuristic, coverage []int) *Node {
-	n := h.add(heur, coverage)
-	return n
+	return h.add(heur, coverage, nil)
 }
 
-func (h *Hierarchy) add(heur grammar.Heuristic, coverage []int) *Node {
+// add inserts a node with the given coverage set, or with bits built from
+// the posting list when bits is nil (an unpublished index node, or a node
+// added by hand).
+func (h *Hierarchy) add(heur grammar.Heuristic, coverage []int, bits bitset.Cover) *Node {
 	key := heur.Key()
 	if n, ok := h.nodes[key]; ok {
 		return n
 	}
-	n := &Node{Key: key, Heuristic: heur, Coverage: coverage}
+	if bits == nil {
+		bits = bitset.AdaptiveFromSorted(coverage)
+	}
+	n := &Node{Key: key, Heuristic: heur, Coverage: coverage, Bits: bits}
 	h.nodes[key] = n
 	h.order = append(h.order, key)
 	if key != grammar.RootKey {
@@ -221,13 +226,7 @@ func scoreBatch(ix *index.Index, keys []string, pos bitset.Set, workers int, out
 	wg.Wait()
 }
 
-// GenerateCandidates implements Algorithm 2 over a map positive set; it is a
-// thin wrapper around GenerateCandidatesBits (the set is converted once).
-func GenerateCandidates(ix *index.Index, positives map[int]bool, cfg Config) []string {
-	return GenerateCandidatesBits(ix, bitset.FromMap(positives), cfg)
-}
-
-// GenerateCandidatesBits implements Algorithm 2: a greedy best-first
+// GenerateCandidates implements Algorithm 2: a greedy best-first
 // expansion of the index starting from the root, repeatedly materializing
 // the children of the best candidate so far (by coverage over the discovered
 // positives P, with total coverage as tie-break) until k candidates are
@@ -235,7 +234,7 @@ func GenerateCandidates(ix *index.Index, positives map[int]bool, cfg Config) []s
 // max-heap, making each iteration logarithmic rather than a full re-sort;
 // overlap scoring runs on the bitset kernel, fanning large batches (e.g. the
 // root's children on the first expansion) across the worker pool.
-func GenerateCandidatesBits(ix *index.Index, positives bitset.Set, cfg Config) []string {
+func GenerateCandidates(ix *index.Index, positives bitset.Set, cfg Config) []string {
 	k := cfg.NumCandidates
 	if k <= 0 {
 		k = 10000
@@ -304,15 +303,9 @@ func GenerateCandidatesBits(ix *index.Index, positives bitset.Set, cfg Config) [
 // parent/child relationships (§3.2 "Hierarchical Arrangement and edge
 // discovery"). If cfg.Cleanup is set, candidates that add no new positives
 // beyond P are dropped first (bitset and-not count per candidate).
-func Build(ix *index.Index, candidateKeys []string, positives map[int]bool, cfg Config) *Hierarchy {
-	return BuildBits(ix, candidateKeys, bitset.FromMap(positives), cfg)
-}
-
-// BuildBits is Build over a bitset positive set.
-func BuildBits(ix *index.Index, candidateKeys []string, positives bitset.Set, cfg Config) *Hierarchy {
+func Build(ix *index.Index, candidateKeys []string, positives bitset.Set, cfg Config) *Hierarchy {
 	h := &Hierarchy{nodes: make(map[string]*Node, len(candidateKeys)+1)}
-	root := h.add(grammar.Root(), ix.Root().Postings)
-	root.Bits = ix.Root().Bits()
+	h.add(grammar.Root(), ix.Root().Postings, ix.Root().Bits())
 
 	cleanup := cfg.Cleanup && positives.Count() > 0
 	for _, key := range candidateKeys {
@@ -323,8 +316,7 @@ func BuildBits(ix *index.Index, candidateKeys []string, positives bitset.Set, cf
 		if cleanup && ix.NewCoverageBits(key, positives) == 0 {
 			continue
 		}
-		hn := h.add(n.Heuristic, n.Postings)
-		hn.Bits = n.Bits()
+		h.add(n.Heuristic, n.Postings, n.Bits())
 	}
 	h.LinkEdges(ix)
 	return h
@@ -461,17 +453,11 @@ func (h *Hierarchy) bfsAncestors(key string, parents []string, ix *index.Index, 
 }
 
 // Generate runs candidate generation and arrangement in one call (the
-// "heuristic-hierarchy generation" box of Figure 4) over a map positive set.
-func Generate(ix *index.Index, positives map[int]bool, cfg Config) *Hierarchy {
-	return GenerateBits(ix, bitset.FromMap(positives), cfg)
-}
-
-// GenerateBits is Generate over a bitset positive set — the interactive hot
-// path entry point (sessions maintain their positive set as a bitset and
-// pass it here without conversion).
-func GenerateBits(ix *index.Index, positives bitset.Set, cfg Config) *Hierarchy {
+// "heuristic-hierarchy generation" box of Figure 4) — the interactive hot
+// path entry point.
+func Generate(ix *index.Index, positives bitset.Set, cfg Config) *Hierarchy {
 	defer regenDurations.ObserveSince(time.Now())
 	regensTotal.Inc()
-	keys := GenerateCandidatesBits(ix, positives, cfg)
-	return BuildBits(ix, keys, positives, cfg)
+	keys := GenerateCandidates(ix, positives, cfg)
+	return Build(ix, keys, positives, cfg)
 }

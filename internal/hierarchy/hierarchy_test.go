@@ -3,6 +3,7 @@ package hierarchy
 import (
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/corpus"
 	"repro/internal/grammar"
 	"repro/internal/index"
@@ -41,7 +42,7 @@ func buildIndex(t *testing.T) (*corpus.Corpus, *index.Index) {
 func TestGenerateCandidatesPrefersOverlap(t *testing.T) {
 	_, ix := buildIndex(t)
 	// P = the two "best way to get to" sentences.
-	p := map[int]bool{0: true, 1: true}
+	p := bitset.FromSorted([]int{0, 1})
 	cfg := Config{NumCandidates: 20, MaxRuleDepth: 4, MinCoverage: 2}
 	keys := GenerateCandidates(ix, p, cfg)
 	if len(keys) == 0 {
@@ -52,7 +53,7 @@ func TestGenerateCandidatesPrefersOverlap(t *testing.T) {
 	}
 	// The first candidate must overlap P (greedy best-first by overlap).
 	first := keys[0]
-	if ix.CoverageOverlap(first, p) == 0 {
+	if ix.OverlapBits(first, p) == 0 {
 		t.Errorf("first candidate %q has no overlap with P", first)
 	}
 	// No candidate may violate the constraints.
@@ -90,7 +91,7 @@ func TestGenerateCandidatesDefaultsAndExhaustion(t *testing.T) {
 
 func TestBuildHierarchyEdgesAndCleanup(t *testing.T) {
 	_, ix := buildIndex(t)
-	p := map[int]bool{0: true, 1: true}
+	p := bitset.FromSorted([]int{0, 1})
 	cfg := Config{NumCandidates: 50, MaxRuleDepth: 4, MinCoverage: 2, Cleanup: true}
 	keys := GenerateCandidates(ix, p, cfg)
 	h := Build(ix, keys, p, cfg)
@@ -107,7 +108,7 @@ func TestBuildHierarchyEdgesAndCleanup(t *testing.T) {
 			t.Errorf("node %q has no parents", key)
 		}
 		// Cleanup: every surviving rule adds at least one new sentence.
-		if ix.NewCoverage(key, p) == 0 {
+		if ix.NewCoverageBits(key, p) == 0 {
 			t.Errorf("node %q adds no new positives but survived cleanup", key)
 		}
 		// Edge symmetry and subset relation.
@@ -153,7 +154,7 @@ func TestHierarchyAccessors(t *testing.T) {
 	_, ix := buildIndex(t)
 	cfg := DefaultConfig()
 	cfg.NumCandidates = 30
-	h := Generate(ix, map[int]bool{0: true}, cfg)
+	h := Generate(ix, bitset.FromSorted([]int{0}), cfg)
 	if !h.Contains(grammar.RootKey) {
 		t.Error("root missing")
 	}
@@ -169,6 +170,19 @@ func TestHierarchyAccessors(t *testing.T) {
 	}
 	if len(h.NonRootKeys()) != h.Len()-1 {
 		t.Error("NonRootKeys wrong size")
+	}
+	for _, key := range keys {
+		if h.Node(key).Bits == nil {
+			t.Errorf("node %q has no coverage bits", key)
+		}
+	}
+	// A node added by hand gets its bits from the posting list.
+	heur, err := grammar.NewRegistry(tokensregex.New()).Parse("never seen phrase")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := h.Add(heur, []int{2, 5}); n.Bits == nil || n.Bits.Count() != 2 || !n.Bits.Contains(5) {
+		t.Errorf("hand-added node bits = %v", n.Bits)
 	}
 	// Add is idempotent per key.
 	n1 := h.Add(grammar.Root(), nil)

@@ -506,32 +506,6 @@ func (ix *Index) Parents(key string) []string {
 	return nil
 }
 
-// CoverageOverlap returns |C_r ∩ P| for the heuristic with the given key and
-// a set P of sentence IDs. This is the map-based reference path; the scoring
-// hot paths use OverlapBits.
-func (ix *Index) CoverageOverlap(key string, p map[int]bool) int {
-	n := 0
-	for _, id := range ix.Coverage(key) {
-		if p[id] {
-			n++
-		}
-	}
-	return n
-}
-
-// NewCoverage returns |C_r \ P|: how many sentences the heuristic would add
-// beyond the already-discovered set P (map-based reference path; see
-// NewCoverageBits).
-func (ix *Index) NewCoverage(key string, p map[int]bool) int {
-	n := 0
-	for _, id := range ix.Coverage(key) {
-		if !p[id] {
-			n++
-		}
-	}
-	return n
-}
-
 // OverlapBits returns |C_r ∩ P| via word-wise intersection + popcount. It
 // falls back to the posting list when the node's bitset is unpublished.
 func (ix *Index) OverlapBits(key string, p bitset.Set) int {

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/bitset"
 	"repro/internal/corpus"
 	"repro/internal/grammar"
 	"repro/internal/sketch"
@@ -244,18 +245,19 @@ func TestCoverageOverlapAndNewCoverage(t *testing.T) {
 	b := sketch.NewBuilder(tokenRegistry(), 4)
 	ix := Build(c, b)
 	key := "tokensregex:best way to"
-	p := map[int]bool{0: true}
+	p := bitset.FromSorted([]int{0})
+	pMap := map[int]bool{0: true}
 	cov := ix.Coverage(key)
 	if len(cov) != 3 {
 		t.Fatalf("coverage of 'best way to' = %v, want 3 sentences", cov)
 	}
-	if got := ix.CoverageOverlap(key, p); got != 1 {
+	if got := ix.OverlapBits(key, p); got != 1 || got != referenceOverlap(ix, key, pMap) {
 		t.Errorf("overlap = %d", got)
 	}
-	if got := ix.NewCoverage(key, p); got != 2 {
+	if got := ix.NewCoverageBits(key, p); got != 2 || got != referenceNewCoverage(ix, key, pMap) {
 		t.Errorf("new coverage = %d", got)
 	}
-	if ix.CoverageOverlap("missing", p) != 0 || ix.NewCoverage("missing", p) != 0 {
+	if ix.OverlapBits("missing", p) != 0 || ix.NewCoverageBits("missing", p) != 0 {
 		t.Error("missing key should have zero overlap")
 	}
 }

@@ -65,6 +65,23 @@ func TestStaleEdgeReadsPanicInsteadOfMutating(t *testing.T) {
 	}
 }
 
+// referenceOverlap is the map-based |C_r ∩ P| scan the bitset kernels
+// replaced, kept as their oracle.
+func referenceOverlap(ix *Index, key string, p map[int]bool) int {
+	n := 0
+	for _, id := range ix.Coverage(key) {
+		if p[id] {
+			n++
+		}
+	}
+	return n
+}
+
+// referenceNewCoverage is the map-based |C_r \ P| scan.
+func referenceNewCoverage(ix *Index, key string, p map[int]bool) int {
+	return len(ix.Coverage(key)) - referenceOverlap(ix, key, p)
+}
+
 // TestConcurrentReadsAfterPublish hammers every read accessor from many
 // goroutines on a published index; under -race this proves the read paths
 // are mutation-free.
@@ -88,11 +105,11 @@ func TestConcurrentReadsAfterPublish(t *testing.T) {
 				ix.Parents(key)
 				ix.Coverage(key)
 				ix.Bits(key)
-				if got, want := ix.OverlapBits(key, pos), ix.CoverageOverlap(key, posMap); got != want {
+				if got, want := ix.OverlapBits(key, pos), referenceOverlap(ix, key, posMap); got != want {
 					t.Errorf("OverlapBits(%q) = %d, map path %d", key, got, want)
 					return
 				}
-				if got, want := ix.NewCoverageBits(key, pos), ix.NewCoverage(key, posMap); got != want {
+				if got, want := ix.NewCoverageBits(key, pos), referenceNewCoverage(ix, key, posMap); got != want {
 					t.Errorf("NewCoverageBits(%q) = %d, map path %d", key, got, want)
 					return
 				}

@@ -39,14 +39,17 @@ func (ls *LocalSearch) Name() string { return "local" }
 // hierarchy.
 func (ls *LocalSearch) Next(st *State) (string, bool) {
 	keys := sortedKeys(ls.candidates)
-	if key, ok := pickBest(st, keys, 0); ok {
+	if key, ok := PickBest(st, keys, 0); ok {
 		return key, true
 	}
 	// Zero-gain fallback within the local frontier: propose a structurally
 	// adjacent rule even if it adds nothing, so feedback keeps expanding the
 	// neighborhood (mirrors Algorithm 3, which never filters by gain).
 	for _, key := range keys {
-		if !st.Queried[key] && key != grammar.RootKey && len(st.coverageOf(key)) > 0 {
+		if st.Queried[key] || key == grammar.RootKey {
+			continue
+		}
+		if _, n := st.lookup(key); n > 0 {
 			return key, true
 		}
 	}
@@ -76,16 +79,16 @@ func (ls *LocalSearch) bestByOverlap(st *State) (string, bool) {
 		if st.Queried[key] || key == grammar.RootKey {
 			continue
 		}
-		cov := st.coverageOf(key)
-		if len(cov) == 0 {
+		cov, n := st.lookup(key)
+		if n == 0 {
 			continue
 		}
-		b, newCov := st.benefitNew(key, cov)
-		overlap := len(cov) - newCov
+		b, newCov := st.score(cov)
+		overlap := n - newCov
 		if newCov == 0 || overlap == 0 {
 			continue
 		}
-		ratio := float64(overlap) / float64(len(cov))
+		ratio := float64(overlap) / float64(n)
 		if ratio > bestRatio ||
 			(ratio == bestRatio && overlap > bestOverlap) ||
 			(ratio == bestRatio && overlap == bestOverlap && b > bestBenefit) {

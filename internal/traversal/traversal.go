@@ -7,11 +7,9 @@
 //
 // where p_s is the classifier's probability that sentence s is positive.
 //
-// Scoring runs on the dense bitset coverage kernel when the state carries a
-// bitset positive set and the rule's coverage bits are materialized (the
-// session hot path); the posting-list + map implementations remain as the
-// reference path and are bit-identical, since both accumulate scores in
-// ascending sentence-ID order.
+// P is a dense bitset and every candidate's coverage is a published kernel
+// set, so scoring is one fused and-not-sum pass that accumulates in ascending
+// sentence-ID order.
 package traversal
 
 import (
@@ -29,134 +27,54 @@ import (
 type State struct {
 	Hierarchy *hierarchy.Hierarchy
 	Index     *index.Index
-	// Positives is the discovered positive set P (sentence IDs).
-	Positives map[int]bool
-	// PosBits is the bitset mirror of Positives. Sessions maintain it
-	// incrementally; when nil, it is built lazily from Positives on first
-	// use (so hand-built states keep working). A caller that supplies
-	// PosBits must keep it consistent with Positives itself.
-	PosBits bitset.Set
+	// Positives is the discovered positive set P, sized to the corpus.
+	Positives bitset.Set
 	// Scores holds p_s for every sentence (indexed by sentence ID).
 	Scores []float64
 	// Queried marks rule keys already submitted to the oracle.
 	Queried map[string]bool
-
-	posBitsBuilt bool
-	posBitsN     int
 }
 
-// coverageOf returns the coverage of a rule key, preferring the hierarchy
-// node (which is guaranteed present for hierarchy-generated candidates) and
-// falling back to the index.
-func (st *State) coverageOf(key string) []int {
+// lookup resolves a rule key to its coverage set and |C_r| with one node
+// lookup: the hierarchy node for a candidate, the index node otherwise
+// (local strategies also walk index-only neighbours). Unknown keys resolve
+// to (nil, 0).
+func (st *State) lookup(key string) (bitset.Cover, int) {
 	if n := st.Hierarchy.Node(key); n != nil {
-		return n.Coverage
+		return n.Bits, len(n.Coverage)
 	}
-	return st.Index.Coverage(key)
+	if n := st.Index.Node(key); n != nil {
+		return n.Bits(), n.Count()
+	}
+	return nil, 0
 }
 
-// bitsOf returns the coverage set of a rule key (hierarchy first, then
-// index), or nil when not materialized.
-func (st *State) bitsOf(key string) bitset.Cover {
-	if n := st.Hierarchy.Node(key); n != nil {
-		if n.Bits != nil {
-			return n.Bits
-		}
-		return nil
+// score returns (benefit, |C_r \ P|) for a resolved coverage set in one
+// kernel pass; a nil set scores (0, 0).
+func (st *State) score(cov bitset.Cover) (float64, int) {
+	if cov == nil {
+		return 0, 0
 	}
-	if st.Index != nil {
-		return st.Index.Bits(key)
-	}
-	return nil
+	return cov.AndNotSum(st.Positives, st.Scores)
 }
 
-// posBits returns the bitset positive set, building (and caching) it from
-// the map on first use. A lazily built set is rebuilt when the map's size
-// changed since, so hand-built states that grow Positives between scoring
-// calls stay consistent across both scoring paths.
-func (st *State) posBits() bitset.Set {
-	if st.PosBits == nil && !st.posBitsBuilt || st.posBitsBuilt && st.posBitsN != len(st.Positives) {
-		st.posBitsBuilt = true
-		st.posBitsN = len(st.Positives)
-		st.PosBits = bitset.FromMap(st.Positives)
-	}
-	return st.PosBits
-}
-
-// Benefit computes Σ_{s ∈ cov \ P} p_s over a sorted posting list and a map
-// positive set (the reference path; see BenefitBits for the kernel).
-func Benefit(cov []int, positives map[int]bool, scores []float64) float64 {
-	var b float64
-	for _, id := range cov {
-		if positives[id] {
-			continue
-		}
-		if id >= 0 && id < len(scores) {
-			b += scores[id]
-		}
-	}
-	return b
-}
-
-// AvgBenefit computes the benefit per (new) instance: Benefit / |cov \ P|.
-// Rules whose coverage is already fully contained in P have average benefit 0.
-func AvgBenefit(cov []int, positives map[int]bool, scores []float64) float64 {
-	newCount := 0
-	for _, id := range cov {
-		if !positives[id] {
-			newCount++
-		}
-	}
-	if newCount == 0 {
-		return 0
-	}
-	return Benefit(cov, positives, scores) / float64(newCount)
-}
-
-// BenefitBits computes Σ_{s ∈ cov \ P} p_s with the word-wise kernel. It is
-// bit-identical to Benefit on the same sets: both accumulate in ascending
-// sentence-ID order.
-func BenefitBits(cov, positives bitset.Set, scores []float64) float64 {
-	sum, _ := bitset.AndNotSum(cov, positives, scores)
-	return sum
-}
-
-// benefitNew returns (benefit, |cov \ P|) in one pass, using the bitset
-// kernel when both the rule's coverage bits and the positive bits are
-// available and the reference scan otherwise.
-func (st *State) benefitNew(key string, cov []int) (float64, int) {
-	if covBits := st.bitsOf(key); covBits != nil {
-		return covBits.AndNotSum(st.posBits(), st.Scores)
-	}
-	var b float64
-	newCov := 0
-	for _, id := range cov {
-		if st.Positives[id] {
-			continue
-		}
-		newCov++
-		if id >= 0 && id < len(st.Scores) {
-			b += st.Scores[id]
-		}
-	}
-	return b, newCov
+// BenefitNewOf returns (benefit, |C_r \ P|) for a rule key in one kernel
+// pass.
+func (st *State) BenefitNewOf(key string) (float64, int) {
+	cov, _ := st.lookup(key)
+	return st.score(cov)
 }
 
 // BenefitOf scores a rule key against the state.
 func (st *State) BenefitOf(key string) float64 {
-	b, _ := st.benefitNew(key, st.coverageOf(key))
+	b, _ := st.BenefitNewOf(key)
 	return b
 }
 
-// BenefitNewOf returns (benefit, |cov \ P|) for a rule key in one kernel
-// pass.
-func (st *State) BenefitNewOf(key string) (float64, int) {
-	return st.benefitNew(key, st.coverageOf(key))
-}
-
-// AvgBenefitOf returns the per-instance benefit of a rule key.
+// AvgBenefitOf returns the per-instance benefit of a rule key: benefit /
+// |C_r \ P|, or 0 when the rule adds nothing.
 func (st *State) AvgBenefitOf(key string) float64 {
-	b, newCov := st.benefitNew(key, st.coverageOf(key))
+	b, newCov := st.BenefitNewOf(key)
 	if newCov == 0 {
 		return 0
 	}
@@ -178,11 +96,16 @@ type Traversal interface {
 	Reseed(st *State, key string)
 }
 
-// pickBest returns the unqueried key with the highest benefit, breaking ties
-// by higher new coverage then lexicographic key for determinism. The boolean
-// reports whether any eligible candidate exists. Each candidate is scored in
-// a single kernel pass (benefit and new coverage together).
-func pickBest(st *State, keys []string, requireAvgBenefit float64) (string, bool) {
+// PickBest returns the unqueried key with the highest benefit, breaking
+// ties by higher new coverage then lexicographic key for determinism, among
+// keys whose average benefit exceeds minAvgBenefit (when positive). The
+// boolean reports whether any eligible candidate exists. It is the one
+// max-benefit ranking every consumer shares: the traversals and the
+// multi-annotator workspace. Each candidate costs one node lookup and one
+// kernel pass (benefit and new coverage together).
+//
+//darwin:replaypure
+func PickBest(st *State, keys []string, minAvgBenefit float64) (string, bool) {
 	bestKey := ""
 	bestBenefit := -1.0
 	bestNew := -1
@@ -190,21 +113,15 @@ func pickBest(st *State, keys []string, requireAvgBenefit float64) (string, bool
 		if st.Queried[key] || key == grammar.RootKey {
 			continue
 		}
-		cov := st.coverageOf(key)
-		if len(cov) == 0 {
+		cov, n := st.lookup(key)
+		if n == 0 {
 			continue
 		}
-		b, newCov := st.benefitNew(key, cov)
-		if requireAvgBenefit > 0 {
-			avg := 0.0
-			if newCov > 0 {
-				avg = b / float64(newCov)
-			}
-			if avg <= requireAvgBenefit {
-				continue
-			}
-		}
+		b, newCov := st.score(cov)
 		if newCov == 0 {
+			continue
+		}
+		if minAvgBenefit > 0 && b/float64(newCov) <= minAvgBenefit {
 			continue
 		}
 		if b > bestBenefit || (b == bestBenefit && newCov > bestNew) ||

@@ -3,6 +3,7 @@ package traversal
 import (
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/corpus"
 	"repro/internal/grammar"
 	"repro/internal/hierarchy"
@@ -14,7 +15,7 @@ import (
 // buildState constructs a small directions-style corpus, its index and
 // hierarchy, and a State whose classifier scores equal the gold labels
 // (a perfect classifier).
-func buildState(t *testing.T, positives map[int]bool) (*corpus.Corpus, *State) {
+func buildState(t *testing.T, positiveIDs ...int) (*corpus.Corpus, *State) {
 	t.Helper()
 	c := corpus.New("tr", "t")
 	texts := []struct {
@@ -42,8 +43,9 @@ func buildState(t *testing.T, positives map[int]bool) (*corpus.Corpus, *State) {
 	reg := grammar.NewRegistry(tokensregex.New())
 	ix := index.Build(c, sketch.NewBuilder(reg, 4))
 
-	if positives == nil {
-		positives = map[int]bool{}
+	positives := bitset.New(c.Len())
+	for _, id := range positiveIDs {
+		positives.Add(id)
 	}
 	hcfg := hierarchy.Config{NumCandidates: 200, MaxRuleDepth: 4, MinCoverage: 2, Cleanup: true}
 	h := hierarchy.Generate(ix, positives, hcfg)
@@ -65,28 +67,46 @@ func buildState(t *testing.T, positives map[int]bool) (*corpus.Corpus, *State) {
 	}
 }
 
+// TestBenefitAndAvgBenefit scores hand-added hierarchy nodes, whose
+// coverage bits Add materializes from the posting list.
 func TestBenefitAndAvgBenefit(t *testing.T) {
-	scores := []float64{0.9, 0.8, 0.1, 0.5}
-	pos := map[int]bool{0: true}
-	cov := []int{0, 1, 2}
-	if got := Benefit(cov, pos, scores); got != 0.9 {
+	reg := grammar.NewRegistry(tokensregex.New())
+	ix := index.New()
+	h := hierarchy.Build(ix, nil, nil, hierarchy.Config{})
+	rule := func(spec string, cov ...int) string {
+		heur, err := reg.Parse(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Add(heur, cov)
+		return heur.Key()
+	}
+	partial := rule("best way", 0, 1, 2)
+	covered := rule("airport", 0)
+	dangling := rule("shuttle", 99)
+	st := &State{Hierarchy: h, Index: ix, Positives: bitset.FromSorted([]int{0}), Scores: []float64{0.9, 0.8, 0.1, 0.5}}
+	if got := st.BenefitOf(partial); got != 0.9 {
 		t.Errorf("Benefit = %f, want 0.9 (0.8+0.1)", got)
 	}
-	if got := AvgBenefit(cov, pos, scores); got != 0.45 {
+	if got := st.AvgBenefitOf(partial); got != 0.45 {
 		t.Errorf("AvgBenefit = %f, want 0.45", got)
 	}
 	// Fully covered rule has zero average benefit.
-	if got := AvgBenefit([]int{0}, pos, scores); got != 0 {
+	if got := st.AvgBenefitOf(covered); got != 0 {
 		t.Errorf("AvgBenefit of covered rule = %f", got)
 	}
 	// Out-of-range IDs contribute nothing.
-	if got := Benefit([]int{99}, pos, scores); got != 0 {
+	if got := st.BenefitOf(dangling); got != 0 {
 		t.Errorf("Benefit with dangling ID = %f", got)
+	}
+	// Unknown keys score (0, 0).
+	if b, newCov := st.BenefitNewOf("tokensregex:no such rule"); b != 0 || newCov != 0 {
+		t.Errorf("unknown key scored (%f, %d)", b, newCov)
 	}
 }
 
 func TestUniversalSearchPicksPreciseHighBenefit(t *testing.T) {
-	_, st := buildState(t, map[int]bool{0: true})
+	_, st := buildState(t, 0)
 	us := NewUniversalSearch()
 	key, ok := us.Next(st)
 	if !ok {
@@ -106,7 +126,7 @@ func TestUniversalSearchPicksPreciseHighBenefit(t *testing.T) {
 }
 
 func TestUniversalSearchRelaxFallback(t *testing.T) {
-	_, st := buildState(t, map[int]bool{0: true})
+	_, st := buildState(t, 0)
 	// Make every score low so nothing passes the 0.5 filter.
 	for i := range st.Scores {
 		st.Scores[i] = 0.05
@@ -122,7 +142,7 @@ func TestUniversalSearchRelaxFallback(t *testing.T) {
 }
 
 func TestUniversalSearchSkipsQueried(t *testing.T) {
-	_, st := buildState(t, map[int]bool{0: true})
+	_, st := buildState(t, 0)
 	us := NewUniversalSearch()
 	first, ok := us.Next(st)
 	if !ok {
@@ -140,7 +160,7 @@ func TestUniversalSearchSkipsQueried(t *testing.T) {
 
 func TestLocalSearchExploresNeighborhood(t *testing.T) {
 	seed := "tokensregex:shuttle to the"
-	_, st := buildState(t, map[int]bool{2: true, 3: true, 4: true})
+	_, st := buildState(t, 2, 3, 4)
 	ls := NewLocalSearch(seed)
 	st.Queried[seed] = true
 	if ls.CandidateCount() != 1 {
@@ -150,7 +170,7 @@ func TestLocalSearchExploresNeighborhood(t *testing.T) {
 	// the best overlap with P rather than stalling.
 	if key, ok := ls.Next(st); !ok {
 		t.Fatal("Next should bootstrap from the hierarchy when the frontier is exhausted")
-	} else if st.Index.CoverageOverlap(key, st.Positives) == 0 {
+	} else if st.Index.OverlapBits(key, st.Positives) == 0 {
 		t.Errorf("bootstrap pick %q has no overlap with P", key)
 	}
 	ls.Reseed(st, seed)
@@ -188,7 +208,7 @@ func TestLocalSearchIgnoresRootSeed(t *testing.T) {
 }
 
 func TestHybridSearchTogglesAfterTau(t *testing.T) {
-	_, st := buildState(t, map[int]bool{0: true})
+	_, st := buildState(t, 0)
 	hs := NewHybridSearch(2, "tokensregex:best way to get to")
 	if !hs.InUniversalMode() {
 		t.Fatal("hybrid should start in universal mode")
@@ -243,12 +263,12 @@ func TestNewByName(t *testing.T) {
 }
 
 func TestPickBestSkipsExhaustedRules(t *testing.T) {
-	_, st := buildState(t, nil)
+	_, st := buildState(t)
 	// Mark every sentence as already positive: every rule adds nothing.
 	for id := 0; id < len(st.Scores); id++ {
-		st.Positives[id] = true
+		st.Positives.Add(id)
 	}
-	if key, ok := pickBest(st, st.Hierarchy.NonRootKeys(), 0); ok {
-		t.Errorf("pickBest returned %q although nothing adds new coverage", key)
+	if key, ok := PickBest(st, st.Hierarchy.NonRootKeys(), 0); ok {
+		t.Errorf("PickBest returned %q although nothing adds new coverage", key)
 	}
 }

@@ -25,11 +25,11 @@ func (us *UniversalSearch) Name() string { return "universal" }
 // Next implements Traversal.
 func (us *UniversalSearch) Next(st *State) (string, bool) {
 	keys := st.Hierarchy.NonRootKeys()
-	if key, ok := pickBest(st, keys, MinAvgBenefit); ok {
+	if key, ok := PickBest(st, keys, MinAvgBenefit); ok {
 		return key, true
 	}
 	if us.Relax {
-		return pickBest(st, keys, 0)
+		return PickBest(st, keys, 0)
 	}
 	return "", false
 }

@@ -118,8 +118,7 @@ func Restore(eng *core.Engine, snap *Snapshot, log LogFunc) (*Workspace, error) 
 		budget:         snap.Budget,
 		corpusLen:      snap.CorpusLen,
 		seedRules:      append([]string(nil), snap.SeedRules...),
-		positives:      make(map[int]bool, len(snap.Positives)),
-		posBits:        bitset.New(snap.CorpusLen),
+		positives:      bitset.New(snap.CorpusLen),
 		queried:        make(map[string]bool, len(snap.Queried)),
 		scores:         append([]float64(nil), snap.Scores...),
 		clf:            eng.AttachClassifier(snap.Seed),
@@ -135,9 +134,8 @@ func Restore(eng *core.Engine, snap *Snapshot, log LogFunc) (*Workspace, error) 
 		if id < 0 || id >= snap.CorpusLen {
 			return nil, fmt.Errorf("workspace: snapshot %s has out-of-range positive %d", snap.ID, id)
 		}
-		ws.positives[id] = true
-		ws.posBits.Add(id)
 	}
+	ws.addPositives(snap.Positives)
 	for _, key := range snap.Queried {
 		ws.queried[key] = true
 	}

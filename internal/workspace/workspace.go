@@ -155,8 +155,10 @@ type Workspace struct {
 	corpusLen int
 	seedRules []string
 
-	positives map[int]bool
-	posBits   bitset.Set
+	// positives is the shared positive set P, a bitset sized to the corpus;
+	// npos is |P|, kept by addPositives, the only routine that grows P.
+	positives bitset.Set
+	npos      int
 	queried   map[string]bool
 	scores    []float64
 	clf       *classifier.SentenceClassifier
@@ -201,7 +203,7 @@ type statsCounters struct {
 // publishStatsLocked refreshes the lock-free status snapshot. Callers hold
 // ws.mu (or are in a constructor before the workspace is shared).
 func (ws *Workspace) publishStatsLocked() {
-	ws.statsSnap.Store(&statsCounters{questions: ws.questions, positives: len(ws.positives)})
+	ws.statsSnap.Store(&statsCounters{questions: ws.questions, positives: ws.npos})
 }
 
 // mix derives a deterministic per-event RNG seed from the workspace seed and
@@ -237,8 +239,7 @@ func New(eng *core.Engine, id, dataset string, opts Options, log LogFunc) (*Work
 		budget:     opts.Budget,
 		corpusLen:  corp.Len(),
 		seedRules:  append([]string(nil), opts.SeedRules...),
-		positives:  make(map[int]bool),
-		posBits:    bitset.New(corp.Len()),
+		positives:  bitset.New(corp.Len()),
 		queried:    make(map[string]bool),
 		scores:     make([]float64, corp.Len()),
 		clf:        eng.AttachClassifier(opts.Seed),
@@ -269,17 +270,18 @@ func New(eng *core.Engine, id, dataset string, opts Options, log LogFunc) (*Work
 			Accepted:       true,
 			CoverageIDs:    cov,
 			AddedIDs:       added,
-			PositivesAfter: len(ws.positives),
+			PositivesAfter: ws.npos,
 		}})
 		ws.queried[key] = true
 	}
+	var seedIDs []int
 	for _, id := range opts.SeedPositiveIDs {
-		if corp.Sentence(id) != nil && !ws.positives[id] {
-			ws.positives[id] = true
-			ws.posBits.Add(id)
+		if corp.Sentence(id) != nil {
+			seedIDs = append(seedIDs, id)
 		}
 	}
-	if len(ws.positives) == 0 {
+	ws.addPositives(seedIDs)
+	if ws.npos == 0 {
 		return nil, fmt.Errorf("workspace: seeds produced no positive instances (need a seed rule with non-empty coverage or seed positive IDs)")
 	}
 	ws.retrain() // event 0: the create itself
@@ -297,27 +299,27 @@ func (ws *Workspace) Dataset() string { return ws.dataset }
 // Budget returns the shared oracle query budget.
 func (ws *Workspace) Budget() int { return ws.budget }
 
-// addPositives inserts coverage IDs into both representations of P and
-// returns the newly added IDs (sorted). Callers hold ws.mu (or are in New).
+// addPositives inserts the ids into P, keeping |P| in step, and returns the
+// newly added ones (sorted). Callers hold ws.mu (or are in New/Restore).
 //
 //darwin:replaypure
-func (ws *Workspace) addPositives(cov []int) []int {
+func (ws *Workspace) addPositives(ids []int) []int {
 	var added []int
-	for _, id := range cov {
-		if !ws.positives[id] {
-			ws.positives[id] = true
-			ws.posBits.Add(id)
+	for _, id := range ids {
+		if !ws.positives.Contains(id) {
+			ws.positives.Add(id)
 			added = append(added, id)
 		}
 	}
+	ws.npos += len(added)
 	sort.Ints(added)
 	return added
 }
 
-// growLocked extends the workspace's score vector and positive-set mirror
-// after live-corpus growth: new sentences start at the untrained prior 0.5
-// and outside P. Callers hold ws.mu (or are in New/Restore) and the engine
-// read lock, under which the corpus length is stable.
+// growLocked extends the workspace's score vector and positive set after
+// live-corpus growth: new sentences start at the untrained prior 0.5 and
+// outside P. Callers hold ws.mu (or are in New/Restore) and the engine read
+// lock, under which the corpus length is stable.
 //
 //darwin:replaypure
 func (ws *Workspace) growLocked() {
@@ -328,7 +330,7 @@ func (ws *Workspace) growLocked() {
 	for len(ws.scores) < n {
 		ws.scores = append(ws.scores, 0.5)
 	}
-	ws.posBits = ws.posBits.Grow(n)
+	ws.positives = ws.positives.Grow(n)
 	ws.corpusLen = n
 }
 
@@ -345,7 +347,7 @@ func (ws *Workspace) retrain() {
 		ws.growLocked()
 		ws.clf.Reseed(mix(ws.seed, ws.eventSeq))
 		lazy, thr := ws.eng.LazyScoring()
-		if err := ws.clf.Refit(ws.positives, ws.posBits, ws.scores, &ws.retrains, lazy, thr); err != nil {
+		if err := ws.clf.Refit(ws.positives, ws.scores, &ws.retrains, lazy, thr); err != nil {
 			// Training failure is tolerated live (previous model and scores
 			// keep serving); lastRetrainSeq deliberately still points at the
 			// last successful fit, so a snapshot Restore refits a seq that is
@@ -521,16 +523,20 @@ func (ws *Workspace) Suggest(name string) (Suggestion, bool, error) {
 	found := false
 	ws.eng.WithIndexRead(func(ix *index.Index) {
 		ws.growLocked()
-		if ver := ix.Version(); ws.hier == nil || ws.hierPos != len(ws.positives) || ws.hierIxVer != ver {
-			ws.hier = hierarchy.GenerateBits(ix, ws.posBits, ws.eng.HierarchyConfig())
-			ws.hierPos = len(ws.positives)
+		if ver := ix.Version(); ws.hier == nil || ws.hierPos != ws.npos || ws.hierIxVer != ver {
+			ws.hier = hierarchy.Generate(ix, ws.positives, ws.eng.HierarchyConfig())
+			ws.hierPos = ws.npos
 			ws.hierIxVer = ver
 			ws.hierGens++
 		}
-		key, benefit, newCov := ws.pickLocked()
-		if key == "" {
+		// Assigned-but-unanswered keys are in ws.queried, which is what
+		// keeps concurrent annotators' suggestions disjoint.
+		st := &traversal.State{Hierarchy: ws.hier, Index: ix, Positives: ws.positives, Scores: ws.scores, Queried: ws.queried}
+		key, ok := traversal.PickBest(st, ws.hier.NonRootKeys(), 0)
+		if !ok {
 			return
 		}
+		benefit, newCov := st.BenefitNewOf(key)
 		n := ws.hier.Node(key)
 		cov = n.Coverage
 		avg := 0.0
@@ -563,44 +569,6 @@ func (ws *Workspace) Suggest(name string) (Suggestion, bool, error) {
 		return Suggestion{}, false, nil
 	}
 	return sug, true, ws.journalErrLocked()
-}
-
-// pickLocked is the deterministic candidate selection: the unqueried,
-// unassigned hierarchy node with the highest benefit, breaking ties by
-// higher new coverage then lexicographic key. Assigned-but-unanswered keys
-// are in ws.queried, which is what keeps concurrent annotators disjoint.
-//
-//darwin:replaypure
-func (ws *Workspace) pickLocked() (string, float64, int) {
-	bestKey := ""
-	bestBenefit := -1.0
-	bestNew := -1
-	for _, key := range ws.hier.NonRootKeys() {
-		if ws.queried[key] {
-			continue
-		}
-		n := ws.hier.Node(key)
-		var benefit float64
-		var newCov int
-		if n.Bits != nil {
-			benefit, newCov = n.Bits.AndNotSum(ws.posBits, ws.scores)
-		} else {
-			benefit = traversal.Benefit(n.Coverage, ws.positives, ws.scores)
-			for _, id := range n.Coverage {
-				if !ws.positives[id] {
-					newCov++
-				}
-			}
-		}
-		if newCov == 0 {
-			continue
-		}
-		if benefit > bestBenefit || (benefit == bestBenefit && newCov > bestNew) ||
-			(benefit == bestBenefit && newCov == bestNew && (bestKey == "" || key < bestKey)) {
-			bestKey, bestBenefit, bestNew = key, benefit, newCov
-		}
-	}
-	return bestKey, bestBenefit, bestNew
 }
 
 // Answer records an annotator's verdict on their pending suggestion: on
@@ -649,7 +617,7 @@ func (ws *Workspace) Answer(name, key string, accept bool) (Record, error) {
 		ws.accepted = append(ws.accepted, rec)
 		ws.retrain()
 	}
-	rec.PositivesAfter = len(ws.positives)
+	rec.PositivesAfter = ws.npos
 	ws.history = append(ws.history, rec)
 	ws.questions = q
 	an.questions++
@@ -692,10 +660,11 @@ func (ws *Workspace) Annotators() []string {
 func (ws *Workspace) PositivesMap() map[int]bool {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
-	out := make(map[int]bool, len(ws.positives))
-	for id := range ws.positives {
+	out := make(map[int]bool, ws.npos)
+	ws.positives.Range(func(id int) bool {
 		out[id] = true
-	}
+		return true
+	})
 	return out
 }
 
@@ -752,7 +721,7 @@ func (ws *Workspace) Report() *Report {
 		Budget:        ws.budget,
 		Questions:     ws.questions,
 		Done:          ws.questions >= ws.budget,
-		PositiveCount: len(ws.positives),
+		PositiveCount: ws.npos,
 		Positives:     ws.positiveIDsLocked(),
 		Accepted:      append([]Record(nil), ws.accepted...),
 		History:       append([]Record(nil), ws.history...),
@@ -770,13 +739,9 @@ func (ws *Workspace) Report() *Report {
 	return rep
 }
 
+// positiveIDsLocked returns P as ascending ids. Callers hold ws.mu.
 func (ws *Workspace) positiveIDsLocked() []int {
-	out := make([]int, 0, len(ws.positives))
-	for id := range ws.positives {
-		out = append(out, id)
-	}
-	sort.Ints(out)
-	return out
+	return ws.positives.AppendTo(make([]int, 0, ws.npos))
 }
 
 func (ws *Workspace) metricsLocked() ClassifierMetrics {
