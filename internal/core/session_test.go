@@ -328,6 +328,35 @@ func TestConcurrentSessionsSharedEngine(t *testing.T) {
 	}
 }
 
+// TestSessionOnWarmEngineKeepsIndexPublished pins that seeding a session or
+// materializing a workspace rule the index already holds does not
+// re-publish it: the version and the key cache's backing array survive.
+func TestSessionOnWarmEngineKeepsIndexPublished(t *testing.T) {
+	c := testCorpus(t, 0.04)
+	e, err := New(c, fastConfig("hybrid"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const seed = "best way to get to"
+	if _, err := e.NewSession(SessionOptions{SeedRules: []string{seed}, Budget: 1}); err != nil {
+		t.Fatal(err)
+	}
+	ix := e.Index()
+	ver, keys := ix.Version(), ix.Keys()
+	if _, err := e.NewSession(SessionOptions{SeedRules: []string{seed}, Budget: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := e.MaterializeRule(seed); err != nil {
+		t.Fatal(err)
+	}
+	if got := ix.Version(); got != ver {
+		t.Errorf("index version moved %d -> %d on a warm engine", ver, got)
+	}
+	if got := ix.Keys(); &got[0] != &keys[0] || len(got) != len(keys) {
+		t.Error("warm session start rebuilt the index key cache")
+	}
+}
+
 func TestSessionSeedPositiveIDsAndErrors(t *testing.T) {
 	c := testCorpus(t, 0.04)
 	e, err := New(c, fastConfig("local"))

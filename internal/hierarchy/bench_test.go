@@ -81,14 +81,22 @@ func BenchmarkGenerate(b *testing.B) {
 }
 
 // BenchmarkLinkEdges isolates the edge-linking pass inside regeneration
-// (nearest-ancestor resolution via the index's child lists).
+// (nearest-ancestor resolution over the index's ordinal child and parent
+// lists, then spelling the edges out as keys).
 func BenchmarkLinkEdges(b *testing.B) {
 	ix := genIndex(b)
 	p := benchPositives(b, ix)
 	cfg := Config{NumCandidates: 10000, MaxRuleDepth: 8, MinCoverage: 2, Cleanup: true}
 	h := Generate(ix, p, cfg)
+	nodes, keys := ix.NodesByOrd(), ix.Keys()
+	members := make([]int32, len(h.list))
+	at := make([]int32, len(nodes))
+	for i, n := range h.list {
+		members[i] = int32(ix.Node(n.Key).Ord())
+		at[members[i]] = int32(i + 1)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h.LinkEdges(ix)
+		h.link(nodes, keys, members, at)
 	}
 }

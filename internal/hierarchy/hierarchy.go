@@ -5,14 +5,21 @@
 // subset/superset edges plus the cleanup pass that drops heuristics adding no
 // new positives.
 //
-// Candidate scoring runs on the dense bitset coverage kernel (word-wise
-// intersection + popcount against the positive set) and fans large scoring
-// batches across a bounded worker pool.
+// Candidate scoring runs on the index's coverage kernel (the compressed
+// bitset.Adaptive by default, or the dense bitset.Set) — intersection +
+// popcount against the positive set — and fans large scoring batches across
+// a bounded worker pool.
+//
+// Regeneration works on the published index's node ordinals (see package
+// index): candidate state, the candidate heap and edge linking are arrays
+// indexed by ordinal, and keys are looked up once at the end. Ordinals never
+// leave a Generate, GenerateCandidates, Build or LinkEdges call; a Hierarchy
+// holds only keys, so it stays valid however the index is renumbered later.
 package hierarchy
 
 import (
-	"container/heap"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -56,9 +63,9 @@ type Node struct {
 // iteration of the Darwin pipeline.
 type Hierarchy struct {
 	nodes map[string]*Node
-	order []string // insertion order of keys, root first
-	// nonRoot is order minus the root, maintained on Add so NonRootKeys is
-	// allocation-free on the per-step hot path.
+	list  []*Node // insertion order, root first
+	// nonRoot is the keys of list minus the root, maintained on insert so
+	// NonRootKeys is allocation-free on the per-step hot path.
 	nonRoot []string
 }
 
@@ -73,8 +80,10 @@ func (h *Hierarchy) Len() int { return len(h.nodes) }
 
 // Keys returns all node keys (root first, then insertion order).
 func (h *Hierarchy) Keys() []string {
-	out := make([]string, len(h.order))
-	copy(out, h.order)
+	out := make([]string, len(h.list))
+	for i, n := range h.list {
+		out[i] = n.Key
+	}
 	return out
 }
 
@@ -96,27 +105,22 @@ func (h *Hierarchy) Contains(key string) bool {
 // are not recomputed automatically; call LinkEdges after a batch of
 // additions.
 func (h *Hierarchy) Add(heur grammar.Heuristic, coverage []int) *Node {
-	return h.add(heur, coverage, nil)
-}
-
-// add inserts a node with the given coverage set, or with bits built from
-// the posting list when bits is nil (an unpublished index node, or a node
-// added by hand).
-func (h *Hierarchy) add(heur grammar.Heuristic, coverage []int, bits bitset.Cover) *Node {
 	key := heur.Key()
 	if n, ok := h.nodes[key]; ok {
 		return n
 	}
-	if bits == nil {
-		bits = bitset.AdaptiveFromSorted(coverage)
-	}
-	n := &Node{Key: key, Heuristic: heur, Coverage: coverage, Bits: bits}
-	h.nodes[key] = n
-	h.order = append(h.order, key)
-	if key != grammar.RootKey {
-		h.nonRoot = append(h.nonRoot, key)
-	}
+	n := &Node{Key: key, Heuristic: heur, Coverage: coverage, Bits: bitset.AdaptiveFromSorted(coverage)}
+	h.insert(n)
 	return n
+}
+
+// insert records a node whose key is not yet present.
+func (h *Hierarchy) insert(n *Node) {
+	h.nodes[n.Key] = n
+	h.list = append(h.list, n)
+	if n.Key != grammar.RootKey {
+		h.nonRoot = append(h.nonRoot, n.Key)
+	}
 }
 
 // Config controls candidate generation.
@@ -143,34 +147,66 @@ func DefaultConfig() Config {
 }
 
 // cand is one candidate heuristic scored by its overlap with the discovered
-// positives (primary) and its total coverage (tie-break).
+// positives (primary) and its total coverage (tie-break), identified by its
+// index ordinal.
 type cand struct {
-	key     string
 	overlap int
 	total   int
+	ord     int32
 }
 
-// candHeap is a max-heap of candidates ordered by (overlap, total, key).
+// before reports whether a pops before b: larger overlap, then larger total
+// coverage, then the smaller ordinal — which is the smaller key, since
+// ordinals rank keys.
+func (a cand) before(b cand) bool {
+	if a.overlap != b.overlap {
+		return a.overlap > b.overlap
+	}
+	if a.total != b.total {
+		return a.total > b.total
+	}
+	return a.ord < b.ord
+}
+
+// candHeap is a binary heap of candidates whose top is the one that pops
+// first under cand.before.
 type candHeap []cand
 
-func (h candHeap) Len() int { return len(h) }
-func (h candHeap) Less(i, j int) bool {
-	if h[i].overlap != h[j].overlap {
-		return h[i].overlap > h[j].overlap
+func (h *candHeap) push(c cand) {
+	s := append(*h, c)
+	for i := len(s) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !s[i].before(s[p]) {
+			break
+		}
+		s[i], s[p] = s[p], s[i]
+		i = p
 	}
-	if h[i].total != h[j].total {
-		return h[i].total > h[j].total
-	}
-	return h[i].key < h[j].key
+	*h = s
 }
-func (h candHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *candHeap) Push(x any)   { *h = append(*h, x.(cand)) }
-func (h *candHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+
+func (h *candHeap) pop() cand {
+	s := *h
+	top := s[0]
+	last := len(s) - 1
+	s[0] = s[last]
+	s = s[:last]
+	for i := 0; ; {
+		m := 2*i + 1
+		if m >= last {
+			break
+		}
+		if r := m + 1; r < last && s[r].before(s[m]) {
+			m = r
+		}
+		if !s[m].before(s[i]) {
+			break
+		}
+		s[i], s[m] = s[m], s[i]
+		i = m
+	}
+	*h = s
+	return top
 }
 
 // scoreParallelThreshold is the batch size above which candidate scoring
@@ -191,39 +227,32 @@ func resolveWorkers(cfg Config) int {
 	return w
 }
 
-// scoreBatch scores a batch of eligible keys against the positive set,
+// scoreBatch scores a batch of eligible ordinals against the positive set,
 // writing results in batch order (deterministic regardless of parallelism).
-func scoreBatch(ix *index.Index, keys []string, pos bitset.Set, workers int, out []cand) {
-	score := func(i int) {
-		key := keys[i]
-		out[i] = cand{key: key, overlap: ix.OverlapBits(key, pos), total: ix.Count(key)}
-	}
-	if workers <= 1 || len(keys) < scoreParallelThreshold {
-		for i := range keys {
-			score(i)
-		}
+func scoreBatch(nodes []*index.Node, ords []int32, pos bitset.Set, workers int, out []cand) {
+	if workers <= 1 || len(ords) < scoreParallelThreshold {
+		scoreRange(nodes, ords, pos, out)
 		return
 	}
 	var wg sync.WaitGroup
-	per := (len(keys) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * per
-		if lo >= len(keys) {
-			break
-		}
-		hi := lo + per
-		if hi > len(keys) {
-			hi = len(keys)
-		}
+	per := (len(ords) + workers - 1) / workers
+	for lo := 0; lo < len(ords); lo += per {
+		hi := min(lo+per, len(ords))
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func() {
 			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				score(i)
-			}
-		}(lo, hi)
+			scoreRange(nodes, ords[lo:hi], pos, out[lo:hi])
+		}()
 	}
 	wg.Wait()
+}
+
+// scoreRange scores ords into out serially.
+func scoreRange(nodes []*index.Node, ords []int32, pos bitset.Set, out []cand) {
+	for i, o := range ords {
+		n := nodes[o]
+		out[i] = cand{overlap: n.Bits().AndCount(pos), total: n.Count(), ord: o}
+	}
 }
 
 // GenerateCandidates implements Algorithm 2: a greedy best-first
@@ -235,66 +264,74 @@ func scoreBatch(ix *index.Index, keys []string, pos bitset.Set, workers int, out
 // overlap scoring runs on the bitset kernel, fanning large batches (e.g. the
 // root's children on the first expansion) across the worker pool.
 func GenerateCandidates(ix *index.Index, positives bitset.Set, cfg Config) []string {
+	keys := ix.Keys()
+	ords := generateOrds(ix, positives, cfg)
+	out := make([]string, len(ords))
+	for i, o := range ords {
+		out[i] = keys[o]
+	}
+	return out
+}
+
+// Candidate states in Algorithm 2, indexed by ordinal.
+const (
+	unseen uint8 = iota
+	queued
+	taken
+)
+
+// generateOrds is GenerateCandidates on ordinals: it returns the selected
+// candidates' ordinals in selection order.
+func generateOrds(ix *index.Index, positives bitset.Set, cfg Config) []int32 {
 	k := cfg.NumCandidates
 	if k <= 0 {
 		k = 10000
 	}
 	workers := resolveWorkers(cfg)
+	nodes := ix.NodesByOrd()
 
-	selected := make([]string, 0, k)
-	inSelected := map[string]bool{grammar.RootKey: true}
-	inCandidates := map[string]bool{}
-	candidates := &candHeap{}
-	heap.Init(candidates)
-
-	eligible := func(key string) bool {
-		if inSelected[key] || inCandidates[key] {
-			return false
-		}
-		n := ix.Node(key)
-		if n == nil {
-			return false
-		}
-		if cfg.MaxRuleDepth > 0 && n.Heuristic.Depth() > cfg.MaxRuleDepth {
-			return false
-		}
-		if cfg.MinCoverage > 0 && n.Count() < cfg.MinCoverage {
-			return false
-		}
-		return true
-	}
-
-	var batch []string
+	selected := make([]int32, 0, min(k, len(nodes)))
+	state := make([]uint8, len(nodes))
+	var candidates candHeap
+	var batch []int32
 	var scored []cand
-	recent := grammar.RootKey
+	recent := int32(ix.Root().Ord())
+	state[recent] = taken
 	for len(selected) < k {
 		// Add children of the most recently selected heuristic (line 3).
 		batch = batch[:0]
-		for _, ck := range ix.Children(recent) {
-			if eligible(ck) {
-				inCandidates[ck] = true
-				batch = append(batch, ck)
+		for _, c := range nodes[recent].ChildOrds() {
+			if state[c] != unseen {
+				continue
 			}
+			n := nodes[c]
+			if cfg.MaxRuleDepth > 0 && n.Depth() > cfg.MaxRuleDepth {
+				continue
+			}
+			if cfg.MinCoverage > 0 && n.Count() < cfg.MinCoverage {
+				continue
+			}
+			state[c] = queued
+			batch = append(batch, c)
 		}
 		if len(batch) > 0 {
 			if cap(scored) < len(batch) {
 				scored = make([]cand, len(batch))
 			}
 			scored = scored[:len(batch)]
-			scoreBatch(ix, batch, positives, workers, scored)
+			scoreBatch(nodes, batch, positives, workers, scored)
 			for _, c := range scored {
-				heap.Push(candidates, c)
+				candidates.push(c)
 			}
 		}
-		if candidates.Len() == 0 {
+		if len(candidates) == 0 {
 			break
 		}
 		// Take the candidate with the highest coverage over P (lines 4-7).
-		best := heap.Pop(candidates).(cand)
-		delete(inCandidates, best.key)
-		inSelected[best.key] = true
-		selected = append(selected, best.key)
-		recent = best.key
+		best := candidates.pop()
+		state[best.ord] = taken
+		selected = append(selected, best.ord)
+		recent = best.ord
 	}
 	return selected
 }
@@ -304,152 +341,219 @@ func GenerateCandidates(ix *index.Index, positives bitset.Set, cfg Config) []str
 // discovery"). If cfg.Cleanup is set, candidates that add no new positives
 // beyond P are dropped first (bitset and-not count per candidate).
 func Build(ix *index.Index, candidateKeys []string, positives bitset.Set, cfg Config) *Hierarchy {
-	h := &Hierarchy{nodes: make(map[string]*Node, len(candidateKeys)+1)}
-	h.add(grammar.Root(), ix.Root().Postings, ix.Root().Bits())
-
-	cleanup := cfg.Cleanup && positives.Count() > 0
+	ords := make([]int32, 0, len(candidateKeys))
 	for _, key := range candidateKeys {
-		n := ix.Node(key)
-		if n == nil {
-			continue
+		if n := ix.Node(key); n != nil {
+			ords = append(ords, int32(n.Ord()))
 		}
-		if cleanup && ix.NewCoverageBits(key, positives) == 0 {
-			continue
-		}
-		h.add(n.Heuristic, n.Postings, n.Bits())
 	}
-	h.LinkEdges(ix)
+	return buildOrds(ix, ords, positives, cfg)
+}
+
+// buildOrds is Build on ordinals. Every node, root first, is allocated in
+// one slice.
+func buildOrds(ix *index.Index, ords []int32, positives bitset.Set, cfg Config) *Hierarchy {
+	nodes := ix.NodesByOrd()
+	keys := ix.Keys()
+	root := ix.Root()
+	// at maps an ordinal to its hierarchy position + 1 (0: not a member).
+	at := make([]int32, len(nodes))
+	members := make([]int32, 1, len(ords)+1)
+	members[0] = int32(root.Ord())
+	at[members[0]] = 1
+	cleanup := cfg.Cleanup && positives.Count() > 0
+	for _, o := range ords {
+		if at[o] != 0 {
+			continue
+		}
+		if cleanup && nodes[o].Bits().AndNotCount(positives) == 0 {
+			continue
+		}
+		members = append(members, o)
+		at[o] = int32(len(members))
+	}
+
+	h := &Hierarchy{
+		nodes:   make(map[string]*Node, len(members)),
+		list:    make([]*Node, 0, len(members)),
+		nonRoot: make([]string, 0, len(members)-1),
+	}
+	arena := make([]Node, len(members))
+	for i, o := range members {
+		n := nodes[o]
+		arena[i] = Node{Key: keys[o], Heuristic: n.Heuristic, Coverage: n.Postings, Bits: n.Bits()}
+		h.insert(&arena[i])
+	}
+	h.link(nodes, keys, members, at)
 	return h
 }
 
 // LinkEdges recomputes parent/child edges between hierarchy nodes: a node's
 // parents are its nearest materialized ancestors in the index (walking up
-// grammatical parents), falling back to the root.
+// grammatical parents), falling back to the root. Nodes whose keys the index
+// does not hold (added by hand) hang off the root.
+func (h *Hierarchy) LinkEdges(ix *index.Index) {
+	nodes := ix.NodesByOrd()
+	at := make([]int32, len(nodes))
+	members := make([]int32, len(h.list))
+	for i, n := range h.list {
+		members[i] = -1
+		if in := ix.Node(n.Key); in != nil {
+			members[i] = int32(in.Ord())
+			at[members[i]] = int32(i + 1)
+		}
+	}
+	h.link(nodes, ix.Keys(), members, at)
+}
+
+// edge is a hierarchy edge between two positions in h.list.
+type edge struct{ parent, child int32 }
+
+// link computes the hierarchy edges over ordinals. members[i] is the
+// ordinal of h.list[i] (-1 when the index does not hold it; h.list[0] is the
+// root) and at is its inverse (position + 1, 0 for non-members).
 //
 // Direct edges are read straight off the index's child lists instead of
 // re-deriving each node's ancestry: every materialized node links its
 // materialized index children in one pass (candidates arrive through those
 // same child lists during generation, so most edges are found here). A node
 // the pass leaves parentless checks the root in its sorted index parent
-// list, and only then runs the upward BFS — whose bookkeeping is shared
-// scratch, so regeneration allocates nothing per node on that path.
-func (h *Hierarchy) LinkEdges(ix *index.Index) {
-	for _, n := range h.nodes {
-		n.Parents = n.Parents[:0]
-		n.Children = n.Children[:0]
-	}
+// list, and only then runs the upward BFS, whose visited marks are
+// epoch-stamped so no per-node state is cleared. Each node's edge lists are
+// sorted and deduplicated as ordinals, then spelled out as keys in one
+// shared arena.
+func (h *Hierarchy) link(nodes []*index.Node, keys []string, members, at []int32) {
+	var edges []edge
+	hasParent := make([]bool, len(members))
 	// Pass 1: direct edges via the index's child lists (root excluded: its
 	// child list spans the whole index top level; root parenthood is the
 	// cheap membership check below).
-	for _, key := range h.order {
-		if key == grammar.RootKey {
+	for i := 1; i < len(members); i++ {
+		o := members[i]
+		if o < 0 {
 			continue
 		}
-		n := h.nodes[key]
-		for _, ck := range ix.Children(key) {
-			if ck == key {
+		for _, c := range nodes[o].ChildOrds() {
+			if c == o || at[c] == 0 {
 				continue
 			}
-			if cn, ok := h.nodes[ck]; ok {
-				n.Children = append(n.Children, ck)
-				cn.Parents = append(cn.Parents, key)
-			}
+			edges = append(edges, edge{int32(i), at[c] - 1})
+			hasParent[at[c]-1] = true
 		}
 	}
 	// Pass 2: root edges for nodes the root directly parents, and the BFS
 	// fallback for nodes with no materialized direct parent at all.
-	root := h.nodes[grammar.RootKey]
-	var sc linkScratch
-	for _, key := range h.order {
-		if key == grammar.RootKey {
+	rootOrd := members[0]
+	var mark []uint32
+	var epoch uint32
+	var frontier, next, found []int32
+	for i := 1; i < len(members); i++ {
+		o := members[i]
+		if o < 0 {
+			edges = append(edges, edge{0, int32(i)})
 			continue
 		}
-		n := h.nodes[key]
-		parents := ix.Parents(key) // sorted
-		if i := sort.SearchStrings(parents, grammar.RootKey); i < len(parents) && parents[i] == grammar.RootKey {
-			n.Parents = append(n.Parents, grammar.RootKey)
-			root.Children = append(root.Children, key)
+		parents := nodes[o].ParentOrds()
+		if _, ok := slices.BinarySearch(parents, rootOrd); ok {
+			edges = append(edges, edge{0, int32(i)})
 			continue
 		}
-		if len(n.Parents) > 0 {
+		if hasParent[i] {
 			continue
 		}
-		for _, pk := range h.bfsAncestors(key, parents, ix, &sc) {
-			p := h.nodes[pk]
-			p.Children = append(p.Children, key)
-			n.Parents = append(n.Parents, pk)
+		if mark == nil {
+			mark = make([]uint32, len(nodes))
 		}
-	}
-	for _, n := range h.nodes {
-		sort.Strings(n.Parents)
-		n.Parents = dedupSorted(n.Parents)
-		sort.Strings(n.Children)
-		n.Children = dedupSorted(n.Children)
-	}
-}
-
-// dedupSorted removes adjacent duplicates in place (duplicate index edges
-// would otherwise double an edge found by both link passes).
-func dedupSorted(xs []string) []string {
-	out := xs[:0]
-	prev := ""
-	for i, x := range xs {
-		if i > 0 && x == prev {
-			continue
-		}
-		out = append(out, x)
-		prev = x
-	}
-	return out
-}
-
-// linkScratch is the reusable BFS bookkeeping for bfsAncestors.
-type linkScratch struct {
-	visited  map[string]bool
-	found    map[string]bool
-	frontier []string
-	next     []string
-	out      []string
-}
-
-// bfsAncestors walks up the index's parent edges from key, level by level,
-// and returns the nearest materialized ancestors (the root if none are
-// found). It is the fallback for nodes with no materialized direct parent;
-// semantics are unchanged from the original per-node search.
-func (h *Hierarchy) bfsAncestors(key string, parents []string, ix *index.Index, sc *linkScratch) []string {
-	if sc.visited == nil {
-		sc.visited = make(map[string]bool)
-		sc.found = make(map[string]bool)
-	} else {
-		clear(sc.visited)
-		clear(sc.found)
-	}
-	sc.visited[key] = true
-	sc.frontier = append(sc.frontier[:0], parents...)
-	for len(sc.frontier) > 0 && len(sc.found) == 0 {
-		sc.next = sc.next[:0]
-		for _, pk := range sc.frontier {
-			if sc.visited[pk] {
-				continue
+		epoch++
+		mark[o] = epoch
+		frontier = append(frontier[:0], parents...)
+		found = found[:0]
+		for len(frontier) > 0 && len(found) == 0 {
+			next = next[:0]
+			for _, p := range frontier {
+				if mark[p] == epoch {
+					continue
+				}
+				mark[p] = epoch
+				if at[p] != 0 {
+					found = append(found, p)
+					continue
+				}
+				next = append(next, nodes[p].ParentOrds()...)
 			}
-			sc.visited[pk] = true
-			if pk != key && h.Contains(pk) {
-				sc.found[pk] = true
-				continue
-			}
-			sc.next = append(sc.next, ix.Parents(pk)...)
+			frontier, next = next, frontier
 		}
-		sc.frontier, sc.next = sc.next, sc.frontier
+		if len(found) == 0 {
+			edges = append(edges, edge{0, int32(i)})
+		}
+		for _, p := range found {
+			edges = append(edges, edge{at[p] - 1, int32(i)})
+		}
 	}
-	if len(sc.found) == 0 {
-		return []string{grammar.RootKey}
+	h.spellEdges(keys, members, edges)
+}
+
+// spellEdges turns the edge list into each node's sorted, deduplicated
+// Parents and Children key lists, all cut from one shared arena.
+func (h *Hierarchy) spellEdges(keys []string, members []int32, edges []edge) {
+	m := len(members)
+	// rank orders positions like their keys: the ordinal, or past every
+	// ordinal for nodes the index does not hold (only ever root children,
+	// which are re-sorted by key below).
+	rank := func(i int32) int32 {
+		if members[i] >= 0 {
+			return members[i]
+		}
+		return int32(len(keys)) + i
 	}
-	sc.out = sc.out[:0]
-	for k := range sc.found {
-		sc.out = append(sc.out, k)
+	keyOf := func(r int32) string {
+		if int(r) < len(keys) {
+			return keys[r]
+		}
+		return h.list[int(r)-len(keys)].Key
 	}
-	sort.Strings(sc.out)
-	return sc.out
+	// Lists for position i: children in [2i], parents in [2i+1].
+	off := make([]int32, 2*m+1)
+	for _, e := range edges {
+		off[2*e.parent+1]++
+		off[2*e.child+2]++
+	}
+	for j := 1; j < len(off); j++ {
+		off[j] += off[j-1]
+	}
+	ranks := make([]int32, 2*len(edges))
+	fill := slices.Clone(off[:2*m])
+	for _, e := range edges {
+		ranks[fill[2*e.parent]] = rank(e.child)
+		fill[2*e.parent]++
+		ranks[fill[2*e.child+1]] = rank(e.parent)
+		fill[2*e.child+1]++
+	}
+	total := 0
+	for j := range fill {
+		list := ranks[off[j]:fill[j]]
+		slices.Sort(list)
+		fill[j] = off[j] + int32(len(slices.Compact(list)))
+		total += int(fill[j] - off[j])
+	}
+	arena := make([]string, 0, total)
+	spell := func(j int) []string {
+		if fill[j] == off[j] {
+			return nil
+		}
+		start := len(arena)
+		for _, r := range ranks[off[j]:fill[j]] {
+			arena = append(arena, keyOf(r))
+		}
+		return arena[start:len(arena):len(arena)]
+	}
+	for i, n := range h.list {
+		n.Children = spell(2 * i)
+		n.Parents = spell(2*i + 1)
+	}
+	if slices.Contains(members, -1) {
+		sort.Strings(h.list[0].Children)
+	}
 }
 
 // Generate runs candidate generation and arrangement in one call (the
@@ -458,6 +562,5 @@ func (h *Hierarchy) bfsAncestors(key string, parents []string, ix *index.Index, 
 func Generate(ix *index.Index, positives bitset.Set, cfg Config) *Hierarchy {
 	defer regenDurations.ObserveSince(time.Now())
 	regensTotal.Inc()
-	keys := GenerateCandidates(ix, positives, cfg)
-	return Build(ix, keys, positives, cfg)
+	return buildOrds(ix, generateOrds(ix, positives, cfg), positives, cfg)
 }

@@ -12,19 +12,35 @@
 //
 // # Publish points and read paths
 //
-// Mutations (AddSketch, Merge, EnsureHeuristic, Prune) invalidate the
-// parent/child edges; BuildEdges recomputes them — and materializes each
-// node's dense coverage bitset alongside its sorted posting list — at a
-// "publish point" (Build, Prune, or an explicit BuildEdges after Merge or
-// EnsureHeuristic). After publishing, every accessor is a pure read, so any
-// number of goroutines may use the index concurrently. Children and Parents
-// panic on an unpublished index instead of lazily mutating it, because a
-// lazy rebuild under a caller's read lock is a data race.
+// Mutations (AddSketch, AddSentence, Merge, EnsureHeuristic, Prune)
+// invalidate the parent/child edges; BuildEdges recomputes them — and
+// materializes each node's coverage set (a compressed bitset.Adaptive by
+// default, a dense bitset.Set under KernelDense) alongside its sorted posting
+// list — at a "publish point" (Build, Prune, or an explicit BuildEdges after
+// Merge, AddSentence or EnsureHeuristic). BuildEdges on an index that is
+// already published returns at once. After publishing, every accessor is a
+// pure read, so any number of goroutines may use the index concurrently.
+// Children and Parents panic on an unpublished index instead of lazily
+// mutating it, because a lazy rebuild under a caller's read lock is a data
+// race.
+//
+// # Ordinals
+//
+// Publishing also numbers the nodes: a node's ordinal is its rank in the
+// sorted key order, so Keys()[n.Ord()] is its key, NodesByOrd()[n.Ord()] is
+// the node, and comparing two ordinals compares their keys. Each node keeps
+// its child and parent edges as ascending ordinal lists next to the key
+// lists. Ordinals are assigned at publish and are valid only until the next
+// mutation, which may renumber every node; callers that use them (hierarchy
+// regeneration) resolve and drop them within one read-locked call and never
+// store them.
 package index
 
 import (
 	"runtime"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/bitset"
@@ -56,8 +72,23 @@ type Node struct {
 	// AddSentence).
 	adhoc bool
 
+	// ord is the node's rank in the sorted key order, assigned at publish
+	// (-1 until the node is first published); depth caches
+	// Heuristic.Depth().
+	ord   int32
+	depth int32
+
 	parents  []string
 	children []string
+	// parentOrds and childOrds mirror parents and children as ascending
+	// ordinals.
+	parentOrds []int32
+	childOrds  []int32
+}
+
+// newNode returns an unpublished node for a heuristic.
+func newNode(h grammar.Heuristic, postings []int) *Node {
+	return &Node{Heuristic: h, Postings: postings, ord: -1, depth: int32(h.Depth())}
 }
 
 // Key returns the node's heuristic key.
@@ -71,6 +102,22 @@ func (n *Node) Parents() []string { return n.parents }
 
 // Children returns the keys of the node's child nodes (specializations).
 func (n *Node) Children() []string { return n.children }
+
+// Ord returns the node's ordinal: its rank in the published index's sorted
+// key order. It is valid only while the index stays published.
+func (n *Node) Ord() int { return int(n.ord) }
+
+// ParentOrds returns the ordinals of the node's parents, ascending. The
+// returned slice must not be modified.
+func (n *Node) ParentOrds() []int32 { return n.parentOrds }
+
+// ChildOrds returns the ordinals of the node's children, ascending. The
+// returned slice must not be modified.
+func (n *Node) ChildOrds() []int32 { return n.childOrds }
+
+// Depth returns the number of derivation rules in the node's heuristic
+// (Heuristic.Depth, cached when the node is materialized).
+func (n *Node) Depth() int { return int(n.depth) }
 
 // Bits returns the node's coverage set, or nil if the node has not been
 // published (BuildEdges) since its postings last changed. The returned set
@@ -117,8 +164,10 @@ type Index struct {
 	// edgesBuilt records whether parent/child edges (and coverage bitsets)
 	// are up to date.
 	edgesBuilt bool
-	// keys is the sorted key cache, valid while edgesBuilt.
-	keys []string
+	// keys is the sorted key cache and byOrd the nodes in the same order
+	// (byOrd[i].ord == i), both valid while edgesBuilt.
+	keys  []string
+	byOrd []*Node
 	// version counts mutations; sessions use it to detect that a cached
 	// hierarchy may be stale because the shared index grew.
 	version uint64
@@ -129,11 +178,17 @@ type Index struct {
 
 // New returns an empty index containing only the root node (with no
 // postings; the root conceptually covers every sentence). An empty index is
-// trivially published: its edges are built.
+// trivially published: its edges are built and the root is ordinal 0.
 func New() *Index {
-	ix := &Index{nodes: make(map[string]*Node), edgesBuilt: true}
-	ix.nodes[grammar.RootKey] = &Node{Heuristic: grammar.Root()}
-	return ix
+	root := newNode(grammar.Root(), nil)
+	root.ord = 0
+	root.refreshBits(KernelAdaptive)
+	return &Index{
+		nodes:      map[string]*Node{grammar.RootKey: root},
+		edgesBuilt: true,
+		keys:       []string{grammar.RootKey},
+		byOrd:      []*Node{root},
+	}
 }
 
 // Kernel returns the index's coverage-kernel name (KernelAdaptive unless
@@ -222,10 +277,17 @@ func (ix *Index) AddSentence(sk sketch.Sketch, s *corpus.Sentence) {
 	if s == nil {
 		return
 	}
+	probed := false
 	for _, n := range ix.adhoc {
 		if n.Heuristic.Matches(s) {
 			n.Postings = insertSorted(n.Postings, s.ID)
+			probed = true
 		}
+	}
+	// AddSketch skips a sketch without a sentence id, so a probe hit must
+	// invalidate on its own.
+	if probed {
+		ix.invalidate()
 	}
 }
 
@@ -242,7 +304,7 @@ func (ix *Index) AddSketch(sk sketch.Sketch) {
 		key := h.Key()
 		n, ok := ix.nodes[key]
 		if !ok {
-			n = &Node{Heuristic: h}
+			n = newNode(h, nil)
 			ix.nodes[key] = n
 		}
 		n.Postings = insertSorted(n.Postings, sk.SentenceID)
@@ -250,10 +312,12 @@ func (ix *Index) AddSketch(sk sketch.Sketch) {
 	ix.invalidate()
 }
 
-// invalidate marks the edges/bitsets/key cache stale and bumps the version.
+// invalidate marks the edges/bitsets/key cache/ordinals stale and bumps the
+// version.
 func (ix *Index) invalidate() {
 	ix.edgesBuilt = false
 	ix.keys = nil
+	ix.byOrd = nil
 	ix.version++
 }
 
@@ -279,7 +343,7 @@ func (ix *Index) Merge(other *Index) {
 	for key, on := range other.nodes {
 		n, ok := ix.nodes[key]
 		if !ok {
-			ix.nodes[key] = &Node{Heuristic: on.Heuristic, Postings: append([]int(nil), on.Postings...)}
+			ix.nodes[key] = newNode(on.Heuristic, append([]int(nil), on.Postings...))
 			continue
 		}
 		n.Postings = mergeSorted(n.Postings, on.Postings)
@@ -310,51 +374,94 @@ func mergeSorted(a, b []int) []int {
 }
 
 // BuildEdges (re)computes parent/child edges between materialized nodes,
-// refreshes each node's coverage bitset, and caches the sorted key list. A
-// heuristic whose grammatical parents are not materialized (e.g. stop-word
-// unigrams filtered from sketches) is attached directly to the root. This is
-// the publish point: after it returns, all read accessors are safe for
-// concurrent use until the next mutation.
+// refreshes each node's coverage bitset, numbers the nodes by sorted key and
+// caches the sorted key list. A heuristic whose grammatical parents are not
+// materialized (e.g. stop-word unigrams filtered from sketches) is attached
+// directly to the root. This is the publish point: after it returns, all
+// read accessors are safe for concurrent use until the next mutation. On an
+// index that is already published it returns at once.
 func (ix *Index) BuildEdges() {
+	if ix.edgesBuilt {
+		return
+	}
 	kernel := ix.Kernel()
-	for _, n := range ix.nodes {
-		n.parents = n.parents[:0]
-		n.children = n.children[:0]
+	type entry struct {
+		key string
+		n   *Node
+	}
+	entries := make([]entry, 0, len(ix.nodes))
+	for k, n := range ix.nodes {
 		n.refreshBits(kernel)
+		entries = append(entries, entry{k, n})
 	}
-	keys := make([]string, 0, len(ix.nodes))
-	for k := range ix.nodes {
-		keys = append(keys, k)
+	slices.SortFunc(entries, func(a, b entry) int { return strings.Compare(a.key, b.key) })
+	keys := make([]string, len(entries))
+	byOrd := make([]*Node, len(entries))
+	for i, e := range entries {
+		keys[i] = e.key
+		byOrd[i] = e.n
+		e.n.ord = int32(i)
 	}
-	sort.Strings(keys)
-	for _, key := range keys {
-		if key == grammar.RootKey {
+	// One pass in key order finds every edge, so each parent's children
+	// arrive in ascending ordinal order and each child's parents arrive
+	// together.
+	type edge struct{ parent, child int32 }
+	edges := make([]edge, 0, 2*len(byOrd))
+	root := ix.nodes[grammar.RootKey]
+	for i, n := range byOrd {
+		if n == root {
 			continue
 		}
-		n := ix.nodes[key]
 		attached := false
 		for _, p := range n.Heuristic.Parents() {
-			pk := p.Key()
-			pn, ok := ix.nodes[pk]
-			if !ok {
-				continue
+			if pn, ok := ix.nodes[p.Key()]; ok {
+				edges = append(edges, edge{pn.ord, int32(i)})
+				attached = true
 			}
-			pn.children = append(pn.children, key)
-			n.parents = append(n.parents, pk)
-			attached = true
 		}
 		if !attached {
-			root := ix.nodes[grammar.RootKey]
-			root.children = append(root.children, key)
-			n.parents = append(n.parents, grammar.RootKey)
+			edges = append(edges, edge{root.ord, int32(i)})
 		}
 	}
-	// Deterministic ordering of edge lists.
-	for _, n := range ix.nodes {
-		sort.Strings(n.parents)
-		sort.Strings(n.children)
+	// Every node's edge lists are cut from two shared arenas: ordinals, and
+	// the same lists spelled out as keys (ordinals sort like keys). Child
+	// lists take the first half of each arena, parent lists the second.
+	next := make([]int32, 2*len(byOrd)+1)
+	for _, e := range edges {
+		next[e.parent+1]++
+		next[int(e.child)+len(byOrd)+1]++
+	}
+	for j := 1; j < len(next); j++ {
+		next[j] += next[j-1]
+	}
+	start := slices.Clone(next[:len(next)-1])
+	ords := make([]int32, 2*len(edges))
+	for _, e := range edges {
+		ords[next[e.parent]] = e.child
+		next[e.parent]++
+		ords[next[int(e.child)+len(byOrd)]] = e.parent
+		next[int(e.child)+len(byOrd)]++
+	}
+	for j := len(byOrd); j < 2*len(byOrd); j++ {
+		slices.Sort(ords[start[j]:next[j]]) // parents arrive in grammar order
+	}
+	names := make([]string, len(ords))
+	for j, o := range ords {
+		names[j] = keys[o]
+	}
+	cut := func(j int) ([]int32, []string) {
+		lo, hi := start[j], next[j]
+		if lo == hi {
+			return nil, nil
+		}
+		return ords[lo:hi:hi], names[lo:hi:hi]
+	}
+	for i, n := range byOrd {
+		n.childOrds, n.children = cut(i)
+		n.parentOrds, n.parents = cut(i + len(byOrd))
 	}
 	ix.keys = keys
+	ix.byOrd = byOrd
 	ix.edgesBuilt = true
 }
 
@@ -394,6 +501,14 @@ func (ix *Index) Node(key string) *Node {
 
 // Root returns the root node.
 func (ix *Index) Root() *Node { return ix.nodes[grammar.RootKey] }
+
+// NodesByOrd returns the published nodes indexed by ordinal (see the package
+// comment). The index must be published; the returned slice must not be
+// modified.
+func (ix *Index) NodesByOrd() []*Node {
+	ix.mustPublished("NodesByOrd")
+	return ix.byOrd
+}
 
 // Len returns the number of nodes (including the root).
 func (ix *Index) Len() int { return len(ix.nodes) }
@@ -552,7 +667,8 @@ func (ix *Index) EnsureHeuristic(h grammar.Heuristic, c *corpus.Corpus) *Node {
 	if n, ok := ix.nodes[h.Key()]; ok {
 		return n
 	}
-	n := &Node{Heuristic: h, Postings: grammar.Coverage(h, c), adhoc: true}
+	n := newNode(h, grammar.Coverage(h, c))
+	n.adhoc = true
 	n.refreshBits(ix.Kernel())
 	ix.nodes[h.Key()] = n
 	ix.adhoc = append(ix.adhoc, n)

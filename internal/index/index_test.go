@@ -3,6 +3,7 @@ package index
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -362,4 +363,95 @@ func TestEmptyIndex(t *testing.T) {
 	if ix.Root().Count() != 0 {
 		t.Error("invalid sketch modified root")
 	}
+}
+
+// TestOrdinalsMirrorKeys pins the ordinal invariant: a published node's
+// ordinal is its rank in Keys(), NodesByOrd inverts it, and the ordinal edge
+// lists spell out exactly the key edge lists.
+func TestOrdinalsMirrorKeys(t *testing.T) {
+	if empty := New(); empty.Root().Ord() != 0 || empty.NodesByOrd()[0] != empty.Root() {
+		t.Fatalf("empty index root ordinal = %d", empty.Root().Ord())
+	}
+	c := paperCorpus()
+	ix := Build(c, sketch.NewBuilder(fullRegistry(), 3))
+	h, _ := tokensregex.New().Parse("best way to get to")
+	ix.EnsureHeuristic(h, c)
+	if ix.Node(h.Key()).Ord() != -1 {
+		t.Error("an unpublished node has an ordinal")
+	}
+	ix.BuildEdges()
+	keys, nodes := ix.Keys(), ix.NodesByOrd()
+	if len(nodes) != len(keys) || len(keys) != ix.Len() {
+		t.Fatalf("%d nodes by ordinal, %d keys, %d nodes", len(nodes), len(keys), ix.Len())
+	}
+	spell := func(ords []int32) []string {
+		var out []string
+		for _, o := range ords {
+			out = append(out, keys[o])
+		}
+		return out
+	}
+	for i, key := range keys {
+		n := ix.Node(key)
+		if n.Ord() != i || nodes[i] != n {
+			t.Fatalf("%q: ordinal %d at rank %d", key, n.Ord(), i)
+		}
+		if n.Depth() != n.Heuristic.Depth() {
+			t.Errorf("%q: cached depth %d, want %d", key, n.Depth(), n.Heuristic.Depth())
+		}
+		if !slices.IsSorted(n.ChildOrds()) || !slices.IsSorted(n.ParentOrds()) {
+			t.Errorf("%q: ordinal edge lists not ascending", key)
+		}
+		if !reflect.DeepEqual(spell(n.ChildOrds()), nilIfEmpty(n.Children())) ||
+			!reflect.DeepEqual(spell(n.ParentOrds()), nilIfEmpty(n.Parents())) {
+			t.Errorf("%q: ordinal edges diverge from key edges", key)
+		}
+	}
+}
+
+func nilIfEmpty(xs []string) []string {
+	if len(xs) == 0 {
+		return nil
+	}
+	return xs
+}
+
+// TestBuildEdgesOnPublishedIndexIsNoOp pins that re-publishing an unchanged
+// index keeps its version and key cache, and that every mutation — including
+// an ad-hoc probe hit for a sketch without a sentence id — re-opens it.
+func TestBuildEdgesOnPublishedIndexIsNoOp(t *testing.T) {
+	c := paperCorpus()
+	ix := Build(c, sketch.NewBuilder(tokenRegistry(), 2))
+	h, _ := tokensregex.New().Parse("best way to get")
+	ix.EnsureHeuristic(h, c)
+	ix.BuildEdges()
+	ver, keys := ix.Version(), ix.Keys()
+	ix.BuildEdges()
+	if ix.Version() != ver || &ix.Keys()[0] != &keys[0] {
+		t.Fatal("BuildEdges re-published an unchanged index")
+	}
+
+	grown := buildCorpus([]string{"What is the best way to get to the pier?"})
+	s := grown.Sentence(0)
+	s.ID = c.Len()
+	ix.AddSentence(sketch.Sketch{SentenceID: -1}, s)
+	if ix.Version() == ver {
+		t.Fatal("an ad-hoc probe hit did not invalidate the index")
+	}
+	ix.BuildEdges()
+	n := ix.Node(h.Key())
+	if n.Count() != 2 || n.Bits() == nil || n.Bits().Count() != 2 {
+		t.Errorf("probed node: count %d, bits %v", n.Count(), n.Bits())
+	}
+}
+
+func TestNodesByOrdPanicsUnpublished(t *testing.T) {
+	ix := Build(paperCorpus(), sketch.NewBuilder(tokenRegistry(), 2))
+	ix.AddSketch(sketch.Sketch{SentenceID: 99})
+	defer func() {
+		if recover() == nil {
+			t.Error("NodesByOrd on an unpublished index did not panic")
+		}
+	}()
+	ix.NodesByOrd()
 }
