@@ -119,9 +119,11 @@ func clonePositives(p map[int]bool) map[int]bool {
 
 // checkAgainstOracle trains sc on each positive set in turn and asserts that
 // the weights, the bias and every ScoreAll and ScoreOne output carry exactly
-// the bits the dense oracle produces.
-func checkAgainstOracle(t *testing.T, sc *SentenceClassifier, emb *embedding.Model, rounds []map[int]bool) {
+// the bits the dense oracle produces. It returns, per round, how many hashed
+// columns are zero in every training example.
+func checkAgainstOracle(t *testing.T, sc *SentenceClassifier, emb *embedding.Model, rounds []map[int]bool) []int {
 	t.Helper()
+	var inactive []int
 	c := sc.corp
 	cfg := sc.cfg
 	feat := NewFeaturizer(emb, 512)
@@ -149,6 +151,7 @@ func checkAgainstOracle(t *testing.T, sc *SentenceClassifier, emb *embedding.Mod
 		if !sameBits(m.bias, b) {
 			t.Fatalf("round %d: bias = %v, oracle %v", r, m.bias, b)
 		}
+		inactive = append(inactive, zeroColumns(X, feat.EmbDim()))
 		all := sc.ScoreAll()
 		if len(all) != c.Len() {
 			t.Fatalf("round %d: ScoreAll has %d scores for %d sentences", r, len(all), c.Len())
@@ -163,6 +166,23 @@ func checkAgainstOracle(t *testing.T, sc *SentenceClassifier, emb *embedding.Mod
 			}
 		}
 	}
+	return inactive
+}
+
+// zeroColumns counts the columns from index from on that are zero in every
+// row of X.
+func zeroColumns(X [][]float64, from int) int {
+	n := 0
+	for d := from; d < len(X[0]); d++ {
+		zero := true
+		for _, x := range X {
+			zero = zero && x[d] == 0
+		}
+		if zero {
+			n++
+		}
+	}
+	return n
 }
 
 // TestSparseKernelMatchesDenseOracle pins the sparse logistic-regression
@@ -189,6 +209,18 @@ func TestSparseKernelMatchesDenseOracle(t *testing.T) {
 	t.Run("no-embedding", func(t *testing.T) {
 		sc := NewSentenceClassifier(c, nil, cfg, KindLogReg)
 		checkAgainstOracle(t, sc, nil, growingPositives(c))
+	})
+	// One and then two positives: the 8-negative floor sets the sample
+	// size, and most hashed columns are inactive.
+	t.Run("tiny-P", func(t *testing.T) {
+		gold := c.Positives()
+		rounds := []map[int]bool{{gold[0]: true}, {gold[0]: true, gold[1]: true}}
+		sc := NewSentenceClassifier(c, emb, cfg, KindLogReg)
+		for r, n := range checkAgainstOracle(t, sc, emb, rounds) {
+			if n == 0 {
+				t.Fatalf("round %d: every hashed column is active", r)
+			}
+		}
 	})
 }
 
@@ -218,7 +250,9 @@ func TestSparseKernelMatchesDenseOracleAfterIngest(t *testing.T) {
 
 // TestDenseFitMatchesDenseOracle checks the public dense Fit/Proba wrapper
 // against the oracle, including inputs the featurizer never produces:
-// negative values, many exact zeros, no L2 term and a large step size.
+// negative values, many exact zeros, columns zero in every row (the first,
+// an interior and the last one), a row with no nonzero entry, no L2 term and
+// a large step size.
 func TestDenseFitMatchesDenseOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	X := make([][]float64, 300)
@@ -234,27 +268,44 @@ func TestDenseFitMatchesDenseOracle(t *testing.T) {
 			y[i] = 1
 		}
 	}
-	for _, cfg := range []Config{
-		DefaultConfig(),
-		{Epochs: 15, LearningRate: 0.9, L2: 0, Seed: 3},
-		{Epochs: 5, LearningRate: 0.3, L2: 0.05, Seed: 4},
-	} {
-		m := NewLogisticRegression(cfg)
-		if err := m.Fit(X, y); err != nil {
-			t.Fatal(err)
+	sparse := make([][]float64, len(X))
+	for i, x := range X {
+		sparse[i] = append([]float64(nil), x...)
+		for _, d := range []int{0, 17, len(x) - 1} {
+			sparse[i][d] = 0
 		}
-		w, b := denseFit(cfg, X, y)
-		for d := range w {
-			if !sameBits(m.weights[d], w[d]) {
-				t.Fatalf("cfg %+v: weight %d = %v, oracle %v", cfg, d, m.weights[d], w[d])
+	}
+	clear(sparse[5])
+	if n := zeroColumns(sparse, 0); n != 3 {
+		t.Fatalf("%d columns are zero in every row, want 3", n)
+	}
+
+	for _, in := range []struct {
+		name string
+		X    [][]float64
+	}{{"all-active", X}, {"zero-columns", sparse}} {
+		for _, cfg := range []Config{
+			DefaultConfig(),
+			{Epochs: 15, LearningRate: 0.9, L2: 0, Seed: 3},
+			{Epochs: 5, LearningRate: 0.3, L2: 0.05, Seed: 4},
+		} {
+			m := NewLogisticRegression(cfg)
+			if err := m.Fit(in.X, y); err != nil {
+				t.Fatal(err)
 			}
-		}
-		if !sameBits(m.bias, b) {
-			t.Fatalf("cfg %+v: bias = %v, oracle %v", cfg, m.bias, b)
-		}
-		for i, x := range X {
-			if got, want := m.Proba(x), denseProba(w, b, x); !sameBits(got, want) {
-				t.Fatalf("cfg %+v: Proba(X[%d]) = %v, oracle %v", cfg, i, got, want)
+			w, b := denseFit(cfg, in.X, y)
+			for d := range w {
+				if !sameBits(m.weights[d], w[d]) {
+					t.Fatalf("%s, cfg %+v: weight %d = %v, oracle %v", in.name, cfg, d, m.weights[d], w[d])
+				}
+			}
+			if !sameBits(m.bias, b) {
+				t.Fatalf("%s, cfg %+v: bias = %v, oracle %v", in.name, cfg, m.bias, b)
+			}
+			for i, x := range in.X {
+				if got, want := m.Proba(x), denseProba(w, b, x); !sameBits(got, want) {
+					t.Fatalf("%s, cfg %+v: Proba(X[%d]) = %v, oracle %v", in.name, cfg, i, got, want)
+				}
 			}
 		}
 	}
