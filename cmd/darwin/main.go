@@ -110,23 +110,20 @@ func main() {
 		fatalf("initialize engine: %v", err)
 	}
 	start := time.Now()
-	report, err := engine.Run(core.RunOptions{
-		SeedRules: []string{rule},
-		Oracle:    o,
-		OnQuery: func(rec core.RuleRecord, e *core.Engine) {
-			if *verbose {
-				answer := "NO "
-				if rec.Accepted {
-					answer = "YES"
-				}
-				fmt.Printf("  q%-3d %s  %-40s coverage=%d  |P|=%d\n",
-					rec.Question, answer, rec.Rule, rec.Coverage, rec.PositivesAfter)
-			}
-		},
-	})
+	s, err := engine.NewSession(core.SessionOptions{SeedRules: []string{rule}})
 	if err != nil {
-		fatalf("run: %v", err)
+		fatalf("start session: %v", err)
 	}
+	report := s.Run(o, func(rec core.RuleRecord) {
+		if *verbose {
+			answer := "NO "
+			if rec.Accepted {
+				answer = "YES"
+			}
+			fmt.Printf("  q%-3d %s  %-40s coverage=%d  |P|=%d\n",
+				rec.Question, answer, rec.Rule, rec.Coverage, rec.PositivesAfter)
+		}
+	})
 
 	fmt.Printf("\nseed rule: %s\n", rule)
 	fmt.Printf("questions asked: %d (budget %d)\n", report.Questions, *budget)
@@ -138,7 +135,7 @@ func main() {
 	prec := eval.PrecisionOfSet(c, report.Positives)
 	fmt.Printf("\ndiscovered positive set: %d sentences, coverage=%.3f precision=%.3f\n",
 		len(report.Positives), cov, prec)
-	f1, thr := eval.BestF1(c, engine.Scores())
+	f1, thr := eval.BestF1(c, s.Scores())
 	fmt.Printf("classifier best F1 = %.3f (threshold %.1f)\n", f1, thr)
 	fmt.Printf("index build %v, total %v (wall clock %v)\n",
 		report.IndexBuild.Round(time.Millisecond), report.Total.Round(time.Millisecond),

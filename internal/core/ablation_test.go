@@ -37,11 +37,7 @@ func runWith(t *testing.T, c *corpus.Corpus, mutate func(*Config)) *Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := e.Run(RunOptions{SeedRules: []string{"best way to get to"}, Oracle: oracle.NewGroundTruth(c)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rep
+	return runBatch(t, e, SessionOptions{SeedRules: []string{"best way to get to"}}, oracle.NewGroundTruth(c))
 }
 
 func TestAblationGrammarChoice(t *testing.T) {
@@ -91,11 +87,7 @@ func TestAblationOracleThreshold(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := e.Run(RunOptions{SeedRules: []string{"best way to get to"}, Oracle: o})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
+		return runBatch(t, e, SessionOptions{SeedRules: []string{"best way to get to"}}, o)
 	}
 	strictRep := runOracle(&strict)
 	laxRep := runOracle(&lax)

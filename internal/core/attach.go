@@ -1,36 +1,19 @@
 package core
 
 import (
-	"repro/internal/classifier"
-	"repro/internal/hierarchy"
 	"repro/internal/index"
 )
 
-// This file is the attach/detach contract for external session-like drivers
-// — multi-annotator workspaces (internal/workspace) — that own their mutable
-// discovery state (positive set, classifier, scores) but attach to the
-// engine's shared immutable corpus, index, embedding model and feature
-// cache. The hooks mirror exactly what Session uses internally, so a driver
-// built on them inherits the engine's concurrency contract: shared state is
-// only read under WithIndexRead, and the single post-build index mutation
-// (seed-rule materialization) goes through MaterializeRule.
-
-// AttachClassifier returns a fresh classifier over the engine's corpus and
-// embedding model, sharing the engine's corpus-level feature cache, exactly
-// as NewSession builds one. An explicit Config.Classifier.Seed still wins
-// over the given seed, matching NewSession.
-func (e *Engine) AttachClassifier(seed int64) *classifier.SentenceClassifier {
-	clfCfg := e.cfg.Classifier
-	if clfCfg.Seed == 0 {
-		clfCfg.Seed = seed
-	}
-	clf := classifier.NewSentenceClassifier(e.corp, e.emb, clfCfg, e.cfg.ClassifierKind)
-	clf.ShareFeatureCache(e.featCache)
-	return clf
-}
+// This file is the engine surface for drivers outside this package —
+// multi-annotator workspaces (internal/workspace) — that hold their own
+// Loop (see NewLoop and RestoreLoop) on the engine's shared corpus, index,
+// embedding model and feature cache. A Loop takes the engine's locks
+// itself; the hooks below let a driver read the index under the same read
+// lock and observe seed-rule materializations, the one index mutation that
+// must be journaled.
 
 // WithIndexRead runs f with the shared index under the engine's read lock,
-// the same lock Session.Next holds while generating hierarchies and scoring
+// the same lock Loop.View holds while generating hierarchies and scoring
 // candidates. f must not retain the index or mutate it.
 //
 //darwin:lockrank-callback index
@@ -40,17 +23,6 @@ func (e *Engine) WithIndexRead(f func(ix *index.Index)) {
 	f(e.ix)
 }
 
-// HierarchyConfig returns the hierarchy-generation settings sessions use.
-func (e *Engine) HierarchyConfig() hierarchy.Config { return e.cfg.hierarchyConfig() }
-
-// LazyScoring returns the §4.5 lazy re-scoring settings (enabled, threshold).
-func (e *Engine) LazyScoring() (bool, float64) {
-	return e.cfg.LazyScoring, e.cfg.LazyScoreThreshold
-}
-
-// OracleSampleSize returns how many example sentences accompany a query.
-func (e *Engine) OracleSampleSize() int { return e.cfg.OracleSampleSize }
-
 // DefaultBudget returns the engine's configured oracle query budget.
 func (e *Engine) DefaultBudget() int { return e.cfg.Budget }
 
@@ -59,11 +31,12 @@ func (e *Engine) DefaultSeed() int64 { return e.cfg.Seed }
 
 // SetMaterializeHook registers f to be called — under the engine's index
 // write lock, in mutation order — with the rule specs of every seed-rule
-// materialization (NewSession seed rules and MaterializeRule). A journaling
-// layer uses it to record index mutations in the exact order concurrent
-// readers observed them, which is what makes replay deterministic: the hook
-// and the hierarchy-generating read paths are serialized by the same lock.
-// f must not call back into the engine. Pass nil to clear.
+// materialization (NewLoop and RestoreLoop seed rules, MaterializeRule). A
+// journaling layer uses it to record index mutations in the exact order
+// concurrent readers observed them, which is what makes replay
+// deterministic: the hook and the hierarchy-generating read paths are
+// serialized by the same lock. f must not call back into the engine. Pass
+// nil to clear.
 //
 //darwin:lockrank-callback index
 func (e *Engine) SetMaterializeHook(f func(specs []string)) {

@@ -39,9 +39,6 @@ type Config struct {
 	Traversal string
 	// Tau is the HybridSearch switching parameter τ (default 5).
 	Tau int
-	// CustomTraversal, when non-nil, overrides Traversal (used by the HighP
-	// and HighC baselines, which plug in alternative selection strategies).
-	CustomTraversal traversal.Traversal
 
 	// Classifier configures the p_s estimator.
 	Classifier classifier.Config
@@ -73,7 +70,8 @@ type Config struct {
 	// index.KernelAdaptive (the default, roaring-style compressed
 	// containers) or index.KernelDense (the original dense mirror, kept as
 	// the pinned reference for equivalence tests and benchmark A/B runs).
-	// Both kernels are bit-identical in every score.
+	// Both kernels are bit-identical in every score: the session and
+	// workspace pin tests check both against the same transcripts.
 	Kernel string
 
 	// Seed drives all randomness in the engine.

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"sync"
 	"time"
@@ -12,9 +11,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/embedding"
 	"repro/internal/grammar"
-	"repro/internal/hierarchy"
 	"repro/internal/index"
-	"repro/internal/oracle"
 	"repro/internal/sketch"
 )
 
@@ -75,52 +72,49 @@ func (r *Report) PositiveIDs() []int {
 	return out
 }
 
-// Engine is a Darwin instance bound to one corpus.
+// Engine is a Darwin instance bound to one corpus. It holds only shared
+// data: the corpus, grammar registry, embedding model, heuristic index and
+// the corpus-level feature cache. Every run of Algorithm 1 keeps its own
+// mutable state in a Loop — a Session holds one, and so does each
+// multi-annotator workspace.
 //
 // # Goroutine safety
 //
 // After New returns, the corpus, grammar registry, embedding model and index
-// are treated as immutable shared state, with one exception: materializing an
-// ad-hoc seed rule inserts a node into the index. That single mutation is
-// guarded by ixMu (write-locked in Session init, read-locked around every
-// index-reading step), so these methods are safe for concurrent use:
+// are treated as immutable shared state, with two exceptions: materializing
+// an ad-hoc seed rule inserts a node into the index, and Ingest grows the
+// corpus. Both mutations take ixMu for writing, and every index-reading
+// step takes it for reading, so these methods are safe for concurrent use:
 //
-//   - NewSession, and all methods of distinct Sessions
-//   - MaterializeRule, CoverageBits
+//   - NewSession, NewLoop, RestoreLoop, and all methods of distinct
+//     Sessions and Loops
+//   - MaterializeRule, CoverageBits, Ingest
 //   - ParseRule, Corpus, Index, Registry (but mutating methods of the
 //     returned Index — EnsureHeuristic, Prune, Merge — must never be called
 //     while sessions are live; use MaterializeRule instead)
 //
-// Run, Scores and Classifier belong to the legacy single-run mode: they share
-// the engine-owned classifier/score state so callbacks and post-run
-// inspection keep working, and therefore must not be used concurrently with
-// anything else on the same engine. A single Session is likewise owned by one
-// caller at a time.
+// A single Session or Loop is owned by one caller at a time.
 type Engine struct {
 	cfg  Config
 	corp *corpus.Corpus
 	reg  *grammar.Registry
 	ix   *index.Index
 	emb  *embedding.Model
-	clf  *classifier.SentenceClassifier
-	rng  *rand.Rand
 	// featCache is the corpus-wide sparse feature cache shared by every
 	// session's classifier (features depend only on the immutable corpus and
 	// embedding model, and the cache is safe for concurrent use).
 	featCache *classifier.FeatureCache
 
-	// ixMu guards the index against the one post-build mutation
-	// (EnsureHeuristic for seed rules) racing hierarchy generation and
-	// traversal reads in concurrent sessions.
+	// ixMu guards the index and the corpus against their post-build
+	// mutations (seed-rule materialization, ingest) racing hierarchy
+	// generation, traversal and classifier reads in concurrent loops.
 	//darwin:lockrank index
 	ixMu sync.RWMutex
 	// matHook, when set, observes seed-rule materializations under the index
 	// write lock (see SetMaterializeHook).
 	matHook func(specs []string)
 
-	scores       []float64
-	retrainCount int
-	indexBuild   time.Duration
+	indexBuild time.Duration
 
 	// bootLen is the corpus length at engine construction. The journal
 	// compaction path uses it to re-emit the ingested tail [bootLen, Len) as
@@ -129,7 +123,7 @@ type Engine struct {
 }
 
 // New prepares a Darwin engine: it preprocesses the corpus, trains word
-// embeddings, builds and prunes the index, and initializes the classifier.
+// embeddings, and builds and prunes the index.
 func New(c *corpus.Corpus, cfg Config) (*Engine, error) {
 	if c == nil || c.Len() == 0 {
 		return nil, fmt.Errorf("core: empty corpus")
@@ -154,31 +148,16 @@ func New(c *corpus.Corpus, cfg Config) (*Engine, error) {
 	ix.Prune(cfg.MinRuleCoverage)
 	indexBuild := time.Since(start)
 
-	clfCfg := cfg.Classifier
-	if clfCfg.Seed == 0 {
-		clfCfg.Seed = cfg.Seed
-	}
-	featCache := classifier.NewFeatureCacheCapped(c.Len(), cfg.FeatureCacheCap)
-	clf := classifier.NewSentenceClassifier(c, emb, clfCfg, cfg.ClassifierKind)
-	clf.ShareFeatureCache(featCache)
-
-	e := &Engine{
+	return &Engine{
 		cfg:        cfg,
 		corp:       c,
 		reg:        reg,
 		ix:         ix,
 		emb:        emb,
-		clf:        clf,
-		rng:        rand.New(rand.NewSource(cfg.Seed)),
-		featCache:  featCache,
+		featCache:  classifier.NewFeatureCacheCapped(c.Len(), cfg.FeatureCacheCap),
 		indexBuild: indexBuild,
 		bootLen:    c.Len(),
-	}
-	e.scores = make([]float64, c.Len())
-	for i := range e.scores {
-		e.scores[i] = 0.5
-	}
-	return e, nil
+	}, nil
 }
 
 // Corpus returns the engine's corpus.
@@ -189,15 +168,6 @@ func (e *Engine) Index() *index.Index { return e.ix }
 
 // Registry returns the engine's grammar registry.
 func (e *Engine) Registry() *grammar.Registry { return e.reg }
-
-// Scores returns the engine's current p_s estimates (indexed by sentence ID)
-// as updated by the legacy Run mode; sessions created with NewSession own
-// their scores and do not touch this slice. The slice is owned by the engine.
-func (e *Engine) Scores() []float64 { return e.scores }
-
-// Classifier returns the engine's sentence classifier (trained by the legacy
-// Run mode; sessions created with NewSession own their own classifier).
-func (e *Engine) Classifier() *classifier.SentenceClassifier { return e.clf }
 
 // ParseRule parses a textual rule specification using the engine's grammars.
 func (e *Engine) ParseRule(spec string) (grammar.Heuristic, error) {
@@ -216,11 +186,7 @@ func (e *Engine) MaterializeRule(spec string) (string, []int, error) {
 		return "", nil, fmt.Errorf("core: rule %q: %w", spec, err)
 	}
 	e.ixMu.Lock()
-	node := e.ix.EnsureHeuristic(h, e.corp)
-	e.ix.BuildEdges()
-	if e.matHook != nil {
-		e.matHook([]string{spec})
-	}
+	node := e.materializeLocked([]grammar.Heuristic{h}, []string{spec})[0]
 	e.ixMu.Unlock()
 	return h.Key(), append([]int(nil), node.Postings...), nil
 }
@@ -251,105 +217,4 @@ func (e *Engine) CoverageBits(spec string) (string, bitset.Cover, error) {
 	// The fallback corpus scan stays under the read lock so a concurrent
 	// ingest cannot grow the corpus out from under it.
 	return h.Key(), bitset.FromSorted(grammar.Coverage(h, e.corp)), nil
-}
-
-// RunOptions configures one discovery run.
-type RunOptions struct {
-	// SeedRules are textual rule specifications (e.g. "best way to get to" or
-	// "treematch:caused/by"); their coverage seeds P without consuming
-	// budget.
-	SeedRules []string
-	// SeedPositiveIDs are sentence IDs known to be positive; they seed P
-	// directly (the "couple of positive sentences" initialization).
-	SeedPositiveIDs []int
-	// Oracle answers rule-verification queries. Required.
-	Oracle oracle.Oracle
-	// OnQuery, if non-nil, is called after every oracle query with the
-	// record and the engine (whose classifier scores reflect the query's
-	// outcome). Experiments use it to capture per-question curves.
-	OnQuery func(rec RuleRecord, e *Engine)
-}
-
-// Run executes Algorithm 1: starting from the seed rules / seed positives it
-// iteratively generates a candidate hierarchy, selects the most promising
-// rule with the configured traversal strategy, queries the oracle, and
-// updates the positive set and classifier, until the query budget is spent or
-// no candidates remain. It is a thin wrapper that drives a Session from the
-// oracle; interactive callers use NewSession directly. Run mutates the
-// engine-owned classifier and scores (see the Engine doc) and is therefore
-// not safe for concurrent use.
-func (e *Engine) Run(opts RunOptions) (*Report, error) {
-	if opts.Oracle == nil {
-		return nil, fmt.Errorf("core: RunOptions.Oracle is required")
-	}
-	start := time.Now()
-	s, err := e.newLegacySession(SessionOptions{
-		SeedRules:       opts.SeedRules,
-		SeedPositiveIDs: opts.SeedPositiveIDs,
-	})
-	if err != nil {
-		return nil, err
-	}
-	for {
-		sug, ok := s.Next()
-		if !ok {
-			break
-		}
-		// Line 8: ask the oracle.
-		accepted := opts.Oracle.Answer(oracle.Query{
-			Heuristic: s.pending.heur,
-			Coverage:  s.pending.cov,
-			Samples:   sug.SampleIDs,
-		})
-		rec, err := s.Answer(sug.Key, accepted)
-		if err != nil {
-			return nil, err
-		}
-		if opts.OnQuery != nil {
-			opts.OnQuery(rec, e)
-		}
-	}
-	report := s.report
-	report.Positives = s.Positives()
-	report.IndexBuild = e.indexBuild
-	report.Total = time.Since(start)
-	return report, nil
-}
-
-// Suggestion is one candidate rule proposed by Session.Next, with the
-// statistics an annotator (or a downstream tool) needs to judge it.
-type Suggestion struct {
-	Key         string
-	Rule        string
-	Coverage    int
-	NewCoverage int
-	Benefit     float64
-	AvgBenefit  float64
-	SampleIDs   []int
-}
-
-// coverageOf resolves a rule key's coverage from the hierarchy or the index.
-func coverageOf(ix *index.Index, h *hierarchy.Hierarchy, key string) []int {
-	if n := h.Node(key); n != nil {
-		return n.Coverage
-	}
-	return ix.Coverage(key)
-}
-
-// heuristicOf resolves a rule key's heuristic from the hierarchy or the index.
-func heuristicOf(ix *index.Index, h *hierarchy.Hierarchy, key string) grammar.Heuristic {
-	if n := h.Node(key); n != nil {
-		return n.Heuristic
-	}
-	if n := ix.Node(key); n != nil {
-		return n.Heuristic
-	}
-	return nil
-}
-
-func ruleString(h grammar.Heuristic, key string) string {
-	if h != nil {
-		return h.String()
-	}
-	return key
 }

@@ -56,13 +56,10 @@ func TestEngineErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Run(RunOptions{}); err == nil {
-		t.Error("missing oracle should error")
-	}
-	if _, err := e.Run(RunOptions{Oracle: oracle.NewGroundTruth(c), SeedRules: []string{"@@@ ???"}}); err == nil {
+	if _, err := e.NewSession(SessionOptions{SeedRules: []string{"@@@ ???"}}); err == nil {
 		t.Error("unparseable seed rule should error")
 	}
-	if _, err := e.Run(RunOptions{Oracle: oracle.NewGroundTruth(c), SeedRules: []string{"zzzznonexistenttoken"}}); err == nil {
+	if _, err := e.NewSession(SessionOptions{SeedRules: []string{"zzzznonexistenttoken"}}); err == nil {
 		t.Error("zero-coverage seed with no positives should error")
 	}
 }
@@ -78,22 +75,19 @@ func TestEngineRunHybridDiscoversPositives(t *testing.T) {
 	o := oracle.NewRecording(oracle.NewGroundTruth(c))
 	discovered := map[int]bool{}
 	var curve eval.Curve
-	rep, err := e.Run(RunOptions{
-		SeedRules: []string{"best way to get to"},
-		Oracle:    o,
-		OnQuery: func(rec RuleRecord, e *Engine) {
-			for _, id := range rec.AddedIDs {
-				discovered[id] = true
-			}
-			curve.Points = append(curve.Points, eval.CurvePoint{
-				Questions: rec.Question,
-				Value:     eval.CoverageOfSet(e.Corpus(), discovered),
-			})
-		},
-	})
+	s, err := e.NewSession(SessionOptions{SeedRules: []string{"best way to get to"}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := s.Run(o, func(rec RuleRecord) {
+		for _, id := range rec.AddedIDs {
+			discovered[id] = true
+		}
+		curve.Points = append(curve.Points, eval.CurvePoint{
+			Questions: rec.Question,
+			Value:     eval.CoverageOfSet(e.Corpus(), discovered),
+		})
+	})
 	// The per-question coverage curve is monotone non-decreasing.
 	for i := 1; i < len(curve.Points); i++ {
 		if curve.Points[i].Value < curve.Points[i-1].Value {
@@ -145,13 +139,7 @@ func TestEngineSeedPositiveIDs(t *testing.T) {
 	if len(pos) < 2 {
 		t.Fatal("test corpus has too few positives")
 	}
-	repo, err := e.Run(RunOptions{
-		SeedPositiveIDs: []int{pos[0], pos[1]},
-		Oracle:          oracle.NewGroundTruth(c),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	repo := runBatch(t, e, SessionOptions{SeedPositiveIDs: []int{pos[0], pos[1]}}, oracle.NewGroundTruth(c))
 	if len(repo.Positives) < 2 {
 		t.Errorf("positives shrank below the seed: %d", len(repo.Positives))
 	}
@@ -159,7 +147,7 @@ func TestEngineSeedPositiveIDs(t *testing.T) {
 		t.Error("no questions asked")
 	}
 	// Out-of-range seed IDs are ignored.
-	if _, err := e.Run(RunOptions{SeedPositiveIDs: []int{-1, 1 << 30}, Oracle: oracle.NewGroundTruth(c)}); err == nil {
+	if _, err := e.NewSession(SessionOptions{SeedPositiveIDs: []int{-1, 1 << 30}}); err == nil {
 		t.Error("only-invalid seed IDs should error (empty P)")
 	}
 }
@@ -173,30 +161,34 @@ func TestEngineTraversalVariantsAndCustom(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		repo, err := e.Run(RunOptions{
-			SeedRules: []string{"shuttle to"},
-			Oracle:    oracle.NewGroundTruth(c),
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", trav, err)
-		}
+		repo := runBatch(t, e, SessionOptions{SeedRules: []string{"shuttle to"}}, oracle.NewGroundTruth(c))
 		if repo.Questions == 0 {
 			t.Errorf("%s asked no questions", trav)
 		}
 	}
 
 	// A custom traversal (the HighC-style "max coverage" selector) plugs in
-	// through Config.CustomTraversal.
+	// through SessionOptions.Traversal.
 	cfg := fastConfig("hybrid")
 	cfg.Budget = 10
-	cfg.CustomTraversal = maxCoverageTraversal{}
 	e, err := New(c, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Run(RunOptions{SeedRules: []string{"shuttle to"}, Oracle: oracle.NewGroundTruth(c)}); err != nil {
+	repo := runBatch(t, e, SessionOptions{SeedRules: []string{"shuttle to"}, Traversal: maxCoverageTraversal{}}, oracle.NewGroundTruth(c))
+	if repo.Questions == 0 {
+		t.Error("custom traversal asked no questions")
+	}
+}
+
+// runBatch starts a session on e and drives it to its end with o answering.
+func runBatch(t testing.TB, e *Engine, opts SessionOptions, o oracle.Oracle) *Report {
+	t.Helper()
+	s, err := e.NewSession(opts)
+	if err != nil {
 		t.Fatal(err)
 	}
+	return s.Run(o, nil)
 }
 
 // maxCoverageTraversal proposes the unqueried rule with the largest coverage.
@@ -228,11 +220,7 @@ func TestEngineLazyScoringMatchesEagerOnAcceptance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		repo, err := e.Run(RunOptions{SeedRules: []string{"best way to get to"}, Oracle: oracle.NewGroundTruth(c)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return repo
+		return runBatch(t, e, SessionOptions{SeedRules: []string{"best way to get to"}}, oracle.NewGroundTruth(c))
 	}
 	lazy := run(true)
 	eager := run(false)
@@ -266,10 +254,7 @@ func TestEngineTreeMatchRulesParse(t *testing.T) {
 	if !strings.Contains(h.Key(), "treematch") {
 		t.Errorf("wrong grammar: %s", h.Key())
 	}
-	repo, err := e.Run(RunOptions{SeedRules: []string{"treematch:caused/by"}, Oracle: oracle.NewGroundTruth(c)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	repo := runBatch(t, e, SessionOptions{SeedRules: []string{"treematch:caused/by"}}, oracle.NewGroundTruth(c))
 	if len(repo.Positives) == 0 {
 		t.Error("TreeMatch seed produced no positives")
 	}

@@ -19,8 +19,8 @@ import (
 // extends the index: each new sentence is preprocessed, its derivation
 // sketch merged in, and every ad-hoc (seed-rule) node probed for a match. No
 // full rebuild happens; the index version bump invalidates every cached
-// hierarchy, so sessions regenerate against the grown coverage on their next
-// step. It returns the half-open sentence-ID range [from, to) the batch was
+// hierarchy, so every Loop grows its positive set and scores and regenerates
+// against the grown coverage on its next step. It returns the half-open sentence-ID range [from, to) the batch was
 // assigned.
 //
 // Ingested sentences join candidate generation immediately. Two boot-time
@@ -52,9 +52,6 @@ func (e *Engine) Ingest(batch []ingest.Sentence) (from, to int, err error) {
 		e.ix.AddSentence(b.Build(s), s)
 	}
 	e.ix.BuildEdges()
-	for len(e.scores) < to {
-		e.scores = append(e.scores, 0.5)
-	}
 	return from, to, nil
 }
 

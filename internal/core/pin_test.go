@@ -11,6 +11,8 @@ import (
 	"testing"
 
 	"repro/internal/baselines"
+	"repro/internal/corpus"
+	"repro/internal/index"
 	"repro/internal/oracle"
 	"repro/internal/traversal"
 )
@@ -66,47 +68,62 @@ func scoresHash(scores []float64) string {
 	return fmt.Sprintf("%d scores fnv64a=%016x", len(scores), h.Sum64())
 }
 
-// TestBitExactPinSessions pins a solo session under each traversal to the
-// bit: every suggestion's key, coverage, new coverage, the float bits of
-// its benefit and average benefit, its presentation samples, and finally
-// the positive set and a hash of the score vector.
+// pinKernels are the coverage kernels every pin runs under: the default
+// adaptive kernel and the dense reference, checked against one transcript.
+var pinKernels = []string{index.KernelAdaptive, index.KernelDense}
+
+// TestBitExactPinSessions pins a solo session under each traversal and
+// coverage kernel to the bit: every suggestion's key, coverage, new
+// coverage, the float bits of its benefit and average benefit, its
+// presentation samples, and finally the positive set and a hash of the
+// score vector.
 func TestBitExactPinSessions(t *testing.T) {
 	c := testCorpus(t, 0.05)
 	for _, trav := range []string{"hybrid", "local", "universal"} {
 		t.Run(trav, func(t *testing.T) {
-			e, err := New(c, fastConfig(trav))
-			if err != nil {
-				t.Fatal(err)
+			for _, kernel := range pinKernels {
+				t.Run(kernel, func(t *testing.T) { pinSession(t, c, trav, kernel) })
 			}
-			s, err := e.NewSession(SessionOptions{SeedRules: []string{"best way to get to"}, Budget: 15, Seed: 42})
-			if err != nil {
-				t.Fatal(err)
-			}
-			o := oracle.NewGroundTruth(c)
-			var b strings.Builder
-			for {
-				sug, ok := s.Next()
-				if !ok {
-					break
-				}
-				accept := o.Answer(oracle.Query{Heuristic: s.pending.heur, Coverage: s.pending.cov, Samples: sug.SampleIDs})
-				fmt.Fprintf(&b, "%s cov=%d new=%d benefit=%016x avg=%016x samples=%v accept=%v\n",
-					sug.Key, sug.Coverage, sug.NewCoverage,
-					math.Float64bits(sug.Benefit), math.Float64bits(sug.AvgBenefit), sug.SampleIDs, accept)
-				if _, err := s.Answer(sug.Key, accept); err != nil {
-					t.Fatal(err)
-				}
-			}
-			fmt.Fprintf(&b, "positives %v\n", s.Report().PositiveIDs())
-			fmt.Fprintf(&b, "%s\n", scoresHash(s.Scores()))
-			checkPin(t, "session_"+trav, b.String())
 		})
 	}
 }
 
-// TestBitExactPinBaselines pins one batch Run under each rule-selection
-// baseline: the full question history, the final positive set and a hash
-// of the engine's score vector.
+// pinSession drives one session under the given traversal and kernel and
+// checks its transcript.
+func pinSession(t *testing.T, c *corpus.Corpus, trav, kernel string) {
+	cfg := fastConfig(trav)
+	cfg.Kernel = kernel
+	e, err := New(c, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := e.NewSession(SessionOptions{SeedRules: []string{"best way to get to"}, Budget: 15, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := oracle.NewGroundTruth(c)
+	var b strings.Builder
+	for {
+		sug, ok := s.Next()
+		if !ok {
+			break
+		}
+		accept := o.Answer(oracle.Query{Heuristic: s.pending.heur, Coverage: s.pending.cov, Samples: sug.SampleIDs})
+		fmt.Fprintf(&b, "%s cov=%d new=%d benefit=%016x avg=%016x samples=%v accept=%v\n",
+			sug.Key, sug.Coverage, sug.NewCoverage,
+			math.Float64bits(sug.Benefit), math.Float64bits(sug.AvgBenefit), sug.SampleIDs, accept)
+		if _, err := s.Answer(sug.Key, accept); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fmt.Fprintf(&b, "positives %v\n", s.Report().PositiveIDs())
+	fmt.Fprintf(&b, "%s\n", scoresHash(s.Scores()))
+	checkPin(t, "session_"+trav, b.String())
+}
+
+// TestBitExactPinBaselines pins one batch Session.Run under each
+// rule-selection baseline: the full question history, the final positive
+// set and a hash of the session's score vector.
 func TestBitExactPinBaselines(t *testing.T) {
 	c := testCorpus(t, 0.05)
 	for _, tc := range []struct {
@@ -119,22 +136,22 @@ func TestBitExactPinBaselines(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := fastConfig("hybrid")
 			cfg.Budget = 12
-			cfg.CustomTraversal = tc.trav
 			e, err := New(c, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep, err := e.Run(RunOptions{SeedRules: []string{"best way to get to"}, Oracle: oracle.NewGroundTruth(c)})
+			s, err := e.NewSession(SessionOptions{SeedRules: []string{"best way to get to"}, Traversal: tc.trav})
 			if err != nil {
 				t.Fatal(err)
 			}
+			rep := s.Run(oracle.NewGroundTruth(c), nil)
 			var b strings.Builder
 			for _, rec := range rep.History {
 				fmt.Fprintf(&b, "q%d %s cov=%d accept=%v added=%v after=%d\n",
 					rec.Question, rec.Key, rec.Coverage, rec.Accepted, rec.AddedIDs, rec.PositivesAfter)
 			}
 			fmt.Fprintf(&b, "positives %v\n", rep.PositiveIDs())
-			fmt.Fprintf(&b, "%s\n", scoresHash(e.Scores()))
+			fmt.Fprintf(&b, "%s\n", scoresHash(s.Scores()))
 			checkPin(t, "baseline_"+tc.name, b.String())
 		})
 	}

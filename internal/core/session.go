@@ -3,21 +3,17 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"time"
 
-	"repro/internal/bitset"
-	"repro/internal/classifier"
 	"repro/internal/grammar"
-	"repro/internal/hierarchy"
 	"repro/internal/obs"
 	"repro/internal/oracle"
 	"repro/internal/traversal"
 )
 
 // Engine-level telemetry: the interactive loop's two verbs, measured at the
-// core layer (below HTTP and labeler locking) so solo sessions and legacy Run
-// callers are covered alike.
+// core layer (below HTTP and labeler locking) so interactive sessions and
+// batch Session.Run callers are covered alike.
 var (
 	nextDurations = obs.Default().Histogram("darwin_session_next_duration_seconds",
 		"Latency of one Session.Next that did real work (hierarchy reuse or regen + traversal).",
@@ -54,47 +50,27 @@ type SessionOptions struct {
 // Session is one stepwise run of Algorithm 1 in which the oracle role is
 // played by the caller: Next proposes the most promising unqueried rule,
 // Answer records the caller's accept/reject verdict and updates the positive
-// set and classifier, and Report snapshots the run so far. A Session owns all
-// mutable discovery state (positive set, classifier, scores, traversal,
-// RNG); it only reads the engine's shared corpus and index, so any number of
-// sessions may run concurrently on one engine. A single Session is NOT
-// goroutine-safe; callers that share a session across goroutines (e.g. an
-// HTTP server) must serialize access themselves.
+// set and classifier, and Report snapshots the run so far. Run drives the
+// same steps from an oracle (batch mode). A Session owns all mutable
+// discovery state — its Loop (positive set, classifier, scores, hierarchy
+// cache), the traversal and the RNG; it only reads the engine's shared
+// corpus and index, so any number of sessions may run concurrently on one
+// engine. A single Session is NOT goroutine-safe; callers that share a
+// session across goroutines (e.g. an HTTP server) must serialize access
+// themselves.
 type Session struct {
-	e *Engine
+	e    *Engine
+	loop *Loop
+	// rng draws presentation samples as one stream over the whole session.
+	rng *rand.Rand
 
-	rng          *rand.Rand
-	clf          *classifier.SentenceClassifier
-	scores       []float64
-	retrainCount *int
+	trav     traversal.Traversal
+	seedKeys []string
+	seeded   bool
 
-	trav traversal.Traversal
-	// travOverride, when non-nil, is used instead of building a traversal
-	// from the engine config (session option, or Config.CustomTraversal for
-	// the legacy Run path).
-	travOverride traversal.Traversal
-	queried      map[string]bool
-	seedKeys     []string
-	seeded       bool
-
-	// positives is the discovered positive set P, a bitset sized to the
-	// corpus; npos is |P|, kept by addPositives, the only routine that
-	// grows P. Report and Positives derive their id views from the bitset.
-	positives bitset.Set
-	npos      int
-	report    *Report
-	budget    int
-	start     time.Time
-
-	// hier is the cached candidate hierarchy. It depends only on the shared
-	// index and the positive set, so it stays valid across rejected answers
-	// and repeated Next calls; hierPos and hierIxVer record |P| and the
-	// index version it was generated against, and hierGens counts
-	// regenerations (exposed for tests and benchmarks).
-	hier      *hierarchy.Hierarchy
-	hierPos   int
-	hierIxVer uint64
-	hierGens  int
+	report *Report
+	budget int
+	start  time.Time
 
 	// Step-latency tracking for the serving layer: duration of each Next
 	// that did real work (not a pending replay).
@@ -117,162 +93,69 @@ type pendingSuggestion struct {
 }
 
 // NewSession starts an interactive discovery session on the engine: it seeds
-// the positive set from the options, trains the session's own classifier, and
-// prepares the traversal strategy. Seed rules are materialized in the shared
-// index under the engine's write lock, so NewSession is safe to call
-// concurrently with other sessions' steps. Note that materializing a seed
-// rule the index does not contain yet grows the index monotonically: sessions
-// stepping afterwards may see a candidate they would not have seen before, so
-// bit-exact replay of a session is guaranteed only against the same set of
-// materialized rules.
+// the positive set from the options (see NewLoop), trains the session's own
+// classifier, and prepares the traversal strategy. It is safe to call
+// concurrently with other sessions' steps.
 func (e *Engine) NewSession(opts SessionOptions) (*Session, error) {
-	if opts.Traversal == nil && e.cfg.CustomTraversal != nil {
-		// A stateful shared traversal instance would be stepped by every
-		// session at once; sessions must own theirs.
-		return nil, fmt.Errorf("core: Config.CustomTraversal cannot back concurrent sessions; pass a fresh SessionOptions.Traversal instead")
-	}
 	seed := opts.Seed
 	if seed == 0 {
 		seed = e.cfg.Seed
 	}
-	clfCfg := e.cfg.Classifier
-	if clfCfg.Seed == 0 {
-		clfCfg.Seed = seed
+	start := time.Now()
+	loop, seeds, err := e.NewLoop(seed, opts.SeedRules, opts.SeedPositiveIDs)
+	if err != nil {
+		return nil, err
 	}
-	count := 0
-	clf := classifier.NewSentenceClassifier(e.corp, e.emb, clfCfg, e.cfg.ClassifierKind)
 	s := &Session{
-		e:            e,
-		rng:          rand.New(rand.NewSource(seed)),
-		clf:          clf,
-		retrainCount: &count,
-		travOverride: opts.Traversal,
+		e:      e,
+		loop:   loop,
+		rng:    rand.New(rand.NewSource(seed)),
+		trav:   opts.Traversal,
+		report: &Report{Accepted: seeds},
+		budget: opts.Budget,
+		start:  start,
 	}
-	// scores and positives are sized by init under the index lock, so the
-	// length read cannot race a concurrent ingest growing the corpus.
-	return s, s.init(opts)
-}
-
-// newLegacySession builds the session that backs a batch Engine.Run: it
-// aliases the engine's own classifier, score slice, RNG and retrain counter so
-// that Engine.Scores and Engine.Classifier keep reflecting the run's state
-// (several callers read them from OnQuery callbacks and after Run returns).
-func (e *Engine) newLegacySession(opts SessionOptions) (*Session, error) {
-	s := &Session{
-		e:            e,
-		rng:          e.rng,
-		clf:          e.clf,
-		scores:       e.scores,
-		retrainCount: &e.retrainCount,
-		travOverride: e.cfg.CustomTraversal,
-	}
-	return s, s.init(opts)
-}
-
-// init seeds the positive set, trains the initial classifier and prepares the
-// traversal. It is the body shared by NewSession and newLegacySession.
-func (s *Session) init(opts SessionOptions) error {
-	e := s.e
-	s.start = time.Now()
-	s.budget = opts.Budget
 	if s.budget <= 0 {
 		s.budget = e.cfg.Budget
 	}
-	s.report = &Report{}
-	s.queried = make(map[string]bool)
-
-	// Parse the seed rules before touching shared state so a bad spec leaves
-	// the engine untouched.
-	heuristics := make([]grammar.Heuristic, 0, len(opts.SeedRules))
-	for _, spec := range opts.SeedRules {
-		h, err := e.reg.Parse(spec)
-		if err != nil {
-			return fmt.Errorf("core: seed rule %q: %w", spec, err)
-		}
-		heuristics = append(heuristics, h)
+	for _, rec := range seeds {
+		s.seedKeys = append(s.seedKeys, rec.Key)
 	}
-
-	// Size the session's score vector and positive set, materialize ad-hoc
-	// seed rules (a shared-index mutation) and resolve seed positives in one
-	// write-locked section: the corpus length, the seed coverage and the
-	// set sizes are read under the same lock, so a concurrent ingest
-	// cannot grow the corpus between the sizing and the seeding. The index's
-	// parent/child edges are left rebuilt so subsequent read-locked steps
-	// never trigger a lazy rebuild.
-	e.ixMu.Lock()
-	// Attach the shared feature cache here rather than at construction: its
-	// eligibility check reads the corpus length, which a concurrent ingest
-	// grows under this lock.
-	s.clf.ShareFeatureCache(e.featCache)
-	if s.scores == nil {
-		s.scores = make([]float64, e.corp.Len())
-		for i := range s.scores {
-			s.scores[i] = 0.5
-		}
-	}
-	// The legacy path aliases the engine-owned slice, which Ingest keeps
-	// sized to the corpus; for session-owned slices this is a no-op.
-	for len(s.scores) < e.corp.Len() {
-		s.scores = append(s.scores, 0.5)
-	}
-	s.positives = bitset.New(e.corp.Len())
-	for _, h := range heuristics {
-		node := e.ix.EnsureHeuristic(h, e.corp)
-		added := s.addPositives(node.Postings)
-		s.seedKeys = append(s.seedKeys, h.Key())
-		s.report.Accepted = append(s.report.Accepted, RuleRecord{
-			Question:       0,
-			Key:            h.Key(),
-			Rule:           h.String(),
-			Coverage:       node.Count(),
-			Accepted:       true,
-			CoverageIDs:    append([]int(nil), node.Postings...),
-			AddedIDs:       added,
-			PositivesAfter: s.npos,
-		})
-	}
-	if len(heuristics) > 0 {
-		e.ix.BuildEdges()
-		if e.matHook != nil {
-			e.matHook(opts.SeedRules)
-		}
-	}
-	var seedIDs []int
-	for _, id := range opts.SeedPositiveIDs {
-		if e.corp.Sentence(id) != nil {
-			seedIDs = append(seedIDs, id)
-		}
-	}
-	s.addPositives(seedIDs)
-	e.ixMu.Unlock()
-	if s.npos == 0 {
-		return fmt.Errorf("core: seeds produced no positive instances (need a seed rule with non-empty coverage or seed positive IDs)")
-	}
-
-	// Initial classifier (Algorithm 1 line 4).
-	s.retrain()
-
-	s.trav = s.travOverride
+	// Initial classifier (Algorithm 1 line 4). A failed fit keeps the prior
+	// scores.
+	_ = loop.Refit()
 	if s.trav == nil {
 		s.trav = traversal.New(e.cfg.Traversal, e.cfg.Tau, s.seedKeys...)
 	}
-	for _, k := range s.seedKeys {
-		s.queried[k] = true
+	return s, nil
+}
+
+// Run drives the session to its end with o answering every suggestion (the
+// batch form of Algorithm 1) and returns the final report. onQuery, if
+// non-nil, sees each question's record right after its answer is applied,
+// when s.Scores() already reflects it.
+func (s *Session) Run(o oracle.Oracle, onQuery func(RuleRecord)) *Report {
+	for {
+		sug, ok := s.Next()
+		if !ok {
+			return s.Report()
+		}
+		// Line 8: ask the oracle.
+		accept := o.Answer(oracle.Query{Heuristic: s.pending.heur, Coverage: s.pending.cov, Samples: sug.SampleIDs})
+		// Answering the pending key cannot fail.
+		rec, _ := s.Answer(sug.Key, accept)
+		if onQuery != nil {
+			onQuery(rec)
+		}
 	}
-	return nil
 }
 
 // Next returns the most promising unqueried candidate rule, or ok=false when
 // the session is over (budget spent or no candidates left). Calling Next again
 // before Answer returns the same pending suggestion. The heavy work — regrow
 // the candidate hierarchy around the current positive set and traverse it — is
-// done under the engine's read lock, so concurrent sessions step in parallel.
-//
-// The hierarchy depends only on the shared index and the positive set, and
-// the positive set changes only on an accepted answer, so Next after a
-// reject reuses the previous hierarchy and merely re-traverses it with the
-// current scores; the hierarchy is regenerated only when |P| or the index
-// version changed.
+// done in Loop.View, under the engine's read lock, so concurrent sessions
+// step in parallel.
 //
 //darwin:replaypure
 func (s *Session) Next() (Suggestion, bool) {
@@ -292,75 +175,26 @@ func (s *Session) Next() (Suggestion, bool) {
 		s.stepCount++
 		nextDurations.Observe(d.Seconds())
 	}()
-	e := s.e
-	e.ixMu.RLock()
-	defer e.ixMu.RUnlock()
-
-	// Self-heal after live-corpus growth: extend the session's score vector
-	// and positive set to the current corpus length (new sentences
-	// start at the untrained prior 0.5 until the next retrain). The index
-	// version bump that accompanied the growth forces the hierarchy
-	// regeneration below.
-	if n := e.corp.Len(); n > len(s.scores) {
-		for len(s.scores) < n {
-			s.scores = append(s.scores, 0.5)
+	s.loop.View(func(st *traversal.State) {
+		// Make sure local strategies know about the seed rules'
+		// neighborhoods on the first iteration.
+		if !s.seeded {
+			for _, k := range s.seedKeys {
+				s.trav.Reseed(st, k)
+			}
+			s.seeded = true
 		}
-		s.positives = s.positives.Grow(n)
-	}
-
-	// Line 6: (re)generate the candidate hierarchy, unless the cached one is
-	// still valid.
-	if ixVer := e.ix.Version(); s.hier == nil || s.hierPos != s.npos || s.hierIxVer != ixVer {
-		s.hier = hierarchy.Generate(e.ix, s.positives, e.cfg.hierarchyConfig())
-		s.hierPos = s.npos
-		s.hierIxVer = ixVer
-		s.hierGens++
-	}
-	h := s.hier
-	st := &traversal.State{
-		Hierarchy: h,
-		Index:     e.ix,
-		Positives: s.positives,
-		Scores:    s.scores,
-		Queried:   s.queried,
-	}
-	// Make sure local strategies know about the seed rules' neighborhoods on
-	// the first iteration.
-	if !s.seeded {
-		for _, k := range s.seedKeys {
-			s.trav.Reseed(st, k)
+		// Line 7: pick the next rule to verify.
+		key, ok := s.trav.Next(st)
+		if !ok {
+			return
 		}
-		s.seeded = true
-	}
-
-	// Line 7: pick the next rule to verify.
-	key, ok := s.trav.Next(st)
-	if !ok {
+		sug, cov, heur := s.loop.Take(st, key, s.rng)
+		s.pending = &pendingSuggestion{sug: sug, heur: heur, cov: cov, st: st}
+	})
+	if s.pending == nil {
 		s.done = true
 		return Suggestion{}, false
-	}
-	s.queried[key] = true
-	cov := coverageOf(e.ix, h, key)
-	heur := heuristicOf(e.ix, h, key)
-
-	benefit, newCov := st.BenefitNewOf(key)
-	avgBenefit := 0.0
-	if newCov > 0 {
-		avgBenefit = benefit / float64(newCov)
-	}
-	s.pending = &pendingSuggestion{
-		sug: Suggestion{
-			Key:         key,
-			Rule:        ruleString(heur, key),
-			Coverage:    len(cov),
-			NewCoverage: newCov,
-			Benefit:     benefit,
-			AvgBenefit:  avgBenefit,
-			SampleIDs:   oracle.SampleCoverage(cov, e.cfg.OracleSampleSize, s.rng),
-		},
-		heur: heur,
-		cov:  cov,
-		st:   st,
 	}
 	return s.pending.sug, true
 }
@@ -383,24 +217,16 @@ func (s *Session) Answer(key string, accept bool) (RuleRecord, error) {
 	pending := s.pending
 	s.pending = nil
 
-	q := s.report.Questions + 1
-	rec := RuleRecord{
-		Question: q,
-		Key:      key,
-		Rule:     pending.sug.Rule,
-		Coverage: len(pending.cov),
-		Accepted: accept,
-	}
+	rec := s.loop.Verdict(s.report.Questions+1, pending.sug, pending.cov, accept)
 	if accept {
-		// Lines 9-12: extend P, retrain, rescore.
-		rec.CoverageIDs = append([]int(nil), pending.cov...)
-		rec.AddedIDs = s.addPositives(pending.cov)
 		s.report.Accepted = append(s.report.Accepted, rec)
-		s.retrain()
+		// A failed fit (not enough signal, which should not happen once P
+		// is non-empty) keeps the previous scores.
+		_ = s.loop.Refit()
 	}
-	rec.PositivesAfter = s.npos
+	rec.PositivesAfter = s.loop.Count()
 	s.report.History = append(s.report.History, rec)
-	s.report.Questions = q
+	s.report.Questions = rec.Question
 
 	// Feedback may walk the index's parent/child edges.
 	s.e.ixMu.RLock()
@@ -409,27 +235,10 @@ func (s *Session) Answer(key string, accept bool) (RuleRecord, error) {
 	return rec, nil
 }
 
-// addPositives inserts the ids into P, keeping |P| in step, and returns the
-// newly added ones (sorted).
-//
-//darwin:replaypure
-func (s *Session) addPositives(ids []int) []int {
-	var added []int
-	for _, id := range ids {
-		if !s.positives.Contains(id) {
-			s.positives.Add(id)
-			added = append(added, id)
-		}
-	}
-	s.npos += len(added)
-	sort.Ints(added)
-	return added
-}
-
 // HierarchyGenerations returns how many times the session regenerated its
 // candidate hierarchy. With incremental reuse this equals one per
 // positive-set change (plus one per shared-index growth), not one per Next.
-func (s *Session) HierarchyGenerations() int { return s.hierGens }
+func (s *Session) HierarchyGenerations() int { return s.loop.HierarchyGenerations() }
 
 // StepLatency returns the duration of the last Next that did real work and
 // the average across all of them (zero before the first step).
@@ -453,24 +262,14 @@ func (s *Session) Budget() int { return s.budget }
 func (s *Session) Questions() int { return s.report.Questions }
 
 // PositivesCount returns |P| without copying the set.
-func (s *Session) PositivesCount() int { return s.npos }
+func (s *Session) PositivesCount() int { return s.loop.Count() }
 
 // Positives returns a copy of the discovered positive set P.
-func (s *Session) Positives() map[int]bool {
-	out := make(map[int]bool, s.npos)
-	s.positives.Range(func(id int) bool {
-		out[id] = true
-		return true
-	})
-	return out
-}
+func (s *Session) Positives() map[int]bool { return s.loop.PositivesMap() }
 
 // Scores returns the session's current p_s estimates (indexed by sentence
 // ID). The slice is owned by the session.
-func (s *Session) Scores() []float64 { return s.scores }
-
-// Classifier returns the session's sentence classifier.
-func (s *Session) Classifier() *classifier.SentenceClassifier { return s.clf }
+func (s *Session) Scores() []float64 { return s.loop.Scores() }
 
 // Report returns a snapshot of the run so far: the records share memory with
 // the session but the record slices and the positive set are copied, so the
@@ -485,17 +284,4 @@ func (s *Session) Report() *Report {
 		Total:      time.Since(s.start),
 	}
 	return rep
-}
-
-// retrain refits the classifier on the current positive set and refreshes the
-// p_s scores, honouring the lazy re-scoring optimization when enabled. It
-// runs under the engine's read lock: training and scoring read the shared
-// corpus and feature cache, which a concurrent ingest grows under the write
-// lock.
-func (s *Session) retrain() {
-	s.e.ixMu.RLock()
-	defer s.e.ixMu.RUnlock()
-	// A failed fit (not enough signal, which should not happen once P is
-	// non-empty) keeps the previous scores.
-	_ = s.clf.Refit(s.positives, s.scores, s.retrainCount, s.e.cfg.LazyScoring, s.e.cfg.LazyScoreThreshold)
 }

@@ -6,10 +6,11 @@ import (
 	"testing"
 
 	"repro/internal/oracle"
+	"repro/internal/traversal"
 )
 
 // answerWithOracle resolves the session's pending suggestion through an
-// oracle exactly as the legacy Run wrapper does.
+// oracle exactly as Session.Run does.
 func answerWithOracle(t *testing.T, s *Session, o oracle.Oracle) (RuleRecord, bool) {
 	t.Helper()
 	sug, ok := s.Next()
@@ -190,9 +191,9 @@ func TestSessionDeterministicReplay(t *testing.T) {
 	}
 }
 
-// TestSessionMatchesRun pins the refactor: a session driven by an oracle step
-// by step must reproduce exactly what the batch Run wrapper produces on an
-// identical engine.
+// TestSessionMatchesRun pins batch mode: a session driven by an oracle step
+// by step must reproduce exactly what Session.Run produces on an identical
+// engine.
 func TestSessionMatchesRun(t *testing.T) {
 	cfg := fastConfig("hybrid")
 	cfg.Budget = 12
@@ -202,10 +203,7 @@ func TestSessionMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	repRun, err := eA.Run(RunOptions{SeedRules: []string{"best way to get to"}, Oracle: oracle.NewGroundTruth(cA)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	repRun := runBatch(t, eA, SessionOptions{SeedRules: []string{"best way to get to"}}, oracle.NewGroundTruth(cA))
 
 	cB := testCorpus(t, 0.05)
 	eB, err := New(cB, cfg)
@@ -386,19 +384,13 @@ func TestSessionSeedPositiveIDsAndErrors(t *testing.T) {
 	}
 }
 
-// TestSessionCustomTraversal pins the ownership rule: a shared stateful
-// Config.CustomTraversal is rejected for sessions (it would be stepped by all
-// of them at once), while a per-session SessionOptions.Traversal works.
+// TestSessionCustomTraversal pins that a per-session
+// SessionOptions.Traversal replaces the configured strategy.
 func TestSessionCustomTraversal(t *testing.T) {
 	c := testCorpus(t, 0.04)
-	cfg := fastConfig("hybrid")
-	cfg.CustomTraversal = maxCoverageTraversal{}
-	e, err := New(c, cfg)
+	e, err := New(c, fastConfig("hybrid"))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, err := e.NewSession(SessionOptions{SeedRules: []string{"shuttle to"}}); err == nil {
-		t.Error("NewSession with a shared Config.CustomTraversal should error")
 	}
 	s, err := e.NewSession(SessionOptions{
 		SeedRules: []string{"shuttle to"},
@@ -408,11 +400,13 @@ func TestSessionCustomTraversal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if keys := driveSession(t, s, oracle.NewGroundTruth(c)); len(keys) == 0 {
-		t.Error("session with per-session traversal asked no questions")
+	var want string
+	s.loop.View(func(st *traversal.State) { want, _ = maxCoverageTraversal{}.Next(st) })
+	sug, ok := s.Next()
+	if !ok {
+		t.Fatal("session with per-session traversal asked no questions")
 	}
-	// The legacy Run path still honours Config.CustomTraversal.
-	if _, err := e.Run(RunOptions{SeedRules: []string{"shuttle to"}, Oracle: oracle.NewGroundTruth(c)}); err != nil {
-		t.Fatalf("legacy Run with CustomTraversal: %v", err)
+	if sug.Key != want {
+		t.Errorf("first suggestion %q, want the max-coverage rule %q", sug.Key, want)
 	}
 }

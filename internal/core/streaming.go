@@ -2,9 +2,7 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 
-	"repro/internal/classifier"
 	"repro/internal/corpus"
 	"repro/internal/index"
 	"repro/internal/ingest"
@@ -32,30 +30,7 @@ func NewStreaming(c *corpus.Corpus, cfg Config) (*Engine, error) {
 
 	ix := index.New()
 	ix.SetKernel(cfg.Kernel)
-
-	clfCfg := cfg.Classifier
-	if clfCfg.Seed == 0 {
-		clfCfg.Seed = cfg.Seed
-	}
-	featCache := classifier.NewFeatureCacheCapped(c.Len(), cfg.FeatureCacheCap)
-	clf := classifier.NewSentenceClassifier(c, nil, clfCfg, cfg.ClassifierKind)
-	clf.ShareFeatureCache(featCache)
-
-	e := &Engine{
-		cfg:       cfg,
-		corp:      c,
-		reg:       reg,
-		ix:        ix,
-		clf:       clf,
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
-		featCache: featCache,
-		bootLen:   c.Len(),
-	}
-	e.scores = make([]float64, c.Len())
-	for i := range e.scores {
-		e.scores[i] = 0.5
-	}
-	return e, nil
+	return &Engine{cfg: cfg, corp: c, reg: reg, ix: ix, bootLen: c.Len()}, nil
 }
 
 // NewStreamingFromBatch builds a streaming engine directly from decoded wire

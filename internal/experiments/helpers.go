@@ -49,14 +49,11 @@ type DarwinRun struct {
 	FScore eval.Curve
 }
 
-// runDarwin runs the engine on the corpus with the given traversal override
-// ("" uses cfg.Traversal) and builds the per-question curves.
+// runDarwin runs one session on the corpus with the given traversal (nil
+// uses cfg.Traversal) and builds the per-question curves.
 func runDarwin(c *corpus.Corpus, cfg core.Config, method string, custom traversal.Traversal,
 	seedRules []string, seedIDs []int, o oracle.Oracle, evalEvery int) (DarwinRun, error) {
 
-	if custom != nil {
-		cfg.CustomTraversal = custom
-	}
 	engine, err := core.New(c, cfg)
 	if err != nil {
 		return DarwinRun{}, fmt.Errorf("experiments: %s: %w", method, err)
@@ -68,20 +65,20 @@ func runDarwin(c *corpus.Corpus, cfg core.Config, method string, custom traversa
 	if evalEvery <= 0 {
 		evalEvery = 10
 	}
-	report, err := engine.Run(core.RunOptions{
+	s, err := engine.NewSession(core.SessionOptions{
 		SeedRules:       seedRules,
 		SeedPositiveIDs: seedIDs,
-		Oracle:          o,
-		OnQuery: func(rec core.RuleRecord, e *core.Engine) {
-			if rec.Question%evalEvery == 0 || rec.Question == cfg.Budget {
-				f1, _ := eval.BestF1(c, e.Scores())
-				run.FScore.Points = append(run.FScore.Points, eval.CurvePoint{Questions: rec.Question, Value: f1})
-			}
-		},
+		Traversal:       custom,
 	})
 	if err != nil {
 		return DarwinRun{}, fmt.Errorf("experiments: %s: %w", method, err)
 	}
+	report := s.Run(o, func(rec core.RuleRecord) {
+		if rec.Question%evalEvery == 0 || rec.Question == cfg.Budget {
+			f1, _ := eval.BestF1(c, s.Scores())
+			run.FScore.Points = append(run.FScore.Points, eval.CurvePoint{Questions: rec.Question, Value: f1})
+		}
+	})
 	run.Report = report
 	run.Coverage = coverageCurve(c, report, method)
 	return run, nil

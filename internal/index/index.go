@@ -149,7 +149,8 @@ func (n *Node) refreshBits(kernel string) {
 // coverage in. Adaptive (the default) uses roaring-style compressed bitsets
 // whose memory scales with coverage cardinality instead of corpus size;
 // dense is the original []uint64 mirror and remains the pinned reference the
-// equivalence tests compare against.
+// equivalence tests compare against (the core and workspace bit-exact pin
+// tests run under both kernels against one transcript).
 const (
 	KernelAdaptive = "adaptive"
 	KernelDense    = "dense"

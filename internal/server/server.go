@@ -378,6 +378,9 @@ func (s *Server) newSessionLabeler(dataset string, seedRules []string, seedIDs [
 	if !s.store.HasCapacity() {
 		return nil, nil, fmt.Errorf("%w: session limit reached", darwin.ErrUnavailable)
 	}
+	if err := s.sessJournal.failure(); err != nil {
+		return nil, nil, err
+	}
 	if budget <= 0 {
 		budget = s.cfg.DefaultBudget
 	}
@@ -394,15 +397,18 @@ func (s *Server) newSessionLabeler(dataset string, seedRules []string, seedIDs [
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", darwin.ErrUnavailable, err)
 	}
-	if s.sessJournal != nil {
-		// Journal the resolved options (server defaults applied), so replay
-		// does not depend on the config of the recovering process.
-		s.sessJournal.recordCreate(en.id, d.Name, sessCreateData{
-			SeedRules:       seedRules,
-			SeedPositiveIDs: seedIDs,
-			Budget:          budget,
-			Seed:            seed,
-		})
+	// Journal the resolved options (server defaults applied), so replay
+	// does not depend on the config of the recovering process. A session
+	// whose create is not in the log is not served.
+	if err := s.sessJournal.recordCreate(en.id, d.Name, sessCreateData{
+		SeedRules:       seedRules,
+		SeedPositiveIDs: seedIDs,
+		Budget:          budget,
+		Seed:            seed,
+	}); err != nil {
+		s.store.Delete(en.id)
+		_ = lab.Close(context.TODO())
+		return nil, nil, err
 	}
 	return lab, en, nil
 }
@@ -663,13 +669,17 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, "answer key is required")
 		return
 	}
-	recs, err := en.lab.AnswerBatch(r.Context(), []darwin.Answer{{Key: req.Key, Accept: req.Accept}})
-	if err != nil {
+	if err := s.sessJournal.failure(); err != nil {
 		writeV1Error(w, err)
 		return
 	}
-	if s.sessJournal != nil {
-		s.sessJournal.recordAnswers(en.id, recs)
+	recs, err := en.lab.AnswerBatch(r.Context(), []darwin.Answer{{Key: req.Key, Accept: req.Accept}})
+	if err == nil {
+		err = s.sessJournal.recordAnswers(en.id, recs)
+	}
+	if err != nil {
+		writeV1Error(w, err)
+		return
 	}
 	// Derive done/budget from the answered record itself (rec.Question is
 	// the question number this answer was committed as) and the immutable
@@ -736,7 +746,12 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 //darwin:mutating-handler
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if !s.deleteSession(r.Context(), id) {
+	deleted, err := s.deleteSession(r.Context(), id)
+	if err != nil {
+		writeV1Error(w, err)
+		return
+	}
+	if !deleted {
 		writeError(w, http.StatusNotFound, "unknown or expired session %q", id)
 		return
 	}
@@ -744,16 +759,19 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 }
 
 // deleteSession closes and removes a session labeler (shared by v1 and v2
-// delete).
-func (s *Server) deleteSession(ctx context.Context, id string) bool {
+// delete). It fails without deleting anything when the session journal is
+// broken.
+func (s *Server) deleteSession(ctx context.Context, id string) (bool, error) {
 	en, ok := s.store.Get(id)
 	if !ok {
-		return false
+		return false, nil
+	}
+	if err := s.sessJournal.failure(); err != nil {
+		return false, err
 	}
 	_ = en.lab.Close(ctx)
-	deleted := s.store.Delete(id)
-	if deleted && s.sessJournal != nil {
-		s.sessJournal.recordDelete(id)
+	if !s.store.Delete(id) {
+		return false, nil
 	}
-	return deleted
+	return true, s.sessJournal.recordDelete(id)
 }

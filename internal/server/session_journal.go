@@ -21,6 +21,10 @@ import (
 // idle timers; a session whose replay diverges (e.g. the dataset changed
 // under it) is dropped with a log line rather than served in a wrong state.
 // The log is not replicated: sessions are shard-local by design.
+//
+// An append failure is sticky, as it is for workspaces: from then on every
+// session create, answer and delete fails with darwin.ErrUnavailable (503)
+// instead of acknowledging a change the log does not hold.
 
 // Session journal event types.
 const (
@@ -57,7 +61,9 @@ type sessionJournal struct {
 	srv *Server
 	w   *journal.Writer
 
-	mu      sync.Mutex
+	mu sync.Mutex
+	// err is the first append failure; once set, nothing more is appended.
+	err     error
 	creates map[string]sessCreateData
 	answers map[string][]sessAnswerData
 	dataset map[string]string
@@ -174,61 +180,100 @@ func (sj *sessionJournal) rebuild(ctx context.Context, id, dataset string, data 
 	return true
 }
 
-// recordCreate journals a session create with its resolved options.
-func (sj *sessionJournal) recordCreate(id, dataset string, data sessCreateData) {
-	sj.mu.Lock()
-	sj.creates[id] = data
-	sj.answers[id] = nil
-	sj.dataset[id] = dataset
-	sj.mu.Unlock()
-	if _, err := sj.w.Append(sessEventCreate, id, dataset, data); err != nil {
-		log.Printf("server: session journal: %v", err)
+// failure returns the sticky append failure as a darwin.ErrUnavailable
+// error, or nil. A nil journal (journaling off) never fails.
+func (sj *sessionJournal) failure() error {
+	if sj == nil {
+		return nil
 	}
-	sj.maybeCompact()
+	sj.mu.Lock()
+	defer sj.mu.Unlock()
+	return sj.failureLocked()
+}
+
+// failureLocked is failure for callers that hold sj.mu.
+func (sj *sessionJournal) failureLocked() error {
+	if sj.err == nil {
+		return nil
+	}
+	return fmt.Errorf("%w: session journal write failed (restart the server to recover the journaled state): %v", darwin.ErrUnavailable, sj.err)
+}
+
+// appendLocked journals one event unless an earlier append failed, keeping
+// the first failure sticky. Callers hold sj.mu.
+func (sj *sessionJournal) appendLocked(typ, id, dataset string, data any) error {
+	if sj.err == nil {
+		if _, err := sj.w.Append(typ, id, dataset, data); err != nil {
+			sj.err = err
+		}
+	}
+	return sj.failureLocked()
+}
+
+// recordCreate journals a session create with its resolved options. A nil
+// journal records nothing.
+func (sj *sessionJournal) recordCreate(id, dataset string, data sessCreateData) error {
+	if sj == nil {
+		return nil
+	}
+	sj.mu.Lock()
+	err := sj.appendLocked(sessEventCreate, id, dataset, data)
+	if err == nil {
+		sj.creates[id] = data
+		sj.answers[id] = nil
+		sj.dataset[id] = dataset
+	}
+	sj.mu.Unlock()
+	if err == nil {
+		sj.maybeCompact()
+	}
+	return err
 }
 
 // recordAnswers journals the applied records of one answer call (in apply
-// order, with resolved keys).
-func (sj *sessionJournal) recordAnswers(id string, recs []darwin.RuleRecord) {
-	if len(recs) == 0 {
-		return
+// order, with resolved keys). A nil journal records nothing.
+func (sj *sessionJournal) recordAnswers(id string, recs []darwin.RuleRecord) error {
+	if sj == nil || len(recs) == 0 {
+		return nil
 	}
 	sj.mu.Lock()
-	known := false
-	if _, ok := sj.creates[id]; ok {
-		known = true
+	var err error
+	if _, known := sj.creates[id]; known {
 		for _, rec := range recs {
-			sj.answers[id] = append(sj.answers[id], sessAnswerData{Key: rec.Key, Accept: rec.Accepted})
+			ans := sessAnswerData{Key: rec.Key, Accept: rec.Accepted}
+			if err = sj.appendLocked(sessEventAnswer, id, "", ans); err != nil {
+				break
+			}
+			sj.answers[id] = append(sj.answers[id], ans)
 		}
 	}
 	sj.mu.Unlock()
-	if !known {
-		return
+	if err == nil {
+		sj.maybeCompact()
 	}
-	for _, rec := range recs {
-		if _, err := sj.w.Append(sessEventAnswer, id, "", sessAnswerData{Key: rec.Key, Accept: rec.Accepted}); err != nil {
-			log.Printf("server: session journal: %v", err)
-			return
-		}
-	}
-	sj.maybeCompact()
+	return err
 }
 
-// recordDelete journals a session delete.
-func (sj *sessionJournal) recordDelete(id string) {
+// recordDelete journals a session delete. A nil journal records nothing.
+func (sj *sessionJournal) recordDelete(id string) error {
+	if sj == nil {
+		return nil
+	}
 	sj.mu.Lock()
 	_, known := sj.creates[id]
-	delete(sj.creates, id)
-	delete(sj.answers, id)
-	delete(sj.dataset, id)
+	var err error
+	if known {
+		if err = sj.appendLocked(sessEventDelete, id, "", nil); err == nil {
+			delete(sj.creates, id)
+			delete(sj.answers, id)
+			delete(sj.dataset, id)
+		}
+	}
 	sj.mu.Unlock()
-	if !known {
-		return
+	if err == nil {
+		sj.maybeCompact()
 	}
-	if _, err := sj.w.Append(sessEventDelete, id, "", nil); err != nil {
-		log.Printf("server: session journal: %v", err)
-	}
-	sj.maybeCompact()
+	return err
 }
 
 // maybeCompact rewrites the log from the in-memory shadow once enough

@@ -2,9 +2,12 @@ package server
 
 import (
 	"errors"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/pkg/darwin"
@@ -13,8 +16,18 @@ import (
 // TestSessionJournalRecovery pins the -journal-sessions satellite: plain solo
 // sessions journaled to "<journal>.sessions" survive a server restart with
 // the same id, the same accepted rules, and the same remaining budget, while
-// deleted sessions stay deleted.
+// deleted sessions stay deleted. It runs once with one seed rule and once
+// with two.
 func TestSessionJournalRecovery(t *testing.T) {
+	for _, seeds := range [][]string{
+		{"best way to get to"},
+		{"best way to get to", "way to get to"},
+	} {
+		t.Run(fmt.Sprintf("seeds=%d", len(seeds)), func(t *testing.T) { checkSessionJournalRecovery(t, seeds) })
+	}
+}
+
+func checkSessionJournalRecovery(t *testing.T, seeds []string) {
 	jp := filepath.Join(t.TempDir(), "ws.jsonl")
 	cfg := Config{JournalPath: jp, JournalSessions: true}
 	srv, _ := newTestServer(t, cfg)
@@ -23,7 +36,7 @@ func TestSessionJournalRecovery(t *testing.T) {
 	ctx := t.Context()
 
 	lab, err := client.NewLabeler(ctx, darwin.CreateOptions{
-		Dataset: "directions", SeedRules: []string{"best way to get to"}, Budget: 10, Seed: 5,
+		Dataset: "directions", SeedRules: seeds, Budget: 10, Seed: 5,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -75,6 +88,9 @@ func TestSessionJournalRecovery(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.Accepted, want.Accepted) {
 		t.Errorf("recovered accepted rules %v != pre-restart %v", got.Accepted, want.Accepted)
+	}
+	if len(got.Accepted) < len(seeds) {
+		t.Errorf("recovered accepted rules %v lack the %d seed rules", got.Accepted, len(seeds))
 	}
 	// The recovered session keeps working: the suggestion stream continues.
 	if _, err := client2.OpenLabeler(lab.ID()).Suggest(ctx); err != nil {
@@ -145,6 +161,76 @@ func TestSessionJournalTwoRestarts(t *testing.T) {
 	}
 	if got.Questions != want.Questions || !reflect.DeepEqual(got.Accepted, want.Accepted) {
 		t.Errorf("second recovery report %+v != %+v", got, want)
+	}
+}
+
+// TestSessionJournalFailureIsNotAcknowledged pins the durability contract of
+// solo sessions: once a session-journal append fails, answers, creates and
+// deletes over /v1 and /v2 fail with 503 instead of acknowledging changes
+// the log does not hold, and a failed create leaves no session behind.
+func TestSessionJournalFailureIsNotAcknowledged(t *testing.T) {
+	jp := filepath.Join(t.TempDir(), "ws.jsonl")
+	srv, _ := newTestServer(t, Config{JournalPath: jp, JournalSessions: true})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	client := darwin.NewClient(ts.URL, "")
+	ctx := t.Context()
+
+	lab, err := client.NewLabeler(ctx, darwin.CreateOptions{Dataset: "directions", SeedRules: []string{"best way to get to"}, Budget: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sug, err := lab.Suggest(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lab.Answer(ctx, darwin.Answer{Key: sug.Key, Accept: true}); err != nil {
+		t.Fatal(err)
+	}
+
+	// Break the log: every later append fails. The first create to notice
+	// is the one whose own append fails; it must not leave its session in
+	// the store.
+	if err := srv.sessJournal.w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sessions := srv.store.Len()
+	if _, err := client.NewLabeler(ctx, darwin.CreateOptions{Dataset: "directions", SeedRules: []string{"best way to get to"}}); !errors.Is(err, darwin.ErrUnavailable) {
+		t.Errorf("/v2 create on a broken session journal: %v, want ErrUnavailable", err)
+	}
+	sug, err = lab.Suggest(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lab.Answer(ctx, darwin.Answer{Key: sug.Key, Accept: false}); !errors.Is(err, darwin.ErrUnavailable) {
+		t.Errorf("/v2 answer on a broken session journal: %v, want ErrUnavailable", err)
+	}
+	v1Answer, err := http.Post(ts.URL+"/v1/sessions/"+lab.ID()+"/answer", "application/json",
+		strings.NewReader(fmt.Sprintf(`{"key":%q,"accept":false}`, sug.Key)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1Answer.Body.Close()
+	if v1Answer.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("/v1 answer on a broken session journal: HTTP %d, want 503", v1Answer.StatusCode)
+	}
+	v1Create, err := http.Post(ts.URL+"/v1/sessions", "application/json",
+		strings.NewReader(`{"dataset":"directions","seed_rules":["best way to get to"]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1Create.Body.Close()
+	if v1Create.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("/v1 create on a broken session journal: HTTP %d, want 503", v1Create.StatusCode)
+	}
+	if got := srv.store.Len(); got != sessions {
+		t.Errorf("failed creates left sessions behind: %d live, want %d", got, sessions)
+	}
+	if err := lab.Close(ctx); !errors.Is(err, darwin.ErrUnavailable) {
+		t.Errorf("/v2 delete on a broken session journal: %v, want ErrUnavailable", err)
+	}
+	if _, ok := srv.store.Peek(lab.ID()); !ok {
+		t.Error("an unjournaled delete removed the session")
 	}
 }
 

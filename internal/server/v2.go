@@ -541,20 +541,20 @@ func (l *timedSessionLabeler) Suggest(ctx context.Context) (darwin.Suggestion, e
 	return sug, err
 }
 
+// AnswerBatch journals the applied prefix even on a mid-batch error: those
+// answers changed durable state. A journal failure acknowledges none of them.
 func (l *timedSessionLabeler) AnswerBatch(ctx context.Context, answers []darwin.Answer) ([]darwin.RuleRecord, error) {
-	recs, err := l.SessionLabeler.AnswerBatch(ctx, answers)
-	if l.sj != nil {
-		// Journal the applied prefix even on a mid-batch error: those answers
-		// changed durable state.
-		l.sj.recordAnswers(l.id, recs)
-	}
+	recs, _, err := l.AnswerBatchStatus(ctx, answers)
 	return recs, err
 }
 
 func (l *timedSessionLabeler) AnswerBatchStatus(ctx context.Context, answers []darwin.Answer) ([]darwin.RuleRecord, darwin.Status, error) {
+	if err := l.sj.failure(); err != nil {
+		return nil, darwin.Status{}, err
+	}
 	recs, st, err := l.SessionLabeler.AnswerBatchStatus(ctx, answers)
-	if l.sj != nil {
-		l.sj.recordAnswers(l.id, recs)
+	if jerr := l.sj.recordAnswers(l.id, recs); jerr != nil {
+		return nil, darwin.Status{}, jerr
 	}
 	return recs, st, err
 }
@@ -804,8 +804,8 @@ func (s *Server) DeleteLabeler(ctx context.Context, id string) error {
 		s.labelers.remove(id)
 		return nil
 	}
-	if s.deleteSession(ctx, id) {
-		return nil
+	if deleted, err := s.deleteSession(ctx, id); deleted || err != nil {
+		return err
 	}
 	return fmt.Errorf("%w: unknown or expired labeler %q", darwin.ErrNotFound, id)
 }

@@ -241,7 +241,7 @@ func (m *Manager) create(dataset string, opts Options) (*Workspace, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The create event follows the materialize events New just fired, the
+	// The create event follows the materialize event New just fired, the
 	// same order recovery applies them in. A failed append fails the
 	// create: an unjournaled workspace would silently lose all its work at
 	// the next restart.

@@ -13,17 +13,25 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/index"
 	"repro/internal/oracle"
 )
 
 var updatePins = flag.Bool("update-pins", false, "rewrite the testdata/pin transcripts from the current code")
 
-// TestBitExactPinWorkspace pins a two-annotator workspace to the bit:
-// interleaved suggest/answer rounds, one detach that releases a pending
-// suggestion to the pool, every suggestion's statistics (float bits of the
-// benefits included), and the final report, snapshot and export bytes.
+// TestBitExactPinWorkspace pins a two-annotator workspace to the bit, under
+// the adaptive coverage kernel and the dense reference alike: interleaved
+// suggest/answer rounds, one detach that releases a pending suggestion to
+// the pool, every suggestion's statistics (float bits of the benefits
+// included), and the final report, snapshot and export bytes.
 func TestBitExactPinWorkspace(t *testing.T) {
-	eng := newTestEngine(t)
+	for _, kernel := range []string{index.KernelAdaptive, index.KernelDense} {
+		t.Run(kernel, func(t *testing.T) { pinWorkspace(t, kernel) })
+	}
+}
+
+func pinWorkspace(t *testing.T, kernel string) {
+	eng := newKernelEngine(t, kernel)
 	ws, err := New(eng, "pin", "directions", Options{SeedRules: []string{seedRule}, Budget: 16, Seed: 42}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -103,11 +111,11 @@ func TestBitExactPinWorkspace(t *testing.T) {
 	fmt.Fprintf(&b, "snapshot %d bytes sha256=%x\n", len(snap), sha256.Sum256(snap))
 	fmt.Fprintf(&b, "export %d bytes sha256=%x\n", export.Len(), sha256.Sum256(export.Bytes()))
 	h := fnv.New64a()
-	for _, s := range ws.scores {
+	for _, s := range ws.loop.Scores() {
 		u := math.Float64bits(s)
 		h.Write([]byte{byte(u), byte(u >> 8), byte(u >> 16), byte(u >> 24), byte(u >> 32), byte(u >> 40), byte(u >> 48), byte(u >> 56)})
 	}
-	fmt.Fprintf(&b, "%d scores fnv64a=%016x\n", len(ws.scores), h.Sum64())
+	fmt.Fprintf(&b, "%d scores fnv64a=%016x\n", len(ws.loop.Scores()), h.Sum64())
 
 	path := filepath.Join("testdata", "pin", "workspace.golden")
 	if *updatePins {

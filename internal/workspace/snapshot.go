@@ -2,10 +2,8 @@ package workspace
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
-	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/index"
 )
@@ -59,20 +57,21 @@ type AnnotatorSnapshot struct {
 func (ws *Workspace) Snapshot() *Snapshot {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
+	st := ws.loop.State()
 	snap := &Snapshot{
 		ID:             ws.id,
 		Dataset:        ws.dataset,
 		Seed:           ws.seed,
 		Budget:         ws.budget,
-		CorpusLen:      ws.corpusLen,
+		CorpusLen:      len(st.Scores),
 		SeedRules:      append([]string(nil), ws.seedRules...),
 		EventSeq:       ws.eventSeq,
-		Retrains:       ws.retrains,
+		Retrains:       st.Retrains,
 		Questions:      ws.questions,
 		LastRetrainSeq: ws.lastRetrainSeq,
-		Positives:      ws.positiveIDsLocked(),
-		Queried:        sortedStrings(ws.queried),
-		Scores:         append([]float64(nil), ws.scores...),
+		Positives:      st.Positives,
+		Queried:        st.Queried,
+		Scores:         st.Scores,
 		Accepted:       append([]Record(nil), ws.accepted...),
 		History:        append([]Record(nil), ws.history...),
 	}
@@ -93,21 +92,29 @@ func (ws *Workspace) Snapshot() *Snapshot {
 // materialize events already replayed them); pending suggestions resolve
 // their coverage from the index, which is immutable for materialized keys.
 func Restore(eng *core.Engine, snap *Snapshot, log LogFunc) (*Workspace, error) {
-	corp := eng.Corpus()
 	// The corpus may be longer than the snapshot saw (sentences ingested
 	// after the snapshot, or a compacted journal replaying ingest events
-	// before the snapshot record); the first Suggest/retrain heals the gap
-	// via growLocked. Shorter means the dataset was rebuilt differently.
-	if corp.Len() < snap.CorpusLen {
-		return nil, fmt.Errorf("workspace: snapshot %s was taken over a corpus of %d sentences, engine has %d (dataset rebuilt differently?)", snap.ID, snap.CorpusLen, corp.Len())
+	// before the snapshot record); the loop grows to it on its first view
+	// or refit. Shorter means the dataset was rebuilt differently.
+	if n := eng.CorpusLen(); n < snap.CorpusLen {
+		return nil, fmt.Errorf("workspace: snapshot %s was taken over a corpus of %d sentences, engine has %d (dataset rebuilt differently?)", snap.ID, snap.CorpusLen, n)
 	}
 	if len(snap.Scores) != snap.CorpusLen {
 		return nil, fmt.Errorf("workspace: snapshot %s has %d scores for %d sentences", snap.ID, len(snap.Scores), snap.CorpusLen)
 	}
-	for _, spec := range snap.SeedRules {
-		if _, _, err := eng.MaterializeRule(spec); err != nil {
-			return nil, fmt.Errorf("workspace: snapshot %s seed rule %q: %w", snap.ID, spec, err)
+	for _, id := range snap.Positives {
+		if id < 0 || id >= snap.CorpusLen {
+			return nil, fmt.Errorf("workspace: snapshot %s has out-of-range positive %d", snap.ID, id)
 		}
+	}
+	loop, err := eng.RestoreLoop(snap.Seed, snap.SeedRules, core.LoopState{
+		Positives: snap.Positives,
+		Queried:   snap.Queried,
+		Scores:    snap.Scores,
+		Retrains:  snap.Retrains,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("workspace: snapshot %s: %w", snap.ID, err)
 	}
 	ws := &Workspace{
 		eng:            eng,
@@ -116,28 +123,14 @@ func Restore(eng *core.Engine, snap *Snapshot, log LogFunc) (*Workspace, error) 
 		dataset:        snap.Dataset,
 		seed:           snap.Seed,
 		budget:         snap.Budget,
-		corpusLen:      snap.CorpusLen,
 		seedRules:      append([]string(nil), snap.SeedRules...),
-		positives:      bitset.New(snap.CorpusLen),
-		queried:        make(map[string]bool, len(snap.Queried)),
-		scores:         append([]float64(nil), snap.Scores...),
-		clf:            eng.AttachClassifier(snap.Seed),
-		retrains:       snap.Retrains,
+		loop:           loop,
 		lastRetrainSeq: snap.LastRetrainSeq,
 		eventSeq:       snap.EventSeq,
 		questions:      snap.Questions,
 		accepted:       append([]Record(nil), snap.Accepted...),
 		history:        append([]Record(nil), snap.History...),
 		annotators:     make(map[string]*annotator, len(snap.Annotators)),
-	}
-	for _, id := range snap.Positives {
-		if id < 0 || id >= snap.CorpusLen {
-			return nil, fmt.Errorf("workspace: snapshot %s has out-of-range positive %d", snap.ID, id)
-		}
-	}
-	ws.addPositives(snap.Positives)
-	for _, key := range snap.Queried {
-		ws.queried[key] = true
 	}
 	var resolveErr error
 	for _, as := range snap.Annotators {
@@ -168,20 +161,11 @@ func Restore(eng *core.Engine, snap *Snapshot, log LogFunc) (*Workspace, error) 
 	// reported scores while Trained() stayed false until the next accept.
 	// The restored score vector stays authoritative — no rescoring here.
 	if snap.Retrains > 0 {
-		ws.clf.Reseed(mix(snap.Seed, snap.LastRetrainSeq))
-		if err := ws.clf.TrainFromPositives(ws.positives); err != nil {
+		loop.Classifier().Reseed(mix(snap.Seed, snap.LastRetrainSeq))
+		if err := loop.Fit(); err != nil {
 			return nil, fmt.Errorf("workspace: snapshot %s: refit classifier: %w", snap.ID, err)
 		}
 	}
 	ws.publishStatsLocked()
 	return ws, nil
-}
-
-func sortedStrings(set map[string]bool) []string {
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

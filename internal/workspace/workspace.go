@@ -1,11 +1,11 @@
 // Package workspace implements the paper's parallel-discovery deployment
 // mode: several annotators attach to one shared Workspace per dataset and
-// discover rules over a single shared labeled set. The workspace owns the
-// shared positive set P, the classifier and the accepted-rule list; each
-// annotator's Suggest draws from the shared candidate hierarchy with
-// per-annotator assignment (no two annotators are shown the same candidate
-// rule concurrently), and Answer merges accepts/rejects back into the shared
-// state under the engine's existing concurrency contract.
+// discover rules over a single shared labeled set. The workspace holds one
+// core.Loop — the shared positive set P, scores, classifier, queried rules
+// and hierarchy cache, the same Algorithm-1 state a solo core.Session holds
+// — plus what is particular to sharing it: per-annotator assignment (no two
+// annotators are shown the same candidate rule concurrently), the
+// accepted-rule list and history tagged by annotator, and the journal.
 //
 // # Determinism and replay
 //
@@ -20,28 +20,22 @@
 // byte-identical workspace state, and a snapshot (which captures the event
 // sequence number) resumes the same deterministic stream.
 //
-// The shared hierarchy is cached across events and regenerated only when
-// |P| or the index version changes — once per positive-set change for the
-// whole workspace, not once per annotator (HierarchyGenerations exposes the
-// count).
+// The loop caches the shared hierarchy across events and regenerates it only
+// when |P| or the index version changes — once per positive-set change for
+// the whole workspace, not once per annotator (HierarchyGenerations exposes
+// the count).
 package workspace
 
 import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/bitset"
-	"repro/internal/classifier"
 	"repro/internal/core"
-	"repro/internal/hierarchy"
-	"repro/internal/index"
 	"repro/internal/obs"
-	"repro/internal/oracle"
 	"repro/internal/traversal"
 )
 
@@ -91,13 +85,7 @@ type Options struct {
 // counting the other annotators' outstanding assignments, so concurrent
 // annotators see distinct question numbers.
 type Suggestion struct {
-	Key         string
-	Rule        string
-	Coverage    int
-	NewCoverage int
-	Benefit     float64
-	AvgBenefit  float64
-	SampleIDs   []int
+	core.Suggestion
 	// Question is this suggestion's provisional 1-based question number
 	// (answered questions plus outstanding assignments including this one).
 	Question int
@@ -152,17 +140,12 @@ type Workspace struct {
 	dataset   string
 	seed      int64
 	budget    int
-	corpusLen int
 	seedRules []string
 
-	// positives is the shared positive set P, a bitset sized to the corpus;
-	// npos is |P|, kept by addPositives, the only routine that grows P.
-	positives bitset.Set
-	npos      int
-	queried   map[string]bool
-	scores    []float64
-	clf       *classifier.SentenceClassifier
-	retrains  int
+	// loop is the shared Algorithm-1 state. Assigned-but-unanswered keys
+	// count as queried in it, which keeps concurrent annotators'
+	// suggestions disjoint.
+	loop *core.Loop
 	// lastRetrainSeq is the event sequence number the last retrain was seeded
 	// with. Snapshots persist it so Restore can refit the classifier to the
 	// exact model the live workspace had (same RNG stream), keeping
@@ -177,11 +160,6 @@ type Workspace struct {
 	accepted  []Record
 	history   []Record
 	questions int
-
-	hier      *hierarchy.Hierarchy
-	hierPos   int
-	hierIxVer uint64
-	hierGens  int
 
 	annotators map[string]*annotator
 	annOrder   []string
@@ -203,7 +181,7 @@ type statsCounters struct {
 // publishStatsLocked refreshes the lock-free status snapshot. Callers hold
 // ws.mu (or are in a constructor before the workspace is shared).
 func (ws *Workspace) publishStatsLocked() {
-	ws.statsSnap.Store(&statsCounters{questions: ws.questions, positives: ws.npos})
+	ws.statsSnap.Store(&statsCounters{questions: ws.questions, positives: ws.loop.Count()})
 }
 
 // mix derives a deterministic per-event RNG seed from the workspace seed and
@@ -216,9 +194,9 @@ func mix(seed int64, seq uint64) int64 {
 	return int64(x)
 }
 
-// New creates a workspace on the engine: it materializes the seed rules in
-// the shared index (through the engine's write lock, firing any journaling
-// hook), seeds the shared positive set and trains the initial classifier.
+// New creates a workspace on the engine: it seeds the shared loop (seed
+// rules are materialized in the shared index under the engine's write lock,
+// firing any journaling hook once) and trains the initial classifier.
 // log may be nil (volatile workspace).
 //
 //darwin:replaypure
@@ -229,7 +207,10 @@ func New(eng *core.Engine, id, dataset string, opts Options, log LogFunc) (*Work
 	if opts.Seed == 0 {
 		return nil, fmt.Errorf("workspace: seed must be resolved before creation")
 	}
-	corp := eng.Corpus()
+	loop, seeds, err := eng.NewLoop(opts.Seed, opts.SeedRules, opts.SeedPositiveIDs)
+	if err != nil {
+		return nil, err
+	}
 	ws := &Workspace{
 		eng:        eng,
 		log:        log,
@@ -237,52 +218,12 @@ func New(eng *core.Engine, id, dataset string, opts Options, log LogFunc) (*Work
 		dataset:    dataset,
 		seed:       opts.Seed,
 		budget:     opts.Budget,
-		corpusLen:  corp.Len(),
 		seedRules:  append([]string(nil), opts.SeedRules...),
-		positives:  bitset.New(corp.Len()),
-		queried:    make(map[string]bool),
-		scores:     make([]float64, corp.Len()),
-		clf:        eng.AttachClassifier(opts.Seed),
+		loop:       loop,
 		annotators: make(map[string]*annotator),
 	}
-	for i := range ws.scores {
-		ws.scores[i] = 0.5
-	}
-	// Validate every seed rule before mutating shared state.
-	rules := make([]string, 0, len(opts.SeedRules))
-	for _, spec := range opts.SeedRules {
-		h, err := eng.ParseRule(spec)
-		if err != nil {
-			return nil, fmt.Errorf("workspace: seed rule %q: %w", spec, err)
-		}
-		rules = append(rules, h.String())
-	}
-	for i, spec := range opts.SeedRules {
-		key, cov, err := eng.MaterializeRule(spec)
-		if err != nil {
-			return nil, fmt.Errorf("workspace: seed rule %q: %w", spec, err)
-		}
-		added := ws.addPositives(cov)
-		ws.accepted = append(ws.accepted, Record{RuleRecord: core.RuleRecord{
-			Key:            key,
-			Rule:           rules[i],
-			Coverage:       len(cov),
-			Accepted:       true,
-			CoverageIDs:    cov,
-			AddedIDs:       added,
-			PositivesAfter: ws.npos,
-		}})
-		ws.queried[key] = true
-	}
-	var seedIDs []int
-	for _, id := range opts.SeedPositiveIDs {
-		if corp.Sentence(id) != nil {
-			seedIDs = append(seedIDs, id)
-		}
-	}
-	ws.addPositives(seedIDs)
-	if ws.npos == 0 {
-		return nil, fmt.Errorf("workspace: seeds produced no positive instances (need a seed rule with non-empty coverage or seed positive IDs)")
+	for _, rec := range seeds {
+		ws.accepted = append(ws.accepted, Record{RuleRecord: rec})
 	}
 	ws.retrain() // event 0: the create itself
 	ws.eventSeq = 1
@@ -299,63 +240,20 @@ func (ws *Workspace) Dataset() string { return ws.dataset }
 // Budget returns the shared oracle query budget.
 func (ws *Workspace) Budget() int { return ws.budget }
 
-// addPositives inserts the ids into P, keeping |P| in step, and returns the
-// newly added ones (sorted). Callers hold ws.mu (or are in New/Restore).
-//
-//darwin:replaypure
-func (ws *Workspace) addPositives(ids []int) []int {
-	var added []int
-	for _, id := range ids {
-		if !ws.positives.Contains(id) {
-			ws.positives.Add(id)
-			added = append(added, id)
-		}
-	}
-	ws.npos += len(added)
-	sort.Ints(added)
-	return added
-}
-
-// growLocked extends the workspace's score vector and positive set after
-// live-corpus growth: new sentences start at the untrained prior 0.5 and
-// outside P. Callers hold ws.mu (or are in New/Restore) and the engine read
-// lock, under which the corpus length is stable.
-//
-//darwin:replaypure
-func (ws *Workspace) growLocked() {
-	n := ws.eng.Corpus().Len()
-	if n <= ws.corpusLen {
-		return
-	}
-	for len(ws.scores) < n {
-		ws.scores = append(ws.scores, 0.5)
-	}
-	ws.positives = ws.positives.Grow(n)
-	ws.corpusLen = n
-}
-
-// retrain refits the shared classifier on P and refreshes the scores,
-// honouring the engine's lazy re-scoring settings. The negative-sampling RNG
-// is reseeded from the current event sequence number, making the retrain a
-// pure function of (P, seed, eventSeq, corpus length). It runs under the
-// engine's read lock: training and scoring read the shared corpus and
-// feature cache, which a concurrent ingest grows under the write lock.
+// retrain refits the shared classifier on P and refreshes the scores. The
+// negative-sampling RNG is reseeded from the current event sequence number,
+// making the retrain a pure function of (P, seed, eventSeq, corpus length).
 //
 //darwin:replaypure
 func (ws *Workspace) retrain() {
-	ws.eng.WithIndexRead(func(*index.Index) {
-		ws.growLocked()
-		ws.clf.Reseed(mix(ws.seed, ws.eventSeq))
-		lazy, thr := ws.eng.LazyScoring()
-		if err := ws.clf.Refit(ws.positives, ws.scores, &ws.retrains, lazy, thr); err != nil {
-			// Training failure is tolerated live (previous model and scores
-			// keep serving); lastRetrainSeq deliberately still points at the
-			// last successful fit, so a snapshot Restore refits a seq that is
-			// known to succeed.
-			return
-		}
+	ws.loop.Classifier().Reseed(mix(ws.seed, ws.eventSeq))
+	// Training failure is tolerated live (previous model and scores keep
+	// serving); lastRetrainSeq deliberately still points at the last
+	// successful fit, so a snapshot Restore refits a seq that is known to
+	// succeed.
+	if ws.loop.Refit() == nil {
 		ws.lastRetrainSeq = ws.eventSeq
-	})
+	}
 }
 
 // Attach registers a new annotator on the workspace.
@@ -404,7 +302,7 @@ func (ws *Workspace) Detach(name string) error {
 func (ws *Workspace) detachLocked(name string) {
 	an := ws.annotators[name]
 	if an.pending != nil {
-		delete(ws.queried, an.pending.Key)
+		ws.loop.Release(an.pending.Key)
 	}
 	delete(ws.annotators, name)
 	for i, n := range ws.annOrder {
@@ -519,44 +417,16 @@ func (ws *Workspace) Suggest(name string) (Suggestion, bool, error) {
 		return Suggestion{}, false, nil
 	}
 	var sug Suggestion
-	var cov []int
 	found := false
-	ws.eng.WithIndexRead(func(ix *index.Index) {
-		ws.growLocked()
-		if ver := ix.Version(); ws.hier == nil || ws.hierPos != ws.npos || ws.hierIxVer != ver {
-			ws.hier = hierarchy.Generate(ix, ws.positives, ws.eng.HierarchyConfig())
-			ws.hierPos = ws.npos
-			ws.hierIxVer = ver
-			ws.hierGens++
-		}
-		// Assigned-but-unanswered keys are in ws.queried, which is what
-		// keeps concurrent annotators' suggestions disjoint.
-		st := &traversal.State{Hierarchy: ws.hier, Index: ix, Positives: ws.positives, Scores: ws.scores, Queried: ws.queried}
-		key, ok := traversal.PickBest(st, ws.hier.NonRootKeys(), 0)
+	ws.loop.View(func(st *traversal.State) {
+		key, ok := traversal.PickBest(st, st.Hierarchy.NonRootKeys(), 0)
 		if !ok {
 			return
 		}
-		benefit, newCov := st.BenefitNewOf(key)
-		n := ws.hier.Node(key)
-		cov = n.Coverage
-		avg := 0.0
-		if newCov > 0 {
-			avg = benefit / float64(newCov)
-		}
 		rng := rand.New(rand.NewSource(mix(ws.seed, ws.eventSeq)))
+		picked, cov, _ := ws.loop.Take(st, key, rng)
 		question := ws.questions + ws.outstandingLocked() + 1
-		sug = Suggestion{
-			Key:         key,
-			Rule:        n.Heuristic.String(),
-			Coverage:    len(cov),
-			NewCoverage: newCov,
-			Benefit:     benefit,
-			AvgBenefit:  avg,
-			SampleIDs:   oracle.SampleCoverage(cov, ws.eng.OracleSampleSize(), rng),
-			Question:    question,
-			BudgetLeft:  ws.budget - question,
-		}
-		ws.queried[key] = true
+		sug = Suggestion{Suggestion: picked, Question: question, BudgetLeft: ws.budget - question}
 		an.pending = &sug
 		an.pendingCov = cov
 		found = true
@@ -600,26 +470,14 @@ func (ws *Workspace) Answer(name, key string, accept bool) (Record, error) {
 	pending, cov := an.pending, an.pendingCov
 	an.pending, an.pendingCov = nil, nil
 
-	q := ws.questions + 1
-	rec := Record{
-		RuleRecord: core.RuleRecord{
-			Question: q,
-			Key:      key,
-			Rule:     pending.Rule,
-			Coverage: len(cov),
-			Accepted: accept,
-		},
-		Annotator: name,
-	}
+	rec := Record{RuleRecord: ws.loop.Verdict(ws.questions+1, pending.Suggestion, cov, accept), Annotator: name}
 	if accept {
-		rec.CoverageIDs = append([]int(nil), cov...)
-		rec.AddedIDs = ws.addPositives(cov)
 		ws.accepted = append(ws.accepted, rec)
 		ws.retrain()
 	}
-	rec.PositivesAfter = ws.npos
+	rec.PositivesAfter = ws.loop.Count()
 	ws.history = append(ws.history, rec)
-	ws.questions = q
+	ws.questions = rec.Question
 	an.questions++
 	if accept {
 		an.accepts++
@@ -635,7 +493,7 @@ func (ws *Workspace) Answer(name, key string, accept bool) (Record, error) {
 func (ws *Workspace) HierarchyGenerations() int {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
-	return ws.hierGens
+	return ws.loop.HierarchyGenerations()
 }
 
 // Stats returns the workspace's cheap status counters (questions answered,
@@ -660,12 +518,7 @@ func (ws *Workspace) Annotators() []string {
 func (ws *Workspace) PositivesMap() map[int]bool {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
-	out := make(map[int]bool, ws.npos)
-	ws.positives.Range(func(id int) bool {
-		out[id] = true
-		return true
-	})
-	return out
+	return ws.loop.PositivesMap()
 }
 
 // AnnotatorReport summarizes one attached annotator.
@@ -721,8 +574,8 @@ func (ws *Workspace) Report() *Report {
 		Budget:        ws.budget,
 		Questions:     ws.questions,
 		Done:          ws.questions >= ws.budget,
-		PositiveCount: ws.npos,
-		Positives:     ws.positiveIDsLocked(),
+		PositiveCount: ws.loop.Count(),
+		Positives:     ws.loop.PositiveIDs(),
 		Accepted:      append([]Record(nil), ws.accepted...),
 		History:       append([]Record(nil), ws.history...),
 		Classifier:    ws.metricsLocked(),
@@ -739,22 +592,18 @@ func (ws *Workspace) Report() *Report {
 	return rep
 }
 
-// positiveIDsLocked returns P as ascending ids. Callers hold ws.mu.
-func (ws *Workspace) positiveIDsLocked() []int {
-	return ws.positives.AppendTo(make([]int, 0, ws.npos))
-}
-
 func (ws *Workspace) metricsLocked() ClassifierMetrics {
-	m := ClassifierMetrics{Trained: ws.clf.Trained(), Retrains: ws.retrains}
+	scores := ws.loop.Scores()
+	m := ClassifierMetrics{Trained: ws.loop.Classifier().Trained(), Retrains: ws.loop.Retrains()}
 	sum := 0.0
-	for _, s := range ws.scores {
+	for _, s := range scores {
 		sum += s
 		if s >= 0.5 {
 			m.PredictedPositives++
 		}
 	}
-	if len(ws.scores) > 0 {
-		m.MeanScore = sum / float64(len(ws.scores))
+	if len(scores) > 0 {
+		m.MeanScore = sum / float64(len(scores))
 	}
 	return m
 }

@@ -16,6 +16,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/embedding"
 	"repro/internal/grammar"
+	"repro/internal/index"
 	"repro/internal/journal"
 	"repro/internal/tokensregex"
 )
@@ -24,6 +25,12 @@ import (
 // directions corpus. Two calls with the same arguments produce equivalent
 // engines — the property journal replay relies on across restarts.
 func newTestEngine(t testing.TB) *core.Engine {
+	t.Helper()
+	return newKernelEngine(t, index.KernelAdaptive)
+}
+
+// newKernelEngine is newTestEngine over the given coverage kernel.
+func newKernelEngine(t testing.TB, kernel string) *core.Engine {
 	t.Helper()
 	c, err := datagen.ByName("directions", 0.05, 7)
 	if err != nil {
@@ -43,6 +50,7 @@ func newTestEngine(t testing.TB) *core.Engine {
 		Embedding:          embedding.Config{Dim: 24, Window: 3, MinCount: 2, Seed: 1},
 		LazyScoring:        true,
 		LazyScoreThreshold: 0.3,
+		Kernel:             kernel,
 		Seed:               1,
 	}
 	engine, err := core.New(c, ecfg)
@@ -68,6 +76,10 @@ func newTestManager(t testing.TB, journalPath string, cfg ManagerConfig) *Manage
 }
 
 const seedRule = "best way to get to"
+
+// secondSeedRule covers a superset of seedRule's sentences, so seeding with
+// both exercises the order-dependent AddedIDs of the second record.
+const secondSeedRule = "way to get to"
 
 func TestWorkspaceTwoAnnotatorsDisjointSuggestions(t *testing.T) {
 	m := newTestManager(t, "", ManagerConfig{})
@@ -206,7 +218,13 @@ func TestWorkspaceConcurrentAnnotators(t *testing.T) {
 // session against a manager and returns the workspace ID.
 func driveRandom(t *testing.T, m *Manager, rng *rand.Rand, steps int) string {
 	t.Helper()
-	ws, err := m.Create("directions", Options{SeedRules: []string{seedRule}, Budget: steps})
+	return driveRandomSeeded(t, m, rng, steps, []string{seedRule})
+}
+
+// driveRandomSeeded is driveRandom on a workspace seeded with the given rules.
+func driveRandomSeeded(t *testing.T, m *Manager, rng *rand.Rand, steps int, seedRules []string) string {
+	t.Helper()
+	ws, err := m.Create("directions", Options{SeedRules: seedRules, Budget: steps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,13 +287,24 @@ func driveRandom(t *testing.T, m *Manager, rng *rand.Rand, steps int) string {
 // random event sequences, journaled live, replayed onto a freshly built
 // engine, must reconstruct byte-identical workspace state (compared via the
 // full serialized snapshot, which includes the exact score vector) and an
-// identical report.
+// identical report. A workspace with two seed rules journals one materialize
+// event listing both; a journal with one materialize event per spec (the
+// shape older servers wrote) must replay to the same state.
 func TestReplayReconstructsByteIdenticalState(t *testing.T) {
-	for _, seed := range []int64{1, 2, 3} {
+	for _, tc := range []struct {
+		seed  int64
+		rules []string
+	}{
+		{1, []string{seedRule}},
+		{2, []string{seedRule}},
+		{3, []string{seedRule}},
+		{4, []string{seedRule, secondSeedRule}},
+	} {
+		seed := tc.seed
 		rng := rand.New(rand.NewSource(seed))
 		path := filepath.Join(t.TempDir(), "journal.jsonl")
 		live := newTestManager(t, path, ManagerConfig{})
-		id := driveRandom(t, live, rng, 40)
+		id := driveRandomSeeded(t, live, rng, 40, tc.rules)
 		lws, ok := live.Get(id)
 		if !ok {
 			t.Fatal("live workspace vanished")
@@ -314,6 +343,91 @@ func TestReplayReconstructsByteIdenticalState(t *testing.T) {
 		}
 		if !reflect.DeepEqual(liveReport, rws.Report()) {
 			t.Fatalf("seed %d: replayed report differs", seed)
+		}
+		if len(tc.rules) > 1 {
+			checkSplitMaterializeReplay(t, events, id, tc.rules, liveSnap)
+		}
+	}
+}
+
+// checkSplitMaterializeReplay asserts the journal materialized the seed
+// rules in one event, then rewrites that event into one event per spec and
+// checks the rewritten journal still recovers the live snapshot.
+func checkSplitMaterializeReplay(t *testing.T, events []journal.Event, id string, rules []string, liveSnap []byte) {
+	t.Helper()
+	var split []journal.Event
+	materialized := 0
+	for _, ev := range events {
+		if ev.Type != evMaterialize {
+			split = append(split, ev)
+			continue
+		}
+		materialized++
+		var d materializeData
+		if err := json.Unmarshal(ev.Data, &d); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(d.Specs, rules) {
+			t.Fatalf("materialize event lists %v, want %v", d.Specs, rules)
+		}
+		for _, spec := range d.Specs {
+			raw, err := json.Marshal(materializeData{Specs: []string{spec}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			one := ev
+			one.Data = raw
+			split = append(split, one)
+		}
+	}
+	if materialized != 1 {
+		t.Fatalf("journal has %d materialize events for %d seed rules, want 1", materialized, len(rules))
+	}
+	restored := newTestManager(t, "", ManagerConfig{})
+	if stats := restored.Recover(split); len(stats.Skipped) != 0 {
+		t.Fatalf("per-spec materialize journal skipped workspaces: %v", stats.Skipped)
+	}
+	rws, ok := restored.Get(id)
+	if !ok {
+		t.Fatalf("workspace %s not recovered from the per-spec materialize journal", id)
+	}
+	snap, err := json.Marshal(rws.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(liveSnap, snap) {
+		t.Fatalf("per-spec materialize journal replays to different state:\nlive:     %s\nreplayed: %s", liveSnap, snap)
+	}
+}
+
+// TestSeedingMatchesSession pins that a workspace and a solo session seeded
+// alike start from the same seed records and positive set.
+func TestSeedingMatchesSession(t *testing.T) {
+	for _, opts := range []Options{
+		{SeedRules: []string{seedRule}},
+		{SeedRules: []string{seedRule, secondSeedRule}},
+		{SeedRules: []string{secondSeedRule, seedRule}, SeedPositiveIDs: []int{0, 1, 262}},
+	} {
+		eng := newTestEngine(t)
+		sess, err := eng.NewSession(core.SessionOptions{SeedRules: opts.SeedRules, SeedPositiveIDs: opts.SeedPositiveIDs, Seed: 42})
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.Budget, opts.Seed = 10, 42
+		ws, err := New(eng, "w", "directions", opts, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, got := sess.Report(), ws.Report()
+		var seeds []core.RuleRecord
+		for _, rec := range got.Accepted {
+			seeds = append(seeds, rec.RuleRecord)
+		}
+		if len(seeds) != len(opts.SeedRules) || !reflect.DeepEqual(seeds, want.Accepted) {
+			t.Errorf("%v: workspace seed records %+v, session %+v", opts.SeedRules, seeds, want.Accepted)
+		}
+		if !reflect.DeepEqual(got.Positives, want.PositiveIDs()) {
+			t.Errorf("%v: workspace P %v, session P %v", opts.SeedRules, got.Positives, want.PositiveIDs())
 		}
 	}
 }
