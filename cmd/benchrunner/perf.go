@@ -99,7 +99,6 @@ func perfConfig() core.Config {
 		Traversal:       "hybrid",
 		Tau:             5,
 		Classifier:      classifier.Config{Epochs: 6, LearningRate: 0.3, Seed: 1},
-		ClassifierKind:  classifier.KindLogReg,
 		Seed:            1,
 	}
 }

@@ -134,7 +134,7 @@ func run(out io.Writer) error {
 		X[i] = feat.Features(c.Sentence(id).Tokens)
 		y[i] = labels[i]
 	}
-	model := classifier.NewMLP(classifier.DefaultConfig())
+	model := classifier.NewLogisticRegression(classifier.DefaultConfig())
 	if err := model.Fit(X, y); err != nil {
 		return err
 	}

@@ -37,7 +37,6 @@ func testEngine(t *testing.T) *core.Engine {
 		Traversal:       "hybrid",
 		Tau:             5,
 		Classifier:      classifier.Config{Epochs: 8, LearningRate: 0.3, Seed: 1},
-		ClassifierKind:  classifier.KindLogReg,
 		Seed:            1,
 	})
 	if err != nil {
@@ -322,6 +321,45 @@ func TestPosThresholdExplicitZero(t *testing.T) {
 	}
 	if resDefault.Positives >= resDefault.Sentences {
 		t.Errorf("default threshold labeled the whole corpus positive (%d)", resDefault.Positives)
+	}
+}
+
+// TestManagerReplayRejectsMidJournalCorruption pins that only a torn final
+// line is dropped: a garbage line followed by valid records fails
+// NewManager with the file and line, and leaves the journal untouched
+// instead of compacting the later, acknowledged jobs away.
+func TestManagerReplayRejectsMidJournalCorruption(t *testing.T) {
+	eng := testEngine(t)
+	dir := t.TempDir()
+	spec := testSpec()
+	res := Result{Sentences: 5, Rules: 2, Covered: 3, Positives: 2, OutputBytes: 11}
+	record := func(rec jobRecord) []byte {
+		line, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(line, '\n')
+	}
+	var journal []byte
+	journal = append(journal, record(jobRecord{Type: "create", ID: "j1", Dataset: "directions", Spec: &spec, Unix: 1})...)
+	journal = append(journal, "not a job record\n"...)
+	journal = append(journal, record(jobRecord{Type: "create", ID: "j2", Dataset: "directions", Spec: &spec, Unix: 1})...)
+	journal = append(journal, record(jobRecord{Type: "done", ID: "j2", Result: &res, Unix: time.Now().Unix()})...)
+	path := filepath.Join(dir, "jobs.log")
+	if err := os.WriteFile(path, journal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewManager(ManagerConfig{Dir: dir, Workers: 1, Logf: t.Logf},
+		func(string) (*core.Engine, bool) { return eng, true })
+	if err == nil {
+		m.Close()
+		t.Fatal("NewManager accepted a journal with a corrupt line before valid records")
+	}
+	if !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "line 2") {
+		t.Errorf("error %q does not name %s line 2", err, path)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, journal) {
+		t.Errorf("journal changed after the failed open (err %v)", err)
 	}
 }
 

@@ -239,10 +239,12 @@ func (m *Manager) OutputPath(id string) string {
 // replay reads the journal and rebuilds the job table. It returns the jobs
 // that must re-run — creates without a terminal record, plus unexpired done
 // jobs whose output file has gone missing — and the journal order of the
-// surviving jobs (for deterministic re-enqueueing and compaction). Torn
-// trailing lines (crash mid-append) are tolerated and dropped, as are
-// duplicate terminal records for an id already in a terminal state (a
-// rebuilt output appends a second "done" for the same job).
+// surviving jobs (for deterministic re-enqueueing and compaction). A torn
+// final line (crash mid-append) is tolerated and dropped, as are duplicate
+// terminal records for an id already in a terminal state (a rebuilt output
+// appends a second "done" for the same job). An unparsable line followed by
+// any other line is corruption, not a crash: replay fails naming the file
+// and line, so NewManager never compacts acknowledged jobs away.
 func (m *Manager) replay() (pending []*job, order []string, err error) {
 	f, err := os.Open(m.journalPath())
 	if errors.Is(err, os.ErrNotExist) {
@@ -255,16 +257,22 @@ func (m *Manager) replay() (pending []*job, order []string, err error) {
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
 	terminal := func(j *job) bool { return j.state == StateDone || j.state == StateFailed }
+	line, badLine := 0, 0
+	var badErr error
 	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
+		line++
+		b := sc.Bytes()
+		if len(b) == 0 {
 			continue
 		}
+		if badLine > 0 {
+			return nil, nil, fmt.Errorf("autolabel: job journal %s line %d: %v", m.journalPath(), badLine, badErr)
+		}
 		var rec jobRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			// Torn tail from a crash mid-append; everything before it
-			// already replayed.
-			break
+		if err := json.Unmarshal(b, &rec); err != nil {
+			// A torn tail from a crash mid-append, unless a line follows.
+			badLine, badErr = line, err
+			continue
 		}
 		switch rec.Type {
 		case "create":

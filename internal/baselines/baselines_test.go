@@ -93,10 +93,10 @@ func TestHighCPicksLargestCoverage(t *testing.T) {
 	if !ok {
 		t.Fatal("HighC proposed nothing")
 	}
-	got := len(st.Hierarchy.Node(key).Coverage)
+	got := st.Hierarchy.Node(key).Bits.Count()
 	for _, k := range st.Hierarchy.NonRootKeys() {
-		if n := st.Hierarchy.Node(k); len(n.Coverage) > got {
-			t.Errorf("HighC pick %q covers %d but %q covers %d", key, got, k, len(n.Coverage))
+		if n := st.Hierarchy.Node(k); n.Bits.Count() > got {
+			t.Errorf("HighC pick %q covers %d but %q covers %d", key, got, k, n.Bits.Count())
 			break
 		}
 	}
@@ -123,7 +123,6 @@ func instanceCfg(seed int64) InstanceLabelingConfig {
 	return InstanceLabelingConfig{
 		Budget:       30,
 		Classifier:   classifier.Config{Epochs: 6, LearningRate: 0.3, Seed: seed},
-		Kind:         classifier.KindLogReg,
 		RetrainEvery: 5,
 		EvalEvery:    10,
 		Seed:         seed,

@@ -22,7 +22,6 @@ type InstanceLabelingConfig struct {
 	SeedPositiveIDs []int
 	// Classifier and Embedding configure the model trained on the labels.
 	Classifier classifier.Config
-	Kind       classifier.Kind
 	Embedding  embedding.Config
 	// RetrainEvery re-trains the classifier after this many new labels
 	// (1 = after every label, as in the paper's AL baseline).
@@ -62,7 +61,7 @@ func instanceRun(c *corpus.Corpus, emb *embedding.Model, cfg InstanceLabelingCon
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
-	sc := classifier.NewSentenceClassifier(c, emb, cfg.Classifier, cfg.Kind)
+	sc := classifier.NewSentenceClassifier(c, emb, cfg.Classifier)
 	labeled := map[int]bool{} // all labeled sentence IDs
 	positives := bitset.New(c.Len())
 	npos := 0 // labeled positives

@@ -35,7 +35,7 @@ const (
 // the compressed *Adaptive: everything the scoring, hierarchy and traversal
 // paths need from a published coverage set. The p operand of the fused
 // kernels is always a dense Set — the positive set is small, mutable and
-// corpus-sized, so it stays dense; only the per-node coverage mirrors (of
+// corpus-sized, so it stays dense; only the per-node coverage sets (of
 // which there are tens of thousands) are worth compressing.
 type Cover interface {
 	// Count returns the number of ids in the set.
@@ -138,7 +138,7 @@ type Adaptive struct {
 func NewAdaptive() *Adaptive { return &Adaptive{} }
 
 // AdaptiveFromSorted builds an adaptive set from sorted, deduplicated,
-// non-negative ids (the shape of an index posting list). Each chunk's
+// non-negative ids (the shape of a corpus-scan result). Each chunk's
 // representation is chosen directly from its cardinality — no intermediate
 // promotion work.
 func AdaptiveFromSorted(ids []int) *Adaptive {
@@ -183,12 +183,20 @@ func (a *Adaptive) find(key uint32) int {
 }
 
 // Add inserts id (no-op when present). Unlike Set.Add it grows on demand —
-// ingestion extends coverage past the boot-time corpus size.
+// ingestion extends coverage past the boot-time corpus size. Ids arriving
+// in ascending order (index builds and ingest) append in O(1).
 func (a *Adaptive) Add(id int) {
 	if id < 0 {
 		return
 	}
 	key, lo := uint32(id>>chunkBits), uint16(id&(chunkSize-1))
+	if k := len(a.keys) - 1; k >= 0 && a.keys[k] == key {
+		if c := a.cs[k]; c.bitmap == nil && len(c.array) < ArrayMax && c.array[len(c.array)-1] < lo {
+			c.array = append(c.array, lo)
+			a.n++
+			return
+		}
+	}
 	i := sort.Search(len(a.keys), func(i int) bool { return a.keys[i] >= key })
 	if i == len(a.keys) || a.keys[i] != key {
 		a.keys = append(a.keys, 0)

@@ -2,6 +2,7 @@ package bitset
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -241,4 +242,31 @@ func FuzzAdaptiveOps(f *testing.F) {
 			t.Fatal("And/AndNot counts diverge from dense")
 		}
 	})
+}
+
+// TestAdaptiveAscendingAddMatchesFromSorted drives Add's append path the way
+// index builds do — ascending ids across a promotion and into a new chunk,
+// with a duplicate and a late smaller id — and compares the result with the
+// set built from the sorted ids.
+func TestAdaptiveAscendingAddMatchesFromSorted(t *testing.T) {
+	var ids []int
+	for i := 0; i <= ArrayMax+10; i++ {
+		ids = append(ids, i*2)
+	}
+	for i := 0; i < 50; i++ {
+		ids = append(ids, chunkSize+i*7)
+	}
+	a := NewAdaptive()
+	for _, id := range ids {
+		a.Add(id)
+		a.Add(id)
+	}
+	a.Add(1)
+	want := AdaptiveFromSorted(append([]int{0, 1}, ids[1:]...))
+	if !slices.Equal(a.AppendTo(nil), want.AppendTo(nil)) || a.Count() != want.Count() {
+		t.Fatalf("ascending adds hold %d ids, want %d", a.Count(), want.Count())
+	}
+	if arrays, bitmaps := a.Containers(); arrays != 1 || bitmaps != 1 {
+		t.Errorf("containers: %d arrays, %d bitmaps; want 1 and 1", arrays, bitmaps)
+	}
 }

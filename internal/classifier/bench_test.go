@@ -20,7 +20,7 @@ func benchClassifier(b *testing.B, npos int) (*SentenceClassifier, bitset.Set) {
 	for id := 0; pos.Count() < npos; id++ {
 		pos.Add(id)
 	}
-	sc := NewSentenceClassifier(c, emb, DefaultConfig(), KindLogReg)
+	sc := NewSentenceClassifier(c, emb, DefaultConfig())
 	if err := sc.TrainFromPositives(pos); err != nil {
 		b.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func BenchmarkClassifierFit(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(activeHashed(sc.model.(*LogisticRegression), sc.feat.EmbDim())), "active-cols")
+			b.ReportMetric(float64(activeHashed(sc.model, sc.feat.EmbDim())), "active-cols")
 		})
 	}
 	b.Run("full-occupancy", func(b *testing.B) {

@@ -51,64 +51,6 @@ func TestLogisticRegressionSeparable(t *testing.T) {
 	}
 }
 
-func TestMLPSeparable(t *testing.T) {
-	X, y := makeSeparableData(200, 2)
-	m := NewMLP(Config{Epochs: 40, LearningRate: 0.1, Hidden: 8, Seed: 2})
-	if err := m.Fit(X, y); err != nil {
-		t.Fatalf("Fit: %v", err)
-	}
-	correct := 0
-	for i := range X {
-		pred := 0
-		if m.Proba(X[i]) >= 0.5 {
-			pred = 1
-		}
-		if pred == y[i] {
-			correct++
-		}
-	}
-	acc := float64(correct) / float64(len(X))
-	if acc < 0.9 {
-		t.Errorf("MLP accuracy = %.2f, want >= 0.9", acc)
-	}
-}
-
-func TestMLPNonLinear(t *testing.T) {
-	// XOR-like data: logistic regression cannot fit it, the MLP should do
-	// noticeably better than chance.
-	rng := rand.New(rand.NewSource(3))
-	var X [][]float64
-	var y []int
-	for i := 0; i < 400; i++ {
-		a := rng.Float64()*2 - 1
-		b := rng.Float64()*2 - 1
-		X = append(X, []float64{a, b})
-		if (a > 0) != (b > 0) {
-			y = append(y, 1)
-		} else {
-			y = append(y, 0)
-		}
-	}
-	m := NewMLP(Config{Epochs: 200, LearningRate: 0.1, Hidden: 12, Seed: 3})
-	if err := m.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	correct := 0
-	for i := range X {
-		pred := 0
-		if m.Proba(X[i]) >= 0.5 {
-			pred = 1
-		}
-		if pred == y[i] {
-			correct++
-		}
-	}
-	acc := float64(correct) / float64(len(X))
-	if acc < 0.8 {
-		t.Errorf("MLP XOR accuracy = %.2f, want >= 0.8", acc)
-	}
-}
-
 func TestFitErrors(t *testing.T) {
 	lr := NewLogisticRegression(DefaultConfig())
 	if err := lr.Fit(nil, nil); err == nil {
@@ -120,10 +62,6 @@ func TestFitErrors(t *testing.T) {
 	if err := lr.Fit([][]float64{{1, 2}, {1}}, []int{1, 0}); err == nil {
 		t.Error("ragged features should error")
 	}
-	mlp := NewMLP(DefaultConfig())
-	if err := mlp.Fit(nil, nil); err == nil {
-		t.Error("MLP Fit(nil) should error")
-	}
 }
 
 func TestUntrainedProba(t *testing.T) {
@@ -131,33 +69,25 @@ func TestUntrainedProba(t *testing.T) {
 	if p := lr.Proba([]float64{1, 2}); p != 0.5 {
 		t.Errorf("untrained logreg Proba = %f", p)
 	}
-	mlp := NewMLP(DefaultConfig())
-	if p := mlp.Proba([]float64{1, 2}); p != 0.5 {
-		t.Errorf("untrained MLP Proba = %f", p)
-	}
 }
 
 func TestProbaBounds(t *testing.T) {
 	X, y := makeSeparableData(100, 5)
-	for _, m := range []Model{
-		NewLogisticRegression(Config{Epochs: 20, LearningRate: 1.0, Seed: 5}),
-		NewMLP(Config{Epochs: 20, LearningRate: 0.2, Hidden: 6, Seed: 5}),
-	} {
-		if err := m.Fit(X, y); err != nil {
-			t.Fatal(err)
+	m := NewLogisticRegression(Config{Epochs: 20, LearningRate: 1.0, Seed: 5})
+	if err := m.Fit(X, y); err != nil {
+		t.Fatal(err)
+	}
+	f := func(a, b float64) bool {
+		a = math.Mod(a, 100)
+		b = math.Mod(b, 100)
+		if math.IsNaN(a) || math.IsNaN(b) {
+			return true
 		}
-		f := func(a, b float64) bool {
-			a = math.Mod(a, 100)
-			b = math.Mod(b, 100)
-			if math.IsNaN(a) || math.IsNaN(b) {
-				return true
-			}
-			p := m.Proba([]float64{a, b})
-			return p >= 0 && p <= 1 && !math.IsNaN(p)
-		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-			t.Error(err)
-		}
+		p := m.Proba([]float64{a, b})
+		return p >= 0 && p <= 1 && !math.IsNaN(p)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -241,7 +171,7 @@ func buildScoredCorpus() *corpus.Corpus {
 func TestSentenceClassifierTrainAndScore(t *testing.T) {
 	c := buildScoredCorpus()
 	emb := embedding.Train(c.TokenizedSentences(), embedding.Config{Dim: 16, Window: 3, MinCount: 1, Seed: 1})
-	sc := NewSentenceClassifier(c, emb, Config{Epochs: 30, LearningRate: 0.5, Seed: 1}, KindLogReg)
+	sc := NewSentenceClassifier(c, emb, Config{Epochs: 30, LearningRate: 0.5, Seed: 1})
 
 	if sc.Trained() {
 		t.Error("new classifier reports trained")
@@ -282,7 +212,7 @@ func TestSentenceClassifierTrainAndScore(t *testing.T) {
 
 func TestSentenceClassifierErrorsAndEntropy(t *testing.T) {
 	c := buildScoredCorpus()
-	sc := NewSentenceClassifier(c, nil, DefaultConfig(), KindMLP)
+	sc := NewSentenceClassifier(c, nil, DefaultConfig())
 	if err := sc.TrainFromPositives(nil); err == nil {
 		t.Error("training with no positives should error")
 	}
@@ -304,13 +234,20 @@ func TestSentenceClassifierErrorsAndEntropy(t *testing.T) {
 	}
 }
 
+// TestSentenceClassifierDefaultKind pins the classifier's one model kind: a
+// training round fits a logistic regression with the configured
+// hyperparameters.
 func TestSentenceClassifierDefaultKind(t *testing.T) {
 	c := buildScoredCorpus()
-	sc := NewSentenceClassifier(c, nil, DefaultConfig(), "")
+	cfg := DefaultConfig()
+	sc := NewSentenceClassifier(c, nil, cfg)
+	if sc.Trained() {
+		t.Fatal("an untrained classifier reports a model")
+	}
 	if err := sc.TrainFromPositives(bitset.FromSorted([]int{0, 1})); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := sc.model.(*LogisticRegression); !ok {
-		t.Errorf("default kind is %T, want *LogisticRegression", sc.model)
+	if !sc.Trained() || !sc.model.trained || sc.model.cfg != cfg {
+		t.Errorf("trained model %+v, want a fitted logistic regression with %+v", sc.model, cfg)
 	}
 }

@@ -41,7 +41,7 @@ func TestFeatureCacheCapIsBitIdentical(t *testing.T) {
 	positives := bitset.FromSorted([]int{0, 1, 6, 9})
 
 	score := func(cache *FeatureCache) []float64 {
-		sc := NewSentenceClassifier(c, nil, Config{Epochs: 6, LearningRate: 0.3, Seed: 5}, KindLogReg)
+		sc := NewSentenceClassifier(c, nil, Config{Epochs: 6, LearningRate: 0.3, Seed: 5})
 		sc.ShareFeatureCache(cache)
 		if err := sc.TrainFromPositives(positives); err != nil {
 			t.Fatal(err)
@@ -77,7 +77,7 @@ func TestFeatureCacheCapUnderConcurrentFills(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			sc := NewSentenceClassifier(c, nil, Config{Epochs: 2, LearningRate: 0.3, Seed: int64(w + 1)}, KindLogReg)
+			sc := NewSentenceClassifier(c, nil, Config{Epochs: 2, LearningRate: 0.3, Seed: int64(w + 1)})
 			sc.ShareFeatureCache(cache)
 			if err := sc.TrainFromPositives(bitset.FromSorted([]int{0, 1})); err != nil {
 				t.Error(err)
@@ -106,7 +106,7 @@ func TestFeatureCacheCapUnderConcurrentFills(t *testing.T) {
 func TestFeatureCacheUncappedFillsCorpus(t *testing.T) {
 	c := capTestCorpus(t)
 	cache := NewFeatureCache(c.Len())
-	sc := NewSentenceClassifier(c, nil, Config{Epochs: 2, LearningRate: 0.3, Seed: 1}, KindLogReg)
+	sc := NewSentenceClassifier(c, nil, Config{Epochs: 2, LearningRate: 0.3, Seed: 1})
 	sc.ShareFeatureCache(cache)
 	if err := sc.TrainFromPositives(bitset.FromSorted([]int{0, 1})); err != nil {
 		t.Fatal(err)

@@ -6,9 +6,9 @@
 // embeddings. The classifier's only role in Darwin is to produce calibrated
 // positive probabilities that are better than random and that generalize
 // across semantically related sentences; this package substitutes a logistic
-// regression and a one-hidden-layer MLP over a feature vector that combines
-// the corpus-trained sentence embedding with hashed bag-of-words features.
-// Both satisfy the (θ, β, β') classifier model used in the paper's analysis.
+// regression over a feature vector that combines the corpus-trained sentence
+// embedding with hashed bag-of-words features. It satisfies the (θ, β, β')
+// classifier model used in the paper's analysis.
 package classifier
 
 import (
@@ -102,15 +102,4 @@ func sparsify(full []float64, prefix int) *sparseFeatures {
 		}
 	}
 	return sf
-}
-
-// densify writes the vector into dst, which must be at least as wide, and
-// returns dst.
-func (sf *sparseFeatures) densify(dst []float64) []float64 {
-	clear(dst)
-	copy(dst, sf.emb)
-	for k, ix := range sf.idx {
-		dst[ix] = sf.val[k]
-	}
-	return dst
 }

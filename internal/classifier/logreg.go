@@ -6,22 +6,7 @@ import (
 	"math/rand"
 )
 
-// Model is a binary probabilistic classifier over dense feature vectors.
-type Model interface {
-	// Fit trains the model on features X with binary labels y (0 or 1).
-	Fit(X [][]float64, y []int) error
-	// Proba returns P(label=1 | x).
-	Proba(x []float64) float64
-}
-
-// sparseModel is a model SentenceClassifier trains and scores on cached
-// sparse feature vectors of width dim.
-type sparseModel interface {
-	fitSparse(X []*sparseFeatures, y []int, dim int) error
-	probaSparse(x *sparseFeatures) float64
-}
-
-// Config holds the shared hyperparameters for the trainable classifiers.
+// Config holds the classifier's training hyperparameters.
 type Config struct {
 	// Epochs is the number of SGD passes over the training set.
 	Epochs int
@@ -29,15 +14,13 @@ type Config struct {
 	LearningRate float64
 	// L2 is the L2 regularization strength.
 	L2 float64
-	// Hidden is the hidden-layer width (MLP only).
-	Hidden int
 	// Seed drives weight initialization and example shuffling.
 	Seed int64
 }
 
 // DefaultConfig returns the hyperparameters used in the experiments.
 func DefaultConfig() Config {
-	return Config{Epochs: 10, LearningRate: 0.1, L2: 1e-4, Hidden: 16, Seed: 1}
+	return Config{Epochs: 10, LearningRate: 0.1, L2: 1e-4, Seed: 1}
 }
 
 // ErrNoTrainingData is returned by Fit when X is empty.

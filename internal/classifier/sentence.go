@@ -28,16 +28,7 @@ var (
 		obs.LatencyBuckets)
 )
 
-// Kind selects which underlying model a SentenceClassifier trains.
-type Kind string
-
-// Supported classifier kinds.
-const (
-	KindLogReg Kind = "logreg"
-	KindMLP    Kind = "mlp"
-)
-
-// SentenceClassifier wraps a featurizer and a probabilistic model and exposes
+// SentenceClassifier wraps a featurizer and a logistic regression and exposes
 // the exact interface Darwin needs: retrain from the set of discovered
 // positive instances (sampling random corpus sentences as negatives, as
 // described in §3.3 of the paper) and score every sentence with p_s.
@@ -45,14 +36,13 @@ type SentenceClassifier struct {
 	corp *corpus.Corpus
 	feat *Featurizer
 	cfg  Config
-	kind Kind
 	rng  *rand.Rand
 
 	// NegativeFactor controls how many random negatives are sampled per
 	// positive training example (default 3).
 	NegativeFactor int
 
-	model  sparseModel
+	model  *LogisticRegression
 	scores []float64
 	scored bool
 
@@ -134,15 +124,11 @@ func (fc *FeatureCache) put(id int, sf *sparseFeatures) {
 // NewSentenceClassifier creates a classifier over the given corpus. emb may
 // be nil to disable embedding features. The corpus must be preprocessed
 // (tokens available).
-func NewSentenceClassifier(c *corpus.Corpus, emb *embedding.Model, cfg Config, kind Kind) *SentenceClassifier {
-	if kind == "" {
-		kind = KindLogReg
-	}
+func NewSentenceClassifier(c *corpus.Corpus, emb *embedding.Model, cfg Config) *SentenceClassifier {
 	return &SentenceClassifier{
 		corp:           c,
 		feat:           NewFeaturizer(emb, 512),
 		cfg:            cfg,
-		kind:           kind,
 		rng:            rand.New(rand.NewSource(cfg.Seed + 17)),
 		NegativeFactor: 3,
 	}
@@ -156,16 +142,6 @@ func NewSentenceClassifier(c *corpus.Corpus, emb *embedding.Model, cfg Config, k
 // a live process.
 func (sc *SentenceClassifier) Reseed(seed int64) {
 	sc.rng = rand.New(rand.NewSource(seed))
-}
-
-// newModel builds a fresh underlying model for one training round.
-func (sc *SentenceClassifier) newModel() sparseModel {
-	switch sc.kind {
-	case KindMLP:
-		return NewMLP(sc.cfg)
-	default:
-		return NewLogisticRegression(sc.cfg)
-	}
 }
 
 // ShareFeatureCache replaces the classifier's private feature cache with a
@@ -232,7 +208,7 @@ func (sc *SentenceClassifier) TrainFromPositives(positives bitset.Set) error {
 		X = append(X, sc.features(id))
 		y = append(y, 0)
 	}
-	model := sc.newModel()
+	model := NewLogisticRegression(sc.cfg)
 	if err := model.fitSparse(X, y, sc.feat.Dim()); err != nil {
 		return fmt.Errorf("classifier: fit: %w", err)
 	}

@@ -138,7 +138,7 @@ func checkAgainstOracle(t *testing.T, sc *SentenceClassifier, emb *embedding.Mod
 		}
 		X, y := oracleTrainingSet(c, feat, rng, sc.NegativeFactor, pos)
 		w, b := denseFit(cfg, X, y)
-		m := sc.model.(*LogisticRegression)
+		m := sc.model
 		if len(m.weights) != len(w) {
 			t.Fatalf("round %d: %d weights, oracle has %d", r, len(m.weights), len(w))
 		}
@@ -193,13 +193,13 @@ func TestSparseKernelMatchesDenseOracle(t *testing.T) {
 	cfg := DefaultConfig()
 
 	t.Run("uncapped", func(t *testing.T) {
-		sc := NewSentenceClassifier(c, emb, cfg, KindLogReg)
+		sc := NewSentenceClassifier(c, emb, cfg)
 		sc.ShareFeatureCache(NewFeatureCache(c.Len()))
 		checkAgainstOracle(t, sc, emb, growingPositives(c))
 	})
 	t.Run("capped", func(t *testing.T) {
 		cache := NewFeatureCacheCapped(c.Len(), 200)
-		sc := NewSentenceClassifier(c, emb, cfg, KindLogReg)
+		sc := NewSentenceClassifier(c, emb, cfg)
 		sc.ShareFeatureCache(cache)
 		checkAgainstOracle(t, sc, emb, growingPositives(c))
 		if n := cache.Len(); n != 200 {
@@ -207,7 +207,7 @@ func TestSparseKernelMatchesDenseOracle(t *testing.T) {
 		}
 	})
 	t.Run("no-embedding", func(t *testing.T) {
-		sc := NewSentenceClassifier(c, nil, cfg, KindLogReg)
+		sc := NewSentenceClassifier(c, nil, cfg)
 		checkAgainstOracle(t, sc, nil, growingPositives(c))
 	})
 	// One and then two positives: the 8-negative floor sets the sample
@@ -215,7 +215,7 @@ func TestSparseKernelMatchesDenseOracle(t *testing.T) {
 	t.Run("tiny-P", func(t *testing.T) {
 		gold := c.Positives()
 		rounds := []map[int]bool{{gold[0]: true}, {gold[0]: true, gold[1]: true}}
-		sc := NewSentenceClassifier(c, emb, cfg, KindLogReg)
+		sc := NewSentenceClassifier(c, emb, cfg)
 		for r, n := range checkAgainstOracle(t, sc, emb, rounds) {
 			if n == 0 {
 				t.Fatalf("round %d: every hashed column is active", r)
@@ -240,7 +240,7 @@ func TestSparseKernelMatchesDenseOracleAfterIngest(t *testing.T) {
 		ingested = append(ingested, c.Add(s.Text, s.Gold).ID)
 	}
 	c.PreprocessFrom(from, corpus.PreprocessOptions{})
-	sc := NewSentenceClassifier(c, emb, DefaultConfig(), KindLogReg)
+	sc := NewSentenceClassifier(c, emb, DefaultConfig())
 	sc.ShareFeatureCache(cache)
 	if sc.cache != cache {
 		t.Fatal("shared cache was not attached")
@@ -321,8 +321,8 @@ func TestRefitRescorePolicy(t *testing.T) {
 	rounds := growingPositives(c)
 	rounds = append(rounds, rounds[2], rounds[1], rounds[2])
 
-	sc := NewSentenceClassifier(c, emb, cfg, KindLogReg)
-	ref := NewSentenceClassifier(c, emb, cfg, KindLogReg)
+	sc := NewSentenceClassifier(c, emb, cfg)
+	ref := NewSentenceClassifier(c, emb, cfg)
 	scores := make([]float64, c.Len())
 	want := make([]float64, c.Len())
 	for i := range scores {

@@ -88,7 +88,7 @@ func TestUniversalSearchConstantApproximation(t *testing.T) {
 	if !ok {
 		t.Fatal("UniversalSearch proposed nothing")
 	}
-	cov := st.Index.Coverage(key)
+	cov := st.Index.Bits(key).AppendTo(nil)
 	// The picked rule must cover at least a constant fraction (we use 1/3) of
 	// the largest cluster — the empirical counterpart of Lemma 6's
 	// |C_r| >= alpha * max |C_r'| guarantee.
@@ -126,7 +126,7 @@ func TestUniversalSearchApproximatesGreedyCoverage(t *testing.T) {
 			break
 		}
 		st.Queried[key] = true
-		cov := st.Index.Coverage(key)
+		cov := st.Index.Bits(key).AppendTo(nil)
 		pos := 0
 		for _, id := range cov {
 			if c.Sentence(id).Gold == corpus.Positive {

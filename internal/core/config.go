@@ -42,8 +42,6 @@ type Config struct {
 
 	// Classifier configures the p_s estimator.
 	Classifier classifier.Config
-	// ClassifierKind selects logistic regression (default) or MLP.
-	ClassifierKind classifier.Kind
 	// Embedding configures word-embedding training. A zero Dim disables
 	// embeddings (bag-of-words features only).
 	Embedding embedding.Config
@@ -66,12 +64,13 @@ type Config struct {
 	// score.
 	FeatureCacheCap int
 
-	// Kernel selects the index's per-node coverage representation:
-	// index.KernelAdaptive (the default, roaring-style compressed
-	// containers) or index.KernelDense (the original dense mirror, kept as
-	// the pinned reference for equivalence tests and benchmark A/B runs).
-	// Both kernels are bit-identical in every score: the session and
-	// workspace pin tests check both against the same transcripts.
+	// Kernel selects the coverage representation the index hands to
+	// readers: index.KernelAdaptive (the default: each node's compressed
+	// set, its only coverage) or index.KernelDense (a dense mirror of each
+	// set built at publish, kept as the pinned reference for equivalence
+	// tests and benchmark A/B runs). Both kernels are bit-identical in every
+	// score: the session and workspace pin tests check both against the
+	// same transcripts.
 	Kernel string
 
 	// Seed drives all randomness in the engine.
@@ -90,7 +89,6 @@ func DefaultConfig() Config {
 		Traversal:          "hybrid",
 		Tau:                traversal.DefaultTau,
 		Classifier:         classifier.DefaultConfig(),
-		ClassifierKind:     classifier.KindLogReg,
 		Embedding:          embedding.DefaultConfig(),
 		LazyScoring:        true,
 		LazyScoreThreshold: 0.3,
@@ -126,9 +124,6 @@ func (cfg Config) withDefaults() (Config, *grammar.Registry) {
 	}
 	if cfg.Classifier.Epochs <= 0 {
 		cfg.Classifier = def.Classifier
-	}
-	if cfg.ClassifierKind == "" {
-		cfg.ClassifierKind = def.ClassifierKind
 	}
 	if cfg.OracleSampleSize <= 0 {
 		cfg.OracleSampleSize = def.OracleSampleSize

@@ -188,7 +188,7 @@ func (e *Engine) MaterializeRule(spec string) (string, []int, error) {
 	e.ixMu.Lock()
 	node := e.materializeLocked([]grammar.Heuristic{h}, []string{spec})[0]
 	e.ixMu.Unlock()
-	return h.Key(), append([]int(nil), node.Postings...), nil
+	return h.Key(), node.Bits().AppendTo(nil), nil
 }
 
 // CoverageBits resolves a rule specification to its canonical key and full
@@ -208,11 +208,8 @@ func (e *Engine) CoverageBits(spec string) (string, bitset.Cover, error) {
 	}
 	e.ixMu.RLock()
 	defer e.ixMu.RUnlock()
-	node := e.ix.Node(h.Key())
-	if node != nil {
-		if published := node.Bits(); published != nil {
-			return h.Key(), published, nil
-		}
+	if node := e.ix.Node(h.Key()); node != nil {
+		return h.Key(), node.Bits(), nil
 	}
 	// The fallback corpus scan stays under the read lock so a concurrent
 	// ingest cannot grow the corpus out from under it.

@@ -37,7 +37,6 @@ func fastConfig(trav string) Config {
 		Traversal:       trav,
 		Tau:             5,
 		Classifier:      classifier.Config{Epochs: 8, LearningRate: 0.3, Seed: 1},
-		ClassifierKind:  classifier.KindLogReg,
 		Embedding:       embedding.Config{Dim: 24, Window: 3, MinCount: 2, Seed: 1},
 		Seed:            1,
 	}
@@ -201,8 +200,8 @@ func (maxCoverageTraversal) Next(st *traversal.State) (string, bool) {
 		if st.Queried[key] {
 			continue
 		}
-		if n := st.Hierarchy.Node(key); n != nil && len(n.Coverage) > bestCov {
-			best, bestCov = key, len(n.Coverage)
+		if n := st.Hierarchy.Node(key); n != nil && n.Bits.Count() > bestCov {
+			best, bestCov = key, n.Bits.Count()
 		}
 	}
 	return best, best != ""

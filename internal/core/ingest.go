@@ -76,7 +76,7 @@ func (e *Engine) CorpusView() *corpus.Corpus {
 	return e.corp.View()
 }
 
-// ContainerStats reports how the index's per-node coverage mirrors are
+// ContainerStats reports how the index's per-node coverage sets are
 // represented (adaptive array containers, adaptive bitmap containers, dense
 // fallbacks), under the engine's read lock.
 func (e *Engine) ContainerStats() (arrays, bitmaps, dense int) {
@@ -86,7 +86,7 @@ func (e *Engine) ContainerStats() (arrays, bitmaps, dense int) {
 }
 
 // CoverageBytes reports the memory footprint of the index's per-node
-// coverage mirrors, under the engine's read lock.
+// coverage sets, under the engine's read lock.
 func (e *Engine) CoverageBytes() int {
 	e.ixMu.RLock()
 	defer e.ixMu.RUnlock()

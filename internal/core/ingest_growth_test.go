@@ -2,13 +2,16 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/classifier"
 	"repro/internal/datagen"
 	"repro/internal/grammar"
+	"repro/internal/index"
 	"repro/internal/ingest"
 	"repro/internal/tokensregex"
 )
@@ -41,7 +44,6 @@ func TestGrowthUnderConcurrentAnnotation(t *testing.T) {
 		Traversal:       "hybrid",
 		Tau:             5,
 		Classifier:      classifier.Config{Epochs: 4, LearningRate: 0.3, Seed: 1},
-		ClassifierKind:  classifier.KindLogReg,
 		Seed:            1,
 	})
 	if err != nil {
@@ -133,5 +135,73 @@ func TestGrowthUnderConcurrentAnnotation(t *testing.T) {
 	if len(rep.Positives) < batchNum*250 {
 		t.Errorf("post-growth session found %d positives, want >= %d from ingested sentences",
 			len(rep.Positives), batchNum*250)
+	}
+}
+
+// TestCoverageBitsSurviveIngest pins that published coverage is immutable
+// at the engine surface, under both kernels: the sets a labeling job holds
+// from CoverageBits (a sketched rule and a materialized seed rule) and one
+// read straight from the index keep their ids across an Ingest of sentences
+// they match, while the sets published after it hold the new ids.
+func TestCoverageBitsSurviveIngest(t *testing.T) {
+	for _, kernel := range []string{index.KernelAdaptive, index.KernelDense} {
+		t.Run(kernel, func(t *testing.T) {
+			cfg := fastConfig("hybrid")
+			cfg.Kernel = kernel
+			eng, err := New(testCorpus(t, 0.05), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seed := "best way to get to"
+			if _, _, err := eng.MaterializeRule(seed); err != nil {
+				t.Fatal(err)
+			}
+			specs := []string{"best way", seed}
+			held := make([]bitset.Cover, len(specs))
+			before := make([][]int, len(specs))
+			for i, spec := range specs {
+				var key string
+				key, held[i], err = eng.CoverageBits(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				eng.WithIndexRead(func(ix *index.Index) {
+					if ix.Node(key) == nil {
+						t.Errorf("%q is not in the index", spec)
+					}
+				})
+				before[i] = held[i].AppendTo(nil)
+			}
+			var root bitset.Cover
+			eng.WithIndexRead(func(ix *index.Index) { root = ix.Root().Bits() })
+			rootBefore := root.AppendTo(nil)
+
+			from, to, err := eng.Ingest([]ingest.Sentence{
+				{Text: "what is the best way to get to the pier", Label: 1},
+				{Text: "the best way to get to the museum is by bus", Label: 1},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			added := []int{from, from + 1}
+			if to != from+2 {
+				t.Fatalf("ingest assigned [%d, %d)", from, to)
+			}
+			for i, spec := range specs {
+				if got := held[i].AppendTo(nil); !slices.Equal(got, before[i]) {
+					t.Errorf("%q: held set changed across ingest", spec)
+				}
+				_, now, err := eng.CoverageBits(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := append(slices.Clone(before[i]), added...); !slices.Equal(now.AppendTo(nil), want) {
+					t.Errorf("%q: published %d ids after ingest, want %d", spec, now.Count(), len(want))
+				}
+			}
+			if !slices.Equal(root.AppendTo(nil), rootBefore) {
+				t.Error("held root set changed across ingest")
+			}
+		})
 	}
 }

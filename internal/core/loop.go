@@ -81,7 +81,7 @@ func (e *Engine) newLoop(seed int64, n int) *Loop {
 	if clfCfg.Seed == 0 {
 		clfCfg.Seed = seed
 	}
-	clf := classifier.NewSentenceClassifier(e.corp, e.emb, clfCfg, e.cfg.ClassifierKind)
+	clf := classifier.NewSentenceClassifier(e.corp, e.emb, clfCfg)
 	// The cache's eligibility check reads the corpus length, which a
 	// concurrent ingest grows under the index write lock.
 	clf.ShareFeatureCache(e.featCache)
@@ -155,13 +155,14 @@ func (e *Engine) NewLoop(seed int64, seedRules []string, seedIDs []int) (*Loop, 
 	for i, node := range e.materializeLocked(hs, seedRules) {
 		key := hs[i].Key()
 		l.queried[key] = true
-		added := l.AddPositives(node.Postings)
+		cov := node.Bits().AppendTo(nil)
+		added := l.AddPositives(cov)
 		records = append(records, RuleRecord{
 			Key:            key,
 			Rule:           hs[i].String(),
-			Coverage:       node.Count(),
+			Coverage:       len(cov),
 			Accepted:       true,
-			CoverageIDs:    append([]int(nil), node.Postings...),
+			CoverageIDs:    cov,
 			AddedIDs:       added,
 			PositivesAfter: l.npos,
 		})
@@ -290,7 +291,10 @@ func (l *Loop) View(f func(st *traversal.State)) {
 //darwin:replaypure
 func (l *Loop) Take(st *traversal.State, key string, rng *rand.Rand) (Suggestion, []int, grammar.Heuristic) {
 	l.queried[key] = true
-	cov := coverageOf(st.Index, st.Hierarchy, key)
+	var cov []int
+	if set := coverageOf(st.Index, st.Hierarchy, key); set != nil {
+		cov = set.AppendTo(nil)
+	}
 	heur := heuristicOf(st.Index, st.Hierarchy, key)
 	benefit, newCov := st.BenefitNewOf(key)
 	avg := 0.0
@@ -394,12 +398,13 @@ func (l *Loop) Retrains() int { return l.retrains }
 // growth), not once per view.
 func (l *Loop) HierarchyGenerations() int { return l.hierGens }
 
-// coverageOf resolves a rule key's coverage from the hierarchy or the index.
-func coverageOf(ix *index.Index, h *hierarchy.Hierarchy, key string) []int {
+// coverageOf resolves a rule key's coverage set from the hierarchy or the
+// index (nil for an unknown key).
+func coverageOf(ix *index.Index, h *hierarchy.Hierarchy, key string) bitset.Cover {
 	if n := h.Node(key); n != nil {
-		return n.Coverage
+		return n.Bits
 	}
-	return ix.Coverage(key)
+	return ix.Bits(key)
 }
 
 // heuristicOf resolves a rule key's heuristic from the hierarchy or the index.

@@ -107,7 +107,6 @@ func (o Options) engineConfig() core.Config {
 	cfg.Budget = o.Budget
 	cfg.Seed = o.Seed
 	cfg.Classifier = classifier.Config{Epochs: o.ClassifierEpochs, LearningRate: 0.3, L2: 1e-4, Seed: o.Seed}
-	cfg.ClassifierKind = classifier.KindLogReg
 	if o.EmbeddingDim > 0 {
 		cfg.Embedding = embedding.Config{Dim: o.EmbeddingDim, Window: 4, MinCount: 2, Seed: o.Seed}
 	} else {

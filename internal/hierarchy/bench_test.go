@@ -43,7 +43,7 @@ func genIndex(b *testing.B) *index.Index {
 // benchPositives returns a positive set seeded from a common phrase.
 func benchPositives(b *testing.B, ix *index.Index) bitset.Set {
 	b.Helper()
-	p := bitset.FromSorted(ix.Coverage("tokensregex:best way to")).Grow(genCorp.Len())
+	p := ix.Bits("tokensregex:best way to").OrInto(nil).Grow(genCorp.Len())
 	if p.Count() == 0 {
 		b.Fatal("empty benchmark positive set")
 	}

@@ -82,7 +82,7 @@ func referenceGenerateCandidates(ix *index.Index, positives bitset.Set, cfg Conf
 		for _, ck := range ix.Children(recent) {
 			if eligible(ck) {
 				inCandidates[ck] = true
-				heap.Push(candidates, keyCand{key: ck, overlap: ix.OverlapBits(ck, positives), total: ix.Count(ck)})
+				heap.Push(candidates, keyCand{key: ck, overlap: ix.Bits(ck).AndCount(positives), total: ix.Count(ck)})
 			}
 		}
 		if candidates.Len() == 0 {
@@ -103,7 +103,7 @@ func referenceBuild(ix *index.Index, candidateKeys []string, positives bitset.Se
 	h := &Hierarchy{nodes: make(map[string]*Node, len(candidateKeys)+1)}
 	add := func(n *index.Node) {
 		if !h.Contains(n.Key()) {
-			h.insert(&Node{Key: n.Key(), Heuristic: n.Heuristic, Coverage: n.Postings, Bits: n.Bits()})
+			h.insert(&Node{Key: n.Key(), Heuristic: n.Heuristic, Bits: n.Bits()})
 		}
 	}
 	add(ix.Root())
@@ -113,7 +113,7 @@ func referenceBuild(ix *index.Index, candidateKeys []string, positives bitset.Se
 		if n == nil {
 			continue
 		}
-		if cleanup && ix.NewCoverageBits(key, positives) == 0 {
+		if cleanup && ix.Bits(key).AndNotCount(positives) == 0 {
 			continue
 		}
 		add(n)
@@ -239,7 +239,7 @@ func assertSameHierarchy(t *testing.T, label string, got, want *Hierarchy) {
 		if !reflect.DeepEqual(a.Children, b.Children) {
 			t.Fatalf("%s: children of %q diverge\n got: %q\nwant: %q", label, key, a.Children, b.Children)
 		}
-		if !reflect.DeepEqual(a.Coverage, b.Coverage) || a.Heuristic.Key() != b.Heuristic.Key() {
+		if !reflect.DeepEqual(a.Bits.AppendTo(nil), b.Bits.AppendTo(nil)) || a.Heuristic.Key() != b.Heuristic.Key() {
 			t.Fatalf("%s: node %q diverges", label, key)
 		}
 	}
@@ -458,7 +458,7 @@ func TestScoreBatchParallelDeterminism(t *testing.T) {
 	scoreBatch(nodes, ords, pos, 1, serial)
 	for i, o := range ords {
 		key := ix.Keys()[o]
-		if serial[i] != (cand{overlap: ix.OverlapBits(key, pos), total: ix.Count(key), ord: o}) {
+		if serial[i] != (cand{overlap: ix.Bits(key).AndCount(pos), total: ix.Count(key), ord: o}) {
 			t.Fatalf("scoreBatch(%q) = %+v", key, serial[i])
 		}
 	}

@@ -48,11 +48,9 @@ type Node struct {
 	Key string
 	// Heuristic is the candidate labeling rule.
 	Heuristic grammar.Heuristic
-	// Coverage is the sorted sentence-ID list covered by the rule.
-	Coverage []int
-	// Bits is the coverage-kernel mirror of Coverage — dense or adaptive,
-	// shared with the index node when the hierarchy was generated from an
-	// index, materialized from Coverage otherwise. Never nil. Read-only.
+	// Bits is the rule's coverage set: the index node's published set (dense
+	// or adaptive, per the index kernel) when the hierarchy was generated
+	// from an index, built by Add otherwise. Never nil. Read-only.
 	Bits bitset.Cover
 	// Parents and Children are hierarchy edges (superset / subset).
 	Parents  []string
@@ -100,8 +98,8 @@ func (h *Hierarchy) Contains(key string) bool {
 	return ok
 }
 
-// Add inserts a node for the heuristic with the given coverage if absent and
-// returns it, materializing its coverage bits from the posting list. Edges
+// Add inserts a node for the heuristic with the given coverage (sorted
+// sentence ids) if absent and returns it, building its coverage set. Edges
 // are not recomputed automatically; call LinkEdges after a batch of
 // additions.
 func (h *Hierarchy) Add(heur grammar.Heuristic, coverage []int) *Node {
@@ -109,7 +107,7 @@ func (h *Hierarchy) Add(heur grammar.Heuristic, coverage []int) *Node {
 	if n, ok := h.nodes[key]; ok {
 		return n
 	}
-	n := &Node{Key: key, Heuristic: heur, Coverage: coverage, Bits: bitset.AdaptiveFromSorted(coverage)}
+	n := &Node{Key: key, Heuristic: heur, Bits: bitset.AdaptiveFromSorted(coverage)}
 	h.insert(n)
 	return n
 }
@@ -381,7 +379,7 @@ func buildOrds(ix *index.Index, ords []int32, positives bitset.Set, cfg Config) 
 	arena := make([]Node, len(members))
 	for i, o := range members {
 		n := nodes[o]
-		arena[i] = Node{Key: keys[o], Heuristic: n.Heuristic, Coverage: n.Postings, Bits: n.Bits()}
+		arena[i] = Node{Key: keys[o], Heuristic: n.Heuristic, Bits: n.Bits()}
 		h.insert(&arena[i])
 	}
 	h.link(nodes, keys, members, at)

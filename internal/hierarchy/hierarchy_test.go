@@ -53,7 +53,7 @@ func TestGenerateCandidatesPrefersOverlap(t *testing.T) {
 	}
 	// The first candidate must overlap P (greedy best-first by overlap).
 	first := keys[0]
-	if ix.OverlapBits(first, p) == 0 {
+	if ix.Bits(first).AndCount(p) == 0 {
 		t.Errorf("first candidate %q has no overlap with P", first)
 	}
 	// No candidate may violate the constraints.
@@ -108,7 +108,7 @@ func TestBuildHierarchyEdgesAndCleanup(t *testing.T) {
 			t.Errorf("node %q has no parents", key)
 		}
 		// Cleanup: every surviving rule adds at least one new sentence.
-		if ix.NewCoverageBits(key, p) == 0 {
+		if ix.Bits(key).AndNotCount(p) == 0 {
 			t.Errorf("node %q adds no new positives but survived cleanup", key)
 		}
 		// Edge symmetry and subset relation.
@@ -129,15 +129,12 @@ func TestBuildHierarchyEdgesAndCleanup(t *testing.T) {
 			if pk == grammar.RootKey {
 				continue
 			}
-			pset := map[int]bool{}
-			for _, id := range parent.Coverage {
-				pset[id] = true
-			}
-			for _, id := range n.Coverage {
-				if !pset[id] {
+			n.Bits.Range(func(id int) bool {
+				if !parent.Bits.Contains(id) {
 					t.Errorf("hierarchy parent %q does not cover %d covered by %q", pk, id, key)
 				}
-			}
+				return true
+			})
 		}
 	}
 }

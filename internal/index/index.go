@@ -1,8 +1,9 @@
 // Package index implements the corpus index of §3.1 (Figure 6): a trie-like
 // structure obtained by merging per-sentence derivation sketches. Each node
-// represents one heuristic and stores its coverage count, an inverted list of
-// the sentences that satisfy it, and parent/child edges capturing the
-// superset/subset relationship between heuristics.
+// represents one heuristic and stores the inverted list of the sentences
+// that satisfy it — one compressed bitset.Adaptive, whose cardinality is the
+// coverage count — and parent/child edges capturing the superset/subset
+// relationship between heuristics.
 //
 // The index is the single source of coverage truth for candidate generation,
 // hierarchy construction and traversal. It is built in linear time in the
@@ -13,14 +14,16 @@
 // # Publish points and read paths
 //
 // Mutations (AddSketch, AddSentence, Merge, EnsureHeuristic, Prune)
-// invalidate the parent/child edges; BuildEdges recomputes them — and
-// materializes each node's coverage set (a compressed bitset.Adaptive by
-// default, a dense bitset.Set under KernelDense) alongside its sorted posting
-// list — at a "publish point" (Build, Prune, or an explicit BuildEdges after
-// Merge, AddSentence or EnsureHeuristic). BuildEdges on an index that is
-// already published returns at once. After publishing, every accessor is a
-// pure read, so any number of goroutines may use the index concurrently.
-// Children and Parents panic on an unpublished index instead of lazily
+// invalidate the parent/child edges; BuildEdges recomputes them at a
+// "publish point" (Build, Prune, or an explicit BuildEdges after Merge,
+// AddSentence or EnsureHeuristic) and publishes every node's coverage set
+// (under KernelDense it also builds a dense bitset.Set mirror of each set
+// that changed). BuildEdges on an index that is already published returns at
+// once. After publishing, every accessor is a pure read, so any number of
+// goroutines may use the index concurrently. A published set is never
+// mutated: the first mutation of a node after a publish point clones its set,
+// so a set a reader took under a read lock keeps the coverage it was read
+// with. Children and Parents panic on an unpublished index instead of lazily
 // mutating it, because a lazy rebuild under a caller's read lock is a data
 // race.
 //
@@ -54,17 +57,17 @@ type Node struct {
 	// Heuristic is the labeling heuristic this node represents. The root
 	// node holds grammar.Root().
 	Heuristic grammar.Heuristic
-	// Postings is the sorted inverted list of sentence IDs satisfying the
-	// heuristic.
-	Postings []int
 
-	// bits is the coverage-kernel mirror of Postings — a dense bitset.Set or
-	// a compressed *bitset.Adaptive depending on the index kernel —
-	// materialized at publish points (BuildEdges / EnsureHeuristic); bitsN is
-	// len(Postings) at the time bits was built, used to detect staleness
-	// cheaply.
-	bits  bitset.Cover
-	bitsN int
+	// cov is the node's coverage: the inverted list of the sentences
+	// satisfying the heuristic, held as a compressed set. published marks
+	// cov as handed to readers at a publish point; the first mutation after
+	// that clones it (see add), so a set a reader took stays as it was.
+	cov       *bitset.Adaptive
+	published bool
+	// dense is cov's KernelDense mirror, built at publish for nodes whose
+	// set changed; nil under KernelAdaptive and between a mutation and the
+	// next publish.
+	dense bitset.Set
 
 	// adhoc marks nodes materialized by EnsureHeuristic's corpus scan rather
 	// than derived from sentence sketches. Their heuristics are not reachable
@@ -87,15 +90,37 @@ type Node struct {
 }
 
 // newNode returns an unpublished node for a heuristic.
-func newNode(h grammar.Heuristic, postings []int) *Node {
-	return &Node{Heuristic: h, Postings: postings, ord: -1, depth: int32(h.Depth())}
+func newNode(h grammar.Heuristic, cov *bitset.Adaptive) *Node {
+	return &Node{Heuristic: h, cov: cov, ord: -1, depth: int32(h.Depth())}
+}
+
+// add inserts a sentence id into the node's coverage, cloning a published
+// set first.
+func (n *Node) add(id int) {
+	if n.published {
+		n.cov = n.cov.Clone()
+		n.published = false
+	}
+	n.cov.Add(id)
+	n.dense = nil
+}
+
+// publish hands the node's set to readers in the kernel's representation.
+func (n *Node) publish(kernel string) {
+	n.published = true
+	switch {
+	case kernel != KernelDense:
+		n.dense = nil
+	case n.dense == nil:
+		n.dense = n.cov.OrInto(nil)
+	}
 }
 
 // Key returns the node's heuristic key.
 func (n *Node) Key() string { return n.Heuristic.Key() }
 
 // Count returns the coverage |C_r| of the node's heuristic.
-func (n *Node) Count() int { return len(n.Postings) }
+func (n *Node) Count() int { return n.cov.Count() }
 
 // Parents returns the keys of the node's parent nodes (generalizations).
 func (n *Node) Parents() []string { return n.parents }
@@ -119,36 +144,22 @@ func (n *Node) ChildOrds() []int32 { return n.childOrds }
 // (Heuristic.Depth, cached when the node is materialized).
 func (n *Node) Depth() int { return int(n.depth) }
 
-// Bits returns the node's coverage set, or nil if the node has not been
-// published (BuildEdges) since its postings last changed. The returned set
-// must not be modified.
+// Bits returns the node's coverage set: the dense mirror under KernelDense,
+// the compressed set itself otherwise. It is never nil. A set returned on a
+// published index is never mutated afterwards — later mutations work on a
+// copy — so it may be read after the caller's lock is released; callers
+// must not modify it.
 func (n *Node) Bits() bitset.Cover {
-	if n.bits == nil || n.bitsN != len(n.Postings) {
-		return nil
+	if n.dense != nil {
+		return n.dense
 	}
-	return n.bits
+	return n.cov
 }
 
-// refreshBits (re)materializes the node's coverage set if it is stale or in
-// the wrong representation for the index kernel.
-func (n *Node) refreshBits(kernel string) {
-	if n.bits != nil && n.bitsN == len(n.Postings) {
-		if _, adaptive := n.bits.(*bitset.Adaptive); adaptive == (kernel == KernelAdaptive) {
-			return
-		}
-	}
-	if kernel == KernelAdaptive {
-		n.bits = bitset.AdaptiveFromSorted(n.Postings)
-	} else {
-		n.bits = bitset.FromSorted(n.Postings)
-	}
-	n.bitsN = len(n.Postings)
-}
-
-// Coverage kernels: which representation BuildEdges materializes per-node
-// coverage in. Adaptive (the default) uses roaring-style compressed bitsets
-// whose memory scales with coverage cardinality instead of corpus size;
-// dense is the original []uint64 mirror and remains the pinned reference the
+// Coverage kernels: which representation Bits hands to readers. Adaptive
+// (the default) is the node's compressed set itself, whose memory scales
+// with coverage cardinality instead of corpus size; dense adds a []uint64
+// mirror per node built at publish, and remains the pinned reference the
 // equivalence tests compare against (the core and workspace bit-exact pin
 // tests run under both kernels against one transcript).
 const (
@@ -162,8 +173,8 @@ type Index struct {
 	// kernel selects the per-node coverage representation ("" means
 	// KernelAdaptive).
 	kernel string
-	// edgesBuilt records whether parent/child edges (and coverage bitsets)
-	// are up to date.
+	// edgesBuilt records whether parent/child edges (and dense mirrors) are
+	// up to date.
 	edgesBuilt bool
 	// keys is the sorted key cache and byOrd the nodes in the same order
 	// (byOrd[i].ord == i), both valid while edgesBuilt.
@@ -177,13 +188,13 @@ type Index struct {
 	adhoc []*Node
 }
 
-// New returns an empty index containing only the root node (with no
-// postings; the root conceptually covers every sentence). An empty index is
+// New returns an empty index containing only the root node (with empty
+// coverage; the root conceptually covers every sentence). An empty index is
 // trivially published: its edges are built and the root is ordinal 0.
 func New() *Index {
-	root := newNode(grammar.Root(), nil)
+	root := newNode(grammar.Root(), bitset.NewAdaptive())
 	root.ord = 0
-	root.refreshBits(KernelAdaptive)
+	root.publish(KernelAdaptive)
 	return &Index{
 		nodes:      map[string]*Node{grammar.RootKey: root},
 		edgesBuilt: true,
@@ -204,7 +215,7 @@ func (ix *Index) Kernel() string {
 // SetKernel switches the per-node coverage representation and republishes
 // the index. A no-op when the kernel is unchanged. Callers holding the
 // engine's index write lock may call it at any time; it never changes
-// postings, so versioned caches built on the old kernel stay semantically
+// coverage, so versioned caches built on the old kernel stay semantically
 // valid but are invalidated anyway (the representation under their bits
 // pointer swapped).
 func (ix *Index) SetKernel(kernel string) {
@@ -281,7 +292,7 @@ func (ix *Index) AddSentence(sk sketch.Sketch, s *corpus.Sentence) {
 	probed := false
 	for _, n := range ix.adhoc {
 		if n.Heuristic.Matches(s) {
-			n.Postings = insertSorted(n.Postings, s.ID)
+			n.add(s.ID)
 			probed = true
 		}
 	}
@@ -292,28 +303,33 @@ func (ix *Index) AddSentence(sk sketch.Sketch, s *corpus.Sentence) {
 	}
 }
 
-// AddSketch merges one sentence's derivation sketch into the index,
-// incrementing counts and extending inverted lists. Edges are invalidated
-// and must be rebuilt with BuildEdges before the index is read concurrently.
+// AddSketch merges one sentence's derivation sketch into the index, adding
+// the sentence to the coverage of the root and of every sketched heuristic.
+// Edges are invalidated and must be rebuilt with BuildEdges before the index
+// is read concurrently.
 func (ix *Index) AddSketch(sk sketch.Sketch) {
 	if sk.SentenceID < 0 {
 		return
 	}
-	root := ix.nodes[grammar.RootKey]
-	root.Postings = insertSorted(root.Postings, sk.SentenceID)
+	ix.nodes[grammar.RootKey].add(sk.SentenceID)
 	for _, h := range sk.Heuristics {
-		key := h.Key()
-		n, ok := ix.nodes[key]
-		if !ok {
-			n = newNode(h, nil)
-			ix.nodes[key] = n
-		}
-		n.Postings = insertSorted(n.Postings, sk.SentenceID)
+		ix.nodeFor(h).add(sk.SentenceID)
 	}
 	ix.invalidate()
 }
 
-// invalidate marks the edges/bitsets/key cache/ordinals stale and bumps the
+// nodeFor returns the node of a heuristic, creating an empty one if absent.
+func (ix *Index) nodeFor(h grammar.Heuristic) *Node {
+	key := h.Key()
+	n, ok := ix.nodes[key]
+	if !ok {
+		n = newNode(h, bitset.NewAdaptive())
+		ix.nodes[key] = n
+	}
+	return n
+}
+
+// invalidate marks the edges/key cache/ordinals stale and bumps the
 // version.
 func (ix *Index) invalidate() {
 	ix.edgesBuilt = false
@@ -322,65 +338,29 @@ func (ix *Index) invalidate() {
 	ix.version++
 }
 
-// insertSorted appends id keeping the slice sorted and deduplicated. In the
-// common case (ids arrive in increasing order) this is O(1).
-func insertSorted(xs []int, id int) []int {
-	if n := len(xs); n == 0 || xs[n-1] < id {
-		return append(xs, id)
-	}
-	i := sort.SearchInts(xs, id)
-	if i < len(xs) && xs[i] == id {
-		return xs
-	}
-	xs = append(xs, 0)
-	copy(xs[i+1:], xs[i:])
-	xs[i] = id
-	return xs
-}
-
-// Merge folds another index into this one (union of postings per key). Edges
-// are invalidated and must be rebuilt with BuildEdges.
+// Merge folds another index into this one (union of coverage per key).
+// Build merges shards covering disjoint, ascending id ranges, so every id
+// takes Add's append path. Edges are invalidated and must be rebuilt with
+// BuildEdges.
 func (ix *Index) Merge(other *Index) {
-	for key, on := range other.nodes {
-		n, ok := ix.nodes[key]
-		if !ok {
-			ix.nodes[key] = newNode(on.Heuristic, append([]int(nil), on.Postings...))
-			continue
-		}
-		n.Postings = mergeSorted(n.Postings, on.Postings)
+	for _, on := range other.nodes {
+		n := ix.nodeFor(on.Heuristic)
+		on.cov.Range(func(id int) bool {
+			n.add(id)
+			return true
+		})
 	}
 	ix.invalidate()
 }
 
-func mergeSorted(a, b []int) []int {
-	out := make([]int, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
-}
-
 // BuildEdges (re)computes parent/child edges between materialized nodes,
-// refreshes each node's coverage bitset, numbers the nodes by sorted key and
-// caches the sorted key list. A heuristic whose grammatical parents are not
-// materialized (e.g. stop-word unigrams filtered from sketches) is attached
-// directly to the root. This is the publish point: after it returns, all
-// read accessors are safe for concurrent use until the next mutation. On an
-// index that is already published it returns at once.
+// publishes each node's coverage set (building the dense mirrors under
+// KernelDense), numbers the nodes by sorted key and caches the sorted key
+// list. A heuristic whose grammatical parents are not materialized (e.g.
+// stop-word unigrams filtered from sketches) is attached directly to the
+// root. This is the publish point: after it returns, all read accessors are
+// safe for concurrent use until the next mutation. On an index that is
+// already published it returns at once.
 func (ix *Index) BuildEdges() {
 	if ix.edgesBuilt {
 		return
@@ -392,7 +372,7 @@ func (ix *Index) BuildEdges() {
 	}
 	entries := make([]entry, 0, len(ix.nodes))
 	for k, n := range ix.nodes {
-		n.refreshBits(kernel)
+		n.publish(kernel)
 		entries = append(entries, entry{k, n})
 	}
 	slices.SortFunc(entries, func(a, b entry) int { return strings.Compare(a.key, b.key) })
@@ -533,19 +513,9 @@ func (ix *Index) Keys() []string {
 	return out
 }
 
-// Coverage returns the posting list (sorted sentence IDs) of the heuristic
-// with the given key, or nil if the key is not materialized. The returned
-// slice must not be modified.
-func (ix *Index) Coverage(key string) []int {
-	if n, ok := ix.nodes[key]; ok {
-		return n.Postings
-	}
-	return nil
-}
-
-// Bits returns the coverage set of the heuristic with the given key, or
-// nil if the key is not materialized or not yet published. The returned set
-// must not be modified.
+// Bits returns the coverage set of the heuristic with the given key (see
+// Node.Bits), or nil if the key is not materialized. The returned set must
+// not be modified.
 func (ix *Index) Bits(key string) bitset.Cover {
 	if n, ok := ix.nodes[key]; ok {
 		return n.Bits()
@@ -558,28 +528,24 @@ func (ix *Index) Bits(key string) bitset.Cover {
 // nodes hold a dense mirror. It feeds the darwin_bitset_containers gauge.
 func (ix *Index) ContainerStats() (arrays, bitmaps, dense int) {
 	for _, n := range ix.nodes {
-		switch b := n.bits.(type) {
-		case *bitset.Adaptive:
-			a, bm := b.Containers()
-			arrays += a
-			bitmaps += bm
-		case bitset.Set:
-			if b != nil {
-				dense++
-			}
+		if n.dense != nil {
+			dense++
+			continue
 		}
+		a, bm := n.cov.Containers()
+		arrays += a
+		bitmaps += bm
 	}
 	return arrays, bitmaps, dense
 }
 
-// CoverageBytes sums the payload bytes of every published node coverage set
-// — the series the scale benchmark compares across kernels.
+// CoverageBytes sums the payload bytes of the coverage set Bits returns for
+// every node — the series the scale benchmark compares across kernels.
+// Under KernelAdaptive that is all the coverage the index holds.
 func (ix *Index) CoverageBytes() int {
 	total := 0
 	for _, n := range ix.nodes {
-		if n.bits != nil {
-			total += n.bits.Bytes()
-		}
+		total += n.Bits().Bytes()
 	}
 	return total
 }
@@ -622,44 +588,6 @@ func (ix *Index) Parents(key string) []string {
 	return nil
 }
 
-// OverlapBits returns |C_r ∩ P| via word-wise intersection + popcount. It
-// falls back to the posting list when the node's bitset is unpublished.
-func (ix *Index) OverlapBits(key string, p bitset.Set) int {
-	n, ok := ix.nodes[key]
-	if !ok {
-		return 0
-	}
-	if b := n.Bits(); b != nil {
-		return b.AndCount(p)
-	}
-	c := 0
-	for _, id := range n.Postings {
-		if p.Contains(id) {
-			c++
-		}
-	}
-	return c
-}
-
-// NewCoverageBits returns |C_r \ P| via word-wise and-not + popcount, with
-// the same posting-list fallback as OverlapBits.
-func (ix *Index) NewCoverageBits(key string, p bitset.Set) int {
-	n, ok := ix.nodes[key]
-	if !ok {
-		return 0
-	}
-	if b := n.Bits(); b != nil {
-		return b.AndNotCount(p)
-	}
-	c := 0
-	for _, id := range n.Postings {
-		if !p.Contains(id) {
-			c++
-		}
-	}
-	return c
-}
-
 // EnsureHeuristic materializes an ad-hoc heuristic (e.g. a parsed seed rule
 // or a specialization generated during traversal) by scanning the corpus for
 // its coverage, unless it is already present. It returns the node. Edges are
@@ -668,9 +596,8 @@ func (ix *Index) EnsureHeuristic(h grammar.Heuristic, c *corpus.Corpus) *Node {
 	if n, ok := ix.nodes[h.Key()]; ok {
 		return n
 	}
-	n := newNode(h, grammar.Coverage(h, c))
+	n := newNode(h, bitset.AdaptiveFromSorted(grammar.Coverage(h, c)))
 	n.adhoc = true
-	n.refreshBits(ix.Kernel())
 	ix.nodes[h.Key()] = n
 	ix.adhoc = append(ix.adhoc, n)
 	ix.invalidate()

@@ -1,12 +1,9 @@
 package index
 
 import (
-	"math/rand"
 	"reflect"
 	"slices"
-	"sort"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/bitset"
 	"repro/internal/corpus"
@@ -81,20 +78,51 @@ func TestBuildFigure6Counts(t *testing.T) {
 	}
 }
 
+// ids returns the coverage of key as ascending sentence ids (nil for an
+// unknown key).
+func ids(ix *Index, key string) []int {
+	if b := ix.Bits(key); b != nil {
+		return b.AppendTo(nil)
+	}
+	return nil
+}
+
+// TestIndexCoverageMatchesDirectMatching checks every node's published set,
+// under both kernels, against a corpus scan of its heuristic. (TokensRegex
+// sketches list every phrase a sentence matches; tree-pattern sketches bound
+// the descendant distance, so a // node can cover a subset of its scan.)
 func TestIndexCoverageMatchesDirectMatching(t *testing.T) {
 	c := paperCorpus()
-	b := sketch.NewBuilder(tokenRegistry(), 5)
-	ix := Build(c, b)
+	ix := Build(c, sketch.NewBuilder(tokenRegistry(), 5))
 	g := tokensregex.New()
 	for _, spec := range []string{"best way to", "fastest way", "sfo", "uber"} {
 		h, err := g.Parse(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := grammar.Coverage(h, c)
-		got := ix.Coverage(h.Key())
-		if !reflect.DeepEqual(append([]int{}, got...), want) {
-			t.Errorf("coverage mismatch for %q: index=%v direct=%v", spec, got, want)
+		if ix.Node(h.Key()) == nil {
+			t.Fatalf("%q is not materialized", spec)
+		}
+	}
+	all := make([]int, c.Len())
+	for id := range all {
+		all[id] = id
+	}
+	for _, kernel := range []string{KernelDense, KernelAdaptive} {
+		ix.SetKernel(kernel)
+		for _, key := range ix.Keys() {
+			n := ix.Node(key)
+			want := all
+			if key != grammar.RootKey {
+				want = grammar.Coverage(n.Heuristic, c)
+			}
+			got := n.Bits()
+			if !reflect.DeepEqual(got.AppendTo(nil), want) || got.Count() != n.Count() {
+				t.Errorf("%s: coverage mismatch for %s: index=%v (count %d) direct=%v", kernel, key, got.AppendTo(nil), n.Count(), want)
+			}
+			if _, dense := got.(bitset.Set); dense != (kernel == KernelDense && n.Count() > 0) {
+				t.Errorf("%s: %s published as %T", kernel, key, got)
+			}
 		}
 	}
 }
@@ -111,17 +139,11 @@ func TestParentChildEdgesAndAntiMonotonicity(t *testing.T) {
 				t.Fatalf("dangling child edge %s -> %s", key, ck)
 			}
 			// Anti-monotonicity: parent coverage superset of child coverage.
-			pset := map[int]bool{}
-			for _, id := range n.Postings {
-				pset[id] = true
-			}
 			if key == grammar.RootKey {
 				continue
 			}
-			for _, id := range child.Postings {
-				if !pset[id] {
-					t.Errorf("child %s covers %d not covered by parent %s", ck, id, key)
-				}
+			if extra := child.Count() - child.Bits().AndCount(n.Bits().OrInto(nil)); extra != 0 {
+				t.Errorf("child %s covers %d sentences not covered by parent %s", ck, extra, key)
 			}
 		}
 		for _, pk := range ix.Parents(key) {
@@ -177,8 +199,8 @@ func TestMergeEqualsSequentialBuild(t *testing.T) {
 		t.Fatalf("merged len %d != sequential len %d", a.Len(), seq.Len())
 	}
 	for _, key := range seq.Keys() {
-		if !reflect.DeepEqual(seq.Coverage(key), a.Coverage(key)) {
-			t.Errorf("postings differ for %s: %v vs %v", key, seq.Coverage(key), a.Coverage(key))
+		if !reflect.DeepEqual(ids(seq, key), ids(a, key)) {
+			t.Errorf("coverage differs for %s: %v vs %v", key, ids(seq, key), ids(a, key))
 		}
 	}
 }
@@ -248,18 +270,18 @@ func TestCoverageOverlapAndNewCoverage(t *testing.T) {
 	key := "tokensregex:best way to"
 	p := bitset.FromSorted([]int{0})
 	pMap := map[int]bool{0: true}
-	cov := ix.Coverage(key)
+	cov := ids(ix, key)
 	if len(cov) != 3 {
 		t.Fatalf("coverage of 'best way to' = %v, want 3 sentences", cov)
 	}
-	if got := ix.OverlapBits(key, p); got != 1 || got != referenceOverlap(ix, key, pMap) {
+	if got := ix.Bits(key).AndCount(p); got != 1 || got != referenceOverlap(ix, key, pMap) {
 		t.Errorf("overlap = %d", got)
 	}
-	if got := ix.NewCoverageBits(key, p); got != 2 || got != referenceNewCoverage(ix, key, pMap) {
+	if got := ix.Bits(key).AndNotCount(p); got != 2 || got != referenceNewCoverage(ix, key, pMap) {
 		t.Errorf("new coverage = %d", got)
 	}
-	if ix.OverlapBits("missing", p) != 0 || ix.NewCoverageBits("missing", p) != 0 {
-		t.Error("missing key should have zero overlap")
+	if ix.Bits("missing") != nil {
+		t.Error("missing key has a coverage set")
 	}
 }
 
@@ -289,62 +311,6 @@ func TestEnsureHeuristic(t *testing.T) {
 	}
 }
 
-func TestInsertSortedProperty(t *testing.T) {
-	f := func(ids []uint8) bool {
-		var xs []int
-		for _, id := range ids {
-			xs = insertSorted(xs, int(id))
-		}
-		if !sort.IntsAreSorted(xs) {
-			return false
-		}
-		for i := 1; i < len(xs); i++ {
-			if xs[i] == xs[i-1] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestMergeSortedProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 100; trial++ {
-		a := randomSorted(rng, 20)
-		b := randomSorted(rng, 20)
-		m := mergeSorted(a, b)
-		if !sort.IntsAreSorted(m) {
-			t.Fatalf("merge not sorted: %v", m)
-		}
-		want := map[int]bool{}
-		for _, x := range a {
-			want[x] = true
-		}
-		for _, x := range b {
-			want[x] = true
-		}
-		if len(m) != len(want) {
-			t.Fatalf("merge wrong size: %v from %v and %v", m, a, b)
-		}
-	}
-}
-
-func randomSorted(rng *rand.Rand, n int) []int {
-	set := map[int]bool{}
-	for i := 0; i < n; i++ {
-		set[rng.Intn(50)] = true
-	}
-	out := make([]int, 0, len(set))
-	for x := range set {
-		out = append(out, x)
-	}
-	sort.Ints(out)
-	return out
-}
-
 func TestEmptyIndex(t *testing.T) {
 	ix := New()
 	if ix.Len() != 1 {
@@ -353,7 +319,7 @@ func TestEmptyIndex(t *testing.T) {
 	if ix.Count("anything") != 0 {
 		t.Error("unknown key count != 0")
 	}
-	if ix.Coverage("anything") != nil {
+	if ix.Bits("anything") != nil {
 		t.Error("unknown key coverage != nil")
 	}
 	if ix.Children("missing") != nil || ix.Parents("missing") != nil {
@@ -454,4 +420,49 @@ func TestNodesByOrdPanicsUnpublished(t *testing.T) {
 		}
 	}()
 	ix.NodesByOrd()
+}
+
+// TestPublishedCoverageIsImmutable pins the clone-on-write contract under
+// both kernels: sets taken from a published index keep their ids across an
+// ingest (a sketched node, an ad-hoc node and the root all grow), and the
+// republished index hands out new sets holding the new sentence.
+func TestPublishedCoverageIsImmutable(t *testing.T) {
+	for _, kernel := range []string{KernelAdaptive, KernelDense} {
+		t.Run(kernel, func(t *testing.T) {
+			c := paperCorpus()
+			b := sketch.NewBuilder(tokenRegistry(), 2)
+			ix := Build(c, b)
+			adhoc, _ := tokensregex.New().Parse("best way to get")
+			ix.EnsureHeuristic(adhoc, c)
+			ix.SetKernel(kernel)
+			ix.BuildEdges()
+
+			keys := []string{"tokensregex:best way", adhoc.Key(), grammar.RootKey}
+			held := make([]bitset.Cover, len(keys))
+			before := make([][]int, len(keys))
+			for i, key := range keys {
+				held[i] = ix.Bits(key)
+				before[i] = held[i].AppendTo(nil)
+			}
+
+			grown := buildCorpus([]string{"What is the best way to get to the pier?"})
+			s := grown.Sentence(0)
+			s.ID = c.Len()
+			ix.AddSentence(b.Build(s), s)
+			ix.BuildEdges()
+
+			for i, key := range keys {
+				if got := held[i].AppendTo(nil); !reflect.DeepEqual(got, before[i]) {
+					t.Errorf("%s: held set changed to %v, was %v", key, got, before[i])
+				}
+				now := ix.Bits(key)
+				if want := append(slices.Clone(before[i]), s.ID); !reflect.DeepEqual(now.AppendTo(nil), want) {
+					t.Errorf("%s: republished set %v, want %v", key, now.AppendTo(nil), want)
+				}
+				if _, dense := now.(bitset.Set); dense != (kernel == KernelDense) {
+					t.Errorf("%s: republished as %T", key, now)
+				}
+			}
+		})
+	}
 }

@@ -69,7 +69,7 @@ func TestStaleEdgeReadsPanicInsteadOfMutating(t *testing.T) {
 // replaced, kept as their oracle.
 func referenceOverlap(ix *Index, key string, p map[int]bool) int {
 	n := 0
-	for _, id := range ix.Coverage(key) {
+	for _, id := range ids(ix, key) {
 		if p[id] {
 			n++
 		}
@@ -79,7 +79,7 @@ func referenceOverlap(ix *Index, key string, p map[int]bool) int {
 
 // referenceNewCoverage is the map-based |C_r \ P| scan.
 func referenceNewCoverage(ix *Index, key string, p map[int]bool) int {
-	return len(ix.Coverage(key)) - referenceOverlap(ix, key, p)
+	return ix.Count(key) - referenceOverlap(ix, key, p)
 }
 
 // TestConcurrentReadsAfterPublish hammers every read accessor from many
@@ -103,54 +103,18 @@ func TestConcurrentReadsAfterPublish(t *testing.T) {
 				key := keys[rng.Intn(len(keys))]
 				ix.Children(key)
 				ix.Parents(key)
-				ix.Coverage(key)
-				ix.Bits(key)
-				if got, want := ix.OverlapBits(key, pos), referenceOverlap(ix, key, posMap); got != want {
-					t.Errorf("OverlapBits(%q) = %d, map path %d", key, got, want)
+				if got, want := ix.Bits(key).AndCount(pos), referenceOverlap(ix, key, posMap); got != want {
+					t.Errorf("AndCount(%q) = %d, map path %d", key, got, want)
 					return
 				}
-				if got, want := ix.NewCoverageBits(key, pos), referenceNewCoverage(ix, key, posMap); got != want {
-					t.Errorf("NewCoverageBits(%q) = %d, map path %d", key, got, want)
+				if got, want := ix.Bits(key).AndNotCount(pos), referenceNewCoverage(ix, key, posMap); got != want {
+					t.Errorf("AndNotCount(%q) = %d, map path %d", key, got, want)
 					return
 				}
 			}
 		}(int64(w))
 	}
 	wg.Wait()
-}
-
-// TestNodeBitsMatchPostings checks that every published node's bitset is an
-// exact mirror of its sorted posting list.
-func TestNodeBitsMatchPostings(t *testing.T) {
-	c := paperCorpus()
-	b := sketch.NewBuilder(fullRegistry(), 4)
-	ix := Build(c, b)
-	for _, key := range ix.Keys() {
-		n := ix.Node(key)
-		bits := n.Bits()
-		if n.Count() == 0 {
-			continue
-		}
-		if bits == nil {
-			t.Fatalf("node %s has no bits after publish", key)
-		}
-		if bits.Count() != n.Count() {
-			t.Fatalf("node %s: bits count %d != postings %d", key, bits.Count(), n.Count())
-		}
-		for _, id := range n.Postings {
-			if !bits.Contains(id) {
-				t.Fatalf("node %s: posting %d missing from bits", key, id)
-			}
-		}
-	}
-	// EnsureHeuristic materializes bits immediately.
-	g := tokenRegistry()
-	h, _ := g.Parse("best way to get to sfo")
-	n := ix.EnsureHeuristic(h, c)
-	if n.Count() > 0 && n.Bits() == nil {
-		t.Fatal("EnsureHeuristic node has no bits")
-	}
-	ix.BuildEdges()
 }
 
 // TestVersionBumpsOnMutation checks the mutation counter sessions use to

@@ -33,7 +33,6 @@ func equivalenceConfig() core.Config {
 		Traversal:       "hybrid",
 		Tau:             5,
 		Classifier:      classifier.Config{Epochs: 8, LearningRate: 0.3, Seed: 1},
-		ClassifierKind:  classifier.KindLogReg,
 		Seed:            1,
 	}
 }

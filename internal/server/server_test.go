@@ -41,7 +41,6 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *corpus.Corpus) {
 		Traversal:       "hybrid",
 		Tau:             5,
 		Classifier:      classifier.Config{Epochs: 8, LearningRate: 0.3, Seed: 1},
-		ClassifierKind:  classifier.KindLogReg,
 		Embedding:       embedding.Config{Dim: 24, Window: 3, MinCount: 2, Seed: 1},
 		Seed:            1,
 	}

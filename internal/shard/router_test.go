@@ -44,7 +44,6 @@ func newTestEngine(t testing.TB, dataset string) *core.Engine {
 		Traversal:       "hybrid",
 		Tau:             5,
 		Classifier:      classifier.Config{Epochs: 8, LearningRate: 0.3, Seed: 1},
-		ClassifierKind:  classifier.KindLogReg,
 		Embedding:       embedding.Config{Dim: 24, Window: 3, MinCount: 2, Seed: 1},
 		Seed:            1,
 	})

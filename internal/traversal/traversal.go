@@ -41,7 +41,7 @@ type State struct {
 // to (nil, 0).
 func (st *State) lookup(key string) (bitset.Cover, int) {
 	if n := st.Hierarchy.Node(key); n != nil {
-		return n.Bits, len(n.Coverage)
+		return n.Bits, n.Bits.Count()
 	}
 	if n := st.Index.Node(key); n != nil {
 		return n.Bits(), n.Count()

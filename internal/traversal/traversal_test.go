@@ -170,7 +170,7 @@ func TestLocalSearchExploresNeighborhood(t *testing.T) {
 	// the best overlap with P rather than stalling.
 	if key, ok := ls.Next(st); !ok {
 		t.Fatal("Next should bootstrap from the hierarchy when the frontier is exhausted")
-	} else if st.Index.OverlapBits(key, st.Positives) == 0 {
+	} else if st.Index.Bits(key).AndCount(st.Positives) == 0 {
 		t.Errorf("bootstrap pick %q has no overlap with P", key)
 	}
 	ls.Reseed(st, seed)

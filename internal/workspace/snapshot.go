@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/index"
 )
@@ -141,10 +142,13 @@ func Restore(eng *core.Engine, snap *Snapshot, log LogFunc) (*Workspace, error) 
 		if as.Pending != nil {
 			p := *as.Pending
 			an.pending = &p
+			var cov bitset.Cover
 			eng.WithIndexRead(func(ix *index.Index) {
-				an.pendingCov = ix.Coverage(p.Key)
+				if cov = ix.Bits(p.Key); cov != nil {
+					an.pendingCov = cov.AppendTo(nil)
+				}
 			})
-			if an.pendingCov == nil {
+			if cov == nil {
 				resolveErr = fmt.Errorf("workspace: snapshot %s: pending rule %q is not in the index", snap.ID, p.Key)
 			}
 		}
