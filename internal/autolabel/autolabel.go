@@ -19,11 +19,13 @@ package autolabel
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/bitset"
 	"repro/internal/core"
@@ -49,7 +51,7 @@ const (
 // Typed failures the serving layer maps onto its error taxonomy.
 var (
 	// ErrInvalidSpec reports a spec that cannot run (no rules, unknown
-	// aggregator, unparseable rule).
+	// aggregator, unparseable rule, a default probability outside [0,1]).
 	ErrInvalidSpec = errors.New("autolabel: invalid spec")
 	// ErrUnknownDataset reports a job submitted for a dataset the manager
 	// does not serve.
@@ -124,8 +126,9 @@ func (sp Spec) withDefaults() Spec {
 }
 
 // Validate checks the spec against an engine without running anything: every
-// rule must parse under the engine's grammars and the aggregator must be
-// known. The returned error wraps ErrInvalidSpec.
+// rule must parse under the engine's grammars, the aggregator must be known,
+// DefaultProb must be a probability and PosThreshold finite. The returned
+// error wraps ErrInvalidSpec.
 func (sp Spec) Validate(eng *core.Engine) error {
 	if sp.Labeler != "" {
 		return fmt.Errorf("%w: labeler reference %q was not resolved before validation", ErrInvalidSpec, sp.Labeler)
@@ -138,6 +141,12 @@ func (sp Spec) Validate(eng *core.Engine) error {
 	default:
 		return fmt.Errorf("%w: unknown aggregator %q (want %q or %q)",
 			ErrInvalidSpec, sp.Aggregator, AggregatorMajority, AggregatorGenerative)
+	}
+	if !(sp.DefaultProb >= 0 && sp.DefaultProb <= 1) {
+		return fmt.Errorf("%w: default_prob %v is not in [0,1]", ErrInvalidSpec, sp.DefaultProb)
+	}
+	if sp.PosThreshold != nil && (math.IsNaN(*sp.PosThreshold) || math.IsInf(*sp.PosThreshold, 0)) {
+		return fmt.Errorf("%w: pos_threshold %v is not finite", ErrInvalidSpec, *sp.PosThreshold)
 	}
 	for _, rule := range append(append([]string(nil), sp.Rules...), sp.NegativeRules...) {
 		if _, err := eng.ParseRule(rule); err != nil {
@@ -185,12 +194,14 @@ type Result struct {
 
 // Progress observes the pipeline: stage is one of the Stage* constants, done
 // and total count stage-local units (rules for resolve/votes, sentences for
-// aggregate/write). May be nil.
+// aggregate/write). Run reports (stage, 0, total) on entering each stage,
+// before any of its work, so a stage's first call marks its start. May be
+// nil.
 type Progress func(stage string, done, total int)
 
 // labeledRecord is one output line: the corpus export shape
 // ({"id","text","label"}) extended with the aggregated probability when the
-// spec asks for it.
+// spec asks for it. appendRecord writes it exactly as encoding/json would.
 type labeledRecord struct {
 	ID    int      `json:"id"`
 	Text  string   `json:"text"`
@@ -228,6 +239,7 @@ func Run(ctx context.Context, eng *core.Engine, spec Spec, w io.Writer, progress
 		vote labelmodel.Vote
 	}
 	resolved := make([]ruleBits, 0, numRules)
+	progress(StageResolve, 0, numRules)
 	resolve := func(specs []string, vote labelmodel.Vote) error {
 		for _, rule := range specs {
 			if err := ctx.Err(); err != nil {
@@ -251,6 +263,7 @@ func Run(ctx context.Context, eng *core.Engine, spec Spec, w io.Writer, progress
 
 	// Stage 2: assemble the vote matrix and the union coverage — batch
 	// word-wise Or over the per-rule bitsets.
+	progress(StageVotes, 0, numRules)
 	m := labelmodel.NewMatrix(n)
 	union := bitset.New(n)
 	for i, rb := range resolved {
@@ -273,6 +286,7 @@ func Run(ctx context.Context, eng *core.Engine, spec Spec, w io.Writer, progress
 	})
 
 	// Stage 3: aggregate votes into per-sentence probabilities.
+	progress(StageAggregate, 0, n)
 	var probs []float64
 	switch sp.Aggregator {
 	case AggregatorGenerative:
@@ -286,10 +300,14 @@ func Run(ctx context.Context, eng *core.Engine, spec Spec, w io.Writer, progress
 	}
 	progress(StageAggregate, n, n)
 
-	// Stage 4: stream the labeled corpus in bounded chunks.
+	// Stage 4: stream the labeled corpus in bounded chunks. Each record is
+	// appended into one reused line buffer by appendRecord, which writes the
+	// bytes encoding/json would without its reflection or a per-record
+	// allocation.
+	progress(StageWrite, 0, n)
 	cw := &countingWriter{w: w}
 	bw := bufio.NewWriterSize(cw, 1<<16)
-	enc := json.NewEncoder(bw)
+	var line []byte
 	threshold := *sp.PosThreshold
 	res := Result{Sentences: n, Rules: numRules, Covered: covered}
 	for start := 0; start < n; start += sp.ChunkSize {
@@ -311,7 +329,11 @@ func Run(ctx context.Context, eng *core.Engine, spec Spec, w io.Writer, progress
 			if sp.IncludeProb {
 				rec.Prob = &p
 			}
-			if err := enc.Encode(rec); err != nil {
+			var err error
+			if line, err = appendRecord(line[:0], rec); err == nil {
+				_, err = bw.Write(line)
+			}
+			if err != nil {
 				return res, fmt.Errorf("autolabel: write sentence %d: %w", s.ID, err)
 			}
 		}
@@ -322,6 +344,101 @@ func Run(ctx context.Context, eng *core.Engine, spec Spec, w io.Writer, progress
 	}
 	res.OutputBytes = cw.n
 	return res, nil
+}
+
+// appendRecord appends rec as one JSONL line to dst: the bytes
+// json.NewEncoder(w).Encode(rec) writes, newline included. A non-finite
+// probability is an error, as it is for encoding/json.
+func appendRecord(dst []byte, rec labeledRecord) ([]byte, error) {
+	dst = append(dst, `{"id":`...)
+	dst = strconv.AppendInt(dst, int64(rec.ID), 10)
+	dst = append(dst, `,"text":`...)
+	dst = appendJSONString(dst, rec.Text)
+	dst = append(dst, `,"label":`...)
+	dst = strconv.AppendInt(dst, int64(rec.Label), 10)
+	if rec.Prob != nil {
+		p := *rec.Prob
+		if math.IsNaN(p) || math.IsInf(p, 0) {
+			return dst, fmt.Errorf("unsupported probability %v", p)
+		}
+		dst = append(dst, `,"prob":`...)
+		dst = appendJSONFloat(dst, p)
+	}
+	return append(dst, '}', '\n'), nil
+}
+
+// appendJSONString appends s as a JSON string the way encoding/json's
+// Encoder does with its default HTML escaping: quote and backslash get a
+// backslash; \b, \f, \n, \r and \t their short forms; other control bytes
+// and <, > and & a \u00XX escape; invalid UTF-8 becomes \ufffd, and U+2028
+// and U+2029 are escaped.
+func appendJSONString(dst []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if b := s[i]; b < utf8.RuneSelf {
+			if b >= 0x20 && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch b {
+			case '"', '\\':
+				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hex[b>>4], hex[b&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case c == utf8.RuneError && size == 1:
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, `\ufffd`...)
+		case c == '\u2028' || c == '\u2029':
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hex[c&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
+}
+
+// appendJSONFloat appends the finite f the way encoding/json does: the
+// shortest decimal that round-trips, in 'f' form unless 0 < |f| < 1e-6 or
+// |f| >= 1e21, which use 'e' form with a one-digit negative exponent
+// unpadded (1e-7, not 1e-07).
+func appendJSONFloat(dst []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+			dst[n-2] = dst[n-1]
+			dst = dst[:n-1]
+		}
+	}
+	return dst
 }
 
 // countingWriter tracks bytes written through to w.

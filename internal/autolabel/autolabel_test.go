@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -126,8 +127,49 @@ func TestRunProgressAndCancel(t *testing.T) {
 	}
 }
 
+// Each stage must open with a (stage, 0, total) call before any of its work:
+// Manager.run closes a stage's latency histogram when the next stage's first
+// call arrives, so a stage that reported only after its first unit of work
+// would be charged to the stage before it.
+func TestRunProgressOpensEachStageAtZero(t *testing.T) {
+	eng := testEngine(t)
+	spec := testSpec()
+	spec.NegativeRules = []string{"taxi"}
+	type call struct {
+		stage       string
+		done, total int
+	}
+	var calls []call
+	if _, err := Run(context.Background(), eng, spec, io.Discard, func(stage string, done, total int) {
+		calls = append(calls, call{stage, done, total})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	n := eng.Corpus().Len()
+	if n <= 2*spec.ChunkSize {
+		t.Fatalf("corpus of %d sentences does not span several %d-sentence chunks", n, spec.ChunkSize)
+	}
+	want := []string{StageResolve, StageVotes, StageAggregate, StageWrite}
+	var order []string
+	for i, c := range calls {
+		if i == 0 || c.stage != calls[i-1].stage {
+			order = append(order, c.stage)
+			if c.done != 0 {
+				t.Errorf("stage %q opened with done=%d, want 0", c.stage, c.done)
+			}
+		}
+	}
+	if strings.Join(order, ",") != strings.Join(want, ",") {
+		t.Fatalf("stage order %v, want %v", order, want)
+	}
+	if last := calls[len(calls)-1]; last != (call{StageWrite, n, n}) {
+		t.Errorf("last progress call %+v, want write %d/%d", last, n, n)
+	}
+}
+
 func TestSpecValidation(t *testing.T) {
 	eng := testEngine(t)
+	nan, inf := math.NaN(), math.Inf(1)
 	cases := []struct {
 		name string
 		spec Spec
@@ -135,6 +177,11 @@ func TestSpecValidation(t *testing.T) {
 		{"no rules", Spec{}},
 		{"unknown aggregator", Spec{Rules: []string{"best way"}, Aggregator: "quorum"}},
 		{"unresolved labeler", Spec{Rules: []string{"best way"}, Labeler: "sess-1"}},
+		{"default prob above 1", Spec{Rules: []string{"best way"}, DefaultProb: 5}},
+		{"negative default prob", Spec{Rules: []string{"best way"}, DefaultProb: -1}},
+		{"NaN default prob", Spec{Rules: []string{"best way"}, DefaultProb: math.NaN()}},
+		{"NaN threshold", Spec{Rules: []string{"best way"}, PosThreshold: &nan}},
+		{"infinite threshold", Spec{Rules: []string{"best way"}, PosThreshold: &inf}},
 	}
 	for _, tc := range cases {
 		if err := tc.spec.Validate(eng); !errors.Is(err, ErrInvalidSpec) {
@@ -142,6 +189,17 @@ func TestSpecValidation(t *testing.T) {
 		}
 		if _, err := Run(context.Background(), eng, tc.spec, io.Discard, nil); !errors.Is(err, ErrInvalidSpec) {
 			t.Errorf("%s: Run = %v, want ErrInvalidSpec", tc.name, err)
+		}
+	}
+	// The ends of the ranges stay valid.
+	one, negative := 1.0, -2.0
+	for _, sp := range []Spec{
+		{Rules: []string{"best way"}, DefaultProb: 1},
+		{Rules: []string{"best way"}, PosThreshold: &one},
+		{Rules: []string{"best way"}, PosThreshold: &negative},
+	} {
+		if err := sp.Validate(eng); err != nil {
+			t.Errorf("Validate(%+v) = %v, want nil", sp, err)
 		}
 	}
 }

@@ -176,6 +176,14 @@ type GenerativeModel struct {
 }
 
 // FitGenerative trains the one-coin generative model with EM.
+//
+// Accuracies only change between iterations, so each iteration takes
+// log(a_j) and log(1-a_j) once per rule (and the prior's logs once) rather
+// than once per vote, and each
+// rule's M-step walks only the sentences that rule votes on (its ascending
+// covered ids, built once) rather than the whole corpus. Every sum still
+// adds the same terms in the same order, so the accuracies are bit-identical
+// to the per-vote-log textbook form.
 func FitGenerative(m *Matrix, cfg GenerativeConfig) *GenerativeModel {
 	if cfg.Iterations <= 0 {
 		cfg.Iterations = 20
@@ -192,7 +200,16 @@ func FitGenerative(m *Matrix, cfg GenerativeConfig) *GenerativeModel {
 		acc[j] = cfg.InitialAccuracy
 	}
 	model := &GenerativeModel{Accuracies: acc, Prior: cfg.PriorPositive, matrix: m}
+	covered := make([][]int32, k)
+	for j, row := range m.rows {
+		for id, v := range row {
+			if v != VoteAbstain {
+				covered[j] = append(covered[j], int32(id))
+			}
+		}
+	}
 
+	logs := posteriorLogs{rules: make([]accuracyLogs, k)}
 	for it := 0; it < cfg.Iterations; it++ {
 		// M-step with leave-one-out E-step: rule j's accuracy is re-estimated
 		// against the posterior computed from the OTHER rules' votes only
@@ -200,15 +217,13 @@ func FitGenerative(m *Matrix, cfg GenerativeConfig) *GenerativeModel {
 		// accuracy with PriorStrength pseudo-counts so rules with little
 		// corroborating overlap keep an informative accuracy instead of
 		// collapsing to 0.5.
+		model.cacheLogs(&logs)
 		next := make([]float64, k)
 		copy(next, acc)
 		for j, row := range m.rows {
 			var agree, total float64
-			for id := 0; id < m.numSentences; id++ {
-				if row[id] == VoteAbstain {
-					continue
-				}
-				p := model.posteriorExcluding(id, j)
+			for _, id := range covered[j] {
+				p := model.posteriorExcluding(&logs, int(id), j)
 				if row[id] == VotePositive {
 					agree += p
 				} else {
@@ -233,28 +248,46 @@ func FitGenerative(m *Matrix, cfg GenerativeConfig) *GenerativeModel {
 	return model
 }
 
-// posterior computes P(y=1 | votes on sentence id) under the one-coin model.
-func (g *GenerativeModel) posterior(id int) float64 {
-	return g.posteriorExcluding(id, -1)
+// accuracyLogs holds log(a) and log(1-a) for an accuracy a: the terms a
+// vote adds to the log-likelihood of the class it agrees and disagrees with.
+type accuracyLogs struct{ right, wrong float64 }
+
+func logsOf(a float64) accuracyLogs {
+	return accuracyLogs{right: math.Log(a), wrong: math.Log(1 - a)}
 }
 
-// posteriorExcluding computes the posterior ignoring rule `exclude`'s vote
-// (pass -1 to use every vote).
-func (g *GenerativeModel) posteriorExcluding(id, exclude int) float64 {
-	logPos := math.Log(g.Prior)
-	logNeg := math.Log(1 - g.Prior)
+// posteriorLogs caches every log a posterior sums. The prior enters like a
+// positive vote whose accuracy is Prior.
+type posteriorLogs struct {
+	prior accuracyLogs
+	rules []accuracyLogs
+}
+
+// cacheLogs fills logs from the current Prior and Accuracies.
+func (g *GenerativeModel) cacheLogs(logs *posteriorLogs) {
+	logs.prior = logsOf(g.Prior)
+	for j, a := range g.Accuracies {
+		logs.rules[j] = logsOf(a)
+	}
+}
+
+// posteriorExcluding computes P(y=1 | votes on sentence id) under the
+// one-coin model, ignoring rule `exclude`'s vote (pass -1 to use every
+// vote). logs must hold the current model's logs (cacheLogs).
+func (g *GenerativeModel) posteriorExcluding(logs *posteriorLogs, id, exclude int) float64 {
+	logPos := logs.prior.right
+	logNeg := logs.prior.wrong
 	for j, row := range g.matrix.rows {
 		if j == exclude {
 			continue
 		}
-		a := g.Accuracies[j]
 		switch row[id] {
 		case VotePositive:
-			logPos += math.Log(a)
-			logNeg += math.Log(1 - a)
+			logPos += logs.rules[j].right
+			logNeg += logs.rules[j].wrong
 		case VoteNegative:
-			logPos += math.Log(1 - a)
-			logNeg += math.Log(a)
+			logPos += logs.rules[j].wrong
+			logNeg += logs.rules[j].right
 		}
 	}
 	// Normalize in log space.
@@ -269,9 +302,11 @@ func (g *GenerativeModel) posteriorExcluding(id, exclude int) float64 {
 
 // Probabilities returns the posterior positive probability of every sentence.
 func (g *GenerativeModel) Probabilities() []float64 {
+	logs := posteriorLogs{rules: make([]accuracyLogs, len(g.Accuracies))}
+	g.cacheLogs(&logs)
 	out := make([]float64, g.matrix.numSentences)
 	for id := range out {
-		out[id] = g.posterior(id)
+		out[id] = g.posteriorExcluding(&logs, id, -1)
 	}
 	return out
 }

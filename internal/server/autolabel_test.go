@@ -94,6 +94,13 @@ func TestLabelingJobE2E(t *testing.T) {
 	if _, err := client.CreateLabelingJob(ctx, "directions", autolabel.Spec{Aggregator: "quorum"}); !errors.Is(err, darwin.ErrInvalid) {
 		t.Errorf("invalid spec: %v", err)
 	}
+	for _, p := range []float64{5, -1} {
+		bad := jobTestSpec()
+		bad.DefaultProb = p
+		if _, err := client.CreateLabelingJob(ctx, "directions", bad); !errors.Is(err, darwin.ErrInvalid) {
+			t.Errorf("default_prob %v: %v, want ErrInvalid", p, err)
+		}
+	}
 
 	// The job metrics must appear in a valid /metrics exposition now that
 	// jobs have run.
