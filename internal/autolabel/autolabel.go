@@ -51,7 +51,8 @@ const (
 // Typed failures the serving layer maps onto its error taxonomy.
 var (
 	// ErrInvalidSpec reports a spec that cannot run (no rules, unknown
-	// aggregator, unparseable rule, a default probability outside [0,1]).
+	// aggregator, unparseable rule, default_prob outside [0,1], non-finite
+	// pos_threshold).
 	ErrInvalidSpec = errors.New("autolabel: invalid spec")
 	// ErrUnknownDataset reports a job submitted for a dataset the manager
 	// does not serve.
@@ -300,10 +301,9 @@ func Run(ctx context.Context, eng *core.Engine, spec Spec, w io.Writer, progress
 	}
 	progress(StageAggregate, n, n)
 
-	// Stage 4: stream the labeled corpus in bounded chunks. Each record is
-	// appended into one reused line buffer by appendRecord, which writes the
-	// bytes encoding/json would without its reflection or a per-record
-	// allocation.
+	// Stage 4: stream the labeled corpus in bounded chunks. appendRecord
+	// fills one reused line buffer with the bytes encoding/json would write,
+	// without its reflection or a per-record allocation.
 	progress(StageWrite, 0, n)
 	cw := &countingWriter{w: w}
 	bw := bufio.NewWriterSize(cw, 1<<16)

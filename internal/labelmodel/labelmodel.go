@@ -177,13 +177,12 @@ type GenerativeModel struct {
 
 // FitGenerative trains the one-coin generative model with EM.
 //
-// Accuracies only change between iterations, so each iteration takes
-// log(a_j) and log(1-a_j) once per rule (and the prior's logs once) rather
-// than once per vote, and each
-// rule's M-step walks only the sentences that rule votes on (its ascending
-// covered ids, built once) rather than the whole corpus. Every sum still
-// adds the same terms in the same order, so the accuracies are bit-identical
-// to the per-vote-log textbook form.
+// Accuracies only change between iterations, so each iteration takes the
+// prior's logs and log(a_j), log(1-a_j) once per rule rather than once per
+// vote, and each rule's M-step walks only the sentences that rule votes on
+// (its ascending covered ids, built once) rather than the whole corpus.
+// Every sum still adds the same terms in the same order, so the accuracies
+// are bit-identical to the per-vote-log textbook form.
 func FitGenerative(m *Matrix, cfg GenerativeConfig) *GenerativeModel {
 	if cfg.Iterations <= 0 {
 		cfg.Iterations = 20
@@ -209,7 +208,6 @@ func FitGenerative(m *Matrix, cfg GenerativeConfig) *GenerativeModel {
 		}
 	}
 
-	logs := posteriorLogs{rules: make([]accuracyLogs, k)}
 	for it := 0; it < cfg.Iterations; it++ {
 		// M-step with leave-one-out E-step: rule j's accuracy is re-estimated
 		// against the posterior computed from the OTHER rules' votes only
@@ -217,7 +215,7 @@ func FitGenerative(m *Matrix, cfg GenerativeConfig) *GenerativeModel {
 		// accuracy with PriorStrength pseudo-counts so rules with little
 		// corroborating overlap keep an informative accuracy instead of
 		// collapsing to 0.5.
-		model.cacheLogs(&logs)
+		logs := model.logs()
 		next := make([]float64, k)
 		copy(next, acc)
 		for j, row := range m.rows {
@@ -263,17 +261,18 @@ type posteriorLogs struct {
 	rules []accuracyLogs
 }
 
-// cacheLogs fills logs from the current Prior and Accuracies.
-func (g *GenerativeModel) cacheLogs(logs *posteriorLogs) {
-	logs.prior = logsOf(g.Prior)
+// logs takes the logs of the current Prior and Accuracies.
+func (g *GenerativeModel) logs() posteriorLogs {
+	l := posteriorLogs{prior: logsOf(g.Prior), rules: make([]accuracyLogs, len(g.Accuracies))}
 	for j, a := range g.Accuracies {
-		logs.rules[j] = logsOf(a)
+		l.rules[j] = logsOf(a)
 	}
+	return l
 }
 
 // posteriorExcluding computes P(y=1 | votes on sentence id) under the
 // one-coin model, ignoring rule `exclude`'s vote (pass -1 to use every
-// vote). logs must hold the current model's logs (cacheLogs).
+// vote). logs must hold the current model's logs.
 func (g *GenerativeModel) posteriorExcluding(logs *posteriorLogs, id, exclude int) float64 {
 	logPos := logs.prior.right
 	logNeg := logs.prior.wrong
@@ -302,8 +301,7 @@ func (g *GenerativeModel) posteriorExcluding(logs *posteriorLogs, id, exclude in
 
 // Probabilities returns the posterior positive probability of every sentence.
 func (g *GenerativeModel) Probabilities() []float64 {
-	logs := posteriorLogs{rules: make([]accuracyLogs, len(g.Accuracies))}
-	g.cacheLogs(&logs)
+	logs := g.logs()
 	out := make([]float64, g.matrix.numSentences)
 	for id := range out {
 		out[id] = g.posteriorExcluding(&logs, id, -1)
