@@ -6,7 +6,6 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/datagen"
 	"repro/internal/grammar"
@@ -15,33 +14,26 @@ import (
 	"repro/internal/tokensregex"
 )
 
-// Scale-experiment guards, enforced with a non-zero exit so CI fails when
-// the adaptive kernel regresses.
-const (
-	// scaleMinMemoryReduction: the adaptive kernel's per-node coverage must
-	// cost at most half of the dense mirror on the million-sentence
-	// sparse-rule corpus — sparse rules must not pay dense cost.
-	scaleMinMemoryReduction = 0.50
-	// scaleStepRelBudget / scaleStepAbsFloorMillis bound the interactive
-	// price of compression: the adaptive step mean must stay within 10% of
-	// the dense kernel at paper scale (plus a small absolute floor so the
-	// guard is stable when both means are fractions of a millisecond).
-	scaleStepRelBudget      = 0.10
-	scaleStepAbsFloorMillis = 0.25
-)
+// scaleMinMemoryReduction is the scale experiment's guard, enforced with a
+// non-zero exit so CI fails when the adaptive kernel regresses: per-node
+// coverage must cost at most half of its dense-bitset equivalent on the
+// million-sentence sparse-rule corpus — sparse rules must not pay dense
+// cost.
+const scaleMinMemoryReduction = 0.50
 
 // ScalePerf is the million-sentence snapshot written to BENCH_perf.json's
-// "scale" section: coverage memory for dense vs adaptive kernels over the
-// same index, and the interactive step price of the compression.
+// "scale" section: the index's coverage memory against what the same sets
+// would cost as dense bitsets.
 type ScalePerf struct {
-	// The memory measurement: professions at 1M sentences (1.1% positive),
-	// one index measured under both kernels.
+	// Professions at 1M sentences (1.1% positive).
 	Dataset          string  `json:"dataset"`
 	Sentences        int     `json:"sentences"`
 	IndexBuildMillis float64 `json:"index_build_ms"`
 	IndexNodes       int     `json:"index_nodes"`
 
-	AdaptiveCoverageBytes    int     `json:"adaptive_coverage_bytes"`
+	AdaptiveCoverageBytes int `json:"adaptive_coverage_bytes"`
+	// DenseCoverageBytes is what every node's set would cost as a dense
+	// bitset sized to its largest id.
 	DenseCoverageBytes       int     `json:"dense_coverage_bytes"`
 	AdaptiveBytesPerSentence float64 `json:"adaptive_bytes_per_sentence"`
 	DenseBytesPerSentence    float64 `json:"dense_bytes_per_sentence"`
@@ -52,27 +44,14 @@ type ScalePerf struct {
 
 	ArrayContainers  int `json:"array_containers"`
 	BitmapContainers int `json:"bitmap_containers"`
-	DenseContainers  int `json:"dense_containers"`
-
-	// The latency measurement: runPerf's scripted reject-heavy session at
-	// paper scale, once per kernel.
-	StepDataset            string  `json:"step_dataset"`
-	StepSentences          int     `json:"step_sentences"`
-	AdaptiveStepMeanMillis float64 `json:"adaptive_step_mean_ms"`
-	DenseStepMeanMillis    float64 `json:"dense_step_mean_ms"`
-	StepBudgetMillis       float64 `json:"step_budget_ms"`
 }
 
 // runScale measures the adaptive coverage kernel at the paper's 1M-sentence
 // scale and merges the numbers into BENCH_perf.json.
 func runScale(perfPath string) error {
-	header("Scale: adaptive vs dense coverage kernel at 1M sentences -> " + perfPath)
+	header("Scale: adaptive coverage kernel vs dense bitsets at 1M sentences -> " + perfPath)
 
-	// Memory: professions reaches the paper's 1M sentences at scale 10. The
-	// index is built once (adaptive, the default) and the kernel is flipped
-	// in place for the dense measurement — SetKernel rewrites only the
-	// representation, never the postings, so both numbers describe the
-	// identical coverage sets.
+	// Professions reaches the paper's 1M sentences at scale 10.
 	const (
 		memDataset = "professions"
 		memScale   = 10.0
@@ -90,46 +69,17 @@ func runScale(perfPath string) error {
 	build := time.Since(buildStart)
 
 	adaptiveBytes := ix.CoverageBytes()
-	arrays, bitmaps, denseContainers := ix.ContainerStats()
-	ix.SetKernel(index.KernelDense)
-	denseBytes := ix.CoverageBytes()
+	arrays, bitmaps := ix.ContainerStats()
+	// The dense equivalent is materialized one node at a time, so the
+	// measurement never holds more than one node's dense set.
+	denseBytes := 0
+	for _, key := range ix.Keys() {
+		denseBytes += 8 * len(ix.Node(key).Bits().OrInto(nil))
+	}
 	if denseBytes == 0 {
-		return fmt.Errorf("scale: dense kernel reports zero coverage bytes")
+		return fmt.Errorf("scale: dense equivalent is zero bytes")
 	}
 	reduction := 1 - float64(adaptiveBytes)/float64(denseBytes)
-
-	// Latency: the identical scripted session runPerf tracks, driven once
-	// per kernel on paper-scale directions. Fresh corpora per engine —
-	// preprocessing mutates sentences in place.
-	const (
-		stepDataset = "directions"
-		stepScale   = 0.5
-		stepSeed    = 7
-		steps       = 60
-	)
-	stepMean := func(kernel string) (float64, int, error) {
-		sc, err := datagen.ByName(stepDataset, stepScale, stepSeed)
-		if err != nil {
-			return 0, 0, err
-		}
-		cfg := perfConfig()
-		cfg.Kernel = kernel
-		eng, err := core.New(sc, cfg)
-		if err != nil {
-			return 0, 0, err
-		}
-		mean, _, err := scriptedSession(eng, steps)
-		return mean, sc.Len(), err
-	}
-	denseMean, stepSentences, err := stepMean(index.KernelDense)
-	if err != nil {
-		return err
-	}
-	adaptiveMean, _, err := stepMean(index.KernelAdaptive)
-	if err != nil {
-		return err
-	}
-	stepBudget := denseMean*(1+scaleStepRelBudget) + scaleStepAbsFloorMillis
 
 	perf := &ScalePerf{
 		Dataset:                  memDataset,
@@ -144,12 +94,6 @@ func runScale(perfPath string) error {
 		MinMemoryReduction:       scaleMinMemoryReduction,
 		ArrayContainers:          arrays,
 		BitmapContainers:         bitmaps,
-		DenseContainers:          denseContainers,
-		StepDataset:              stepDataset,
-		StepSentences:            stepSentences,
-		AdaptiveStepMeanMillis:   adaptiveMean,
-		DenseStepMeanMillis:      denseMean,
-		StepBudgetMillis:         stepBudget,
 	}
 	if err := mergeScalePerf(perfPath, perf); err != nil {
 		return err
@@ -158,17 +102,11 @@ func runScale(perfPath string) error {
 	fmt.Printf("coverage bytes: dense=%d (%.1f B/sentence)  adaptive=%d (%.1f B/sentence)  reduction=%.1f%% (floor %.0f%%)\n",
 		denseBytes, perf.DenseBytesPerSentence, adaptiveBytes, perf.AdaptiveBytesPerSentence,
 		reduction*100, scaleMinMemoryReduction*100)
-	fmt.Printf("containers: array=%d bitmap=%d dense=%d\n", arrays, bitmaps, denseContainers)
-	fmt.Printf("step mean (%s, %d sentences): dense=%.3fms adaptive=%.3fms (budget %.3fms)\n",
-		stepDataset, stepSentences, denseMean, adaptiveMean, stepBudget)
+	fmt.Printf("containers: array=%d bitmap=%d\n", arrays, bitmaps)
 
 	if reduction < scaleMinMemoryReduction {
 		return fmt.Errorf("scale: adaptive kernel saves only %.1f%% of dense coverage memory, floor is %.0f%%",
 			reduction*100, scaleMinMemoryReduction*100)
-	}
-	if adaptiveMean > stepBudget {
-		return fmt.Errorf("scale: adaptive step mean %.3fms exceeds %.3fms (dense %.3fms + %.0f%% + %.2fms)",
-			adaptiveMean, stepBudget, denseMean, scaleStepRelBudget*100, scaleStepAbsFloorMillis)
 	}
 	return nil
 }

@@ -1,7 +1,7 @@
 // Package autolabel is the corpus-scale auto-labeling pipeline: it takes a
 // committee of accepted rules (a labeler's discovery output, plus any ad-hoc
 // tokensregex/treematch predicates), applies them corpus-wide through the
-// dense bitset coverage kernel, assembles the weak-supervision vote matrix,
+// bitset coverage kernel, assembles the weak-supervision vote matrix,
 // aggregates the votes with the label model (majority vote or the one-coin
 // generative model), and streams the fully labeled corpus out as JSONL.
 //
@@ -105,7 +105,7 @@ type Spec struct {
 	// (one {"text","label"} per line): the job labels these sentences
 	// instead of the dataset's resident corpus, streamed through a
 	// lightweight engine that never builds the interactive index. The
-	// dataset still scopes the job (grammars, kernel, labeler resolution);
+	// dataset still scopes the job (grammars, labeler resolution);
 	// the journaled spec carries the corpus, so recovery re-runs are
 	// byte-identical.
 	Corpus string `json:"corpus,omitempty"`
@@ -236,7 +236,7 @@ func Run(ctx context.Context, eng *core.Engine, spec Spec, w io.Writer, progress
 	// reused when published; otherwise one corpus scan, no index mutation).
 	type ruleBits struct {
 		spec string
-		bits bitset.Cover
+		bits *bitset.Adaptive
 		vote labelmodel.Vote
 	}
 	resolved := make([]ruleBits, 0, numRules)

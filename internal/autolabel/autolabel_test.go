@@ -13,8 +13,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bitset"
 	"repro/internal/classifier"
 	"repro/internal/core"
+	"repro/internal/corpus"
 	"repro/internal/datagen"
 	"repro/internal/grammar"
 	"repro/internal/tokensregex"
@@ -645,5 +647,20 @@ func TestSnubaBaselineDeterministic(t *testing.T) {
 	}
 	if _, err := Run(context.Background(), eng, Spec{Rules: rules}, io.Discard, nil); err != nil {
 		t.Errorf("mined rules do not run as a labeling spec: %v", err)
+	}
+}
+
+// TestCommitteeStatsClipsToView pins that committee statistics count only
+// sentences inside the corpus view: a compare rule resolved against the live
+// index may cover sentences ingested after the view was taken.
+func TestCommitteeStatsClipsToView(t *testing.T) {
+	c := corpus.New("tiny", "")
+	c.Add("a", corpus.Positive)
+	c.Add("b", corpus.Positive)
+	c.Add("c", corpus.Negative)
+	covered := bitset.FromSorted([]int{0, 2, 3, 4}) // 3 and 4 were ingested later
+	st := committeeStats(c, covered, 1)
+	if st.Covered != 2 || st.Precision != 0.5 || st.Recall != 0.5 {
+		t.Errorf("stats = %+v, want covered 2, precision 0.5, recall 0.5", st)
 	}
 }

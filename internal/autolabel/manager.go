@@ -649,7 +649,7 @@ func (m *Manager) run(j *job) {
 	}
 	if j.spec.Corpus != "" {
 		// Uploaded corpus: label the spec's own sentences through a
-		// streaming engine (same grammars/kernel/seed as the dataset, no
+		// streaming engine (same grammars and seed as the dataset, no
 		// interactive index). Built fresh per run — it is a pure function
 		// of the journaled spec, so recovery re-runs reproduce the bytes.
 		batch, err := j.spec.DecodeCorpus()

@@ -73,12 +73,18 @@ type SnubaResult struct {
 }
 
 // committeeStats computes precision/recall/F1 of a coverage set against the
-// corpus gold labels.
+// corpus gold labels. Compare rules resolve against the live index, which
+// may cover sentences ingested after the view c was taken; only ids inside
+// it count.
 func committeeStats(c *corpus.Corpus, covered bitset.Set, rules int) CommitteeStats {
-	st := CommitteeStats{Rules: rules, Covered: covered.Count()}
+	st := CommitteeStats{Rules: rules}
 	truePos := 0
 	covered.Range(func(id int) bool {
-		if s := c.Sentence(id); s != nil && s.Gold == corpus.Positive {
+		if id >= c.Len() {
+			return false
+		}
+		st.Covered++
+		if c.Sentence(id).Gold == corpus.Positive {
 			truePos++
 		}
 		return true

@@ -6,10 +6,11 @@
 // million-sentence corpus) then costs bytes proportional to its cardinality
 // instead of the corpus size, while hot dense chunks keep word-wise kernels.
 //
-// Both representations satisfy the Cover interface, and every fused kernel
-// (AndNotSum in particular) iterates ids in ascending order, so float
-// accumulation is bit-identical to the dense Set — which is what lets the
-// engine swap representations under the golden-replay and conformance gates.
+// Adaptive is the index's per-node coverage representation. The operand p
+// of its fused kernels is a dense Set: the positive set is small, mutable
+// and corpus-sized, so it stays dense. Every fused kernel (AndNotSum in
+// particular) iterates ids in ascending order, so float accumulation is
+// bit-identical to the dense package kernels the tests use as the oracle.
 package bitset
 
 import (
@@ -30,61 +31,6 @@ const (
 	// removal back down to ArrayMax demotes it again.
 	ArrayMax = 4096
 )
-
-// Cover is the read-only coverage-set contract shared by the dense Set and
-// the compressed *Adaptive: everything the scoring, hierarchy and traversal
-// paths need from a published coverage set. The p operand of the fused
-// kernels is always a dense Set — the positive set is small, mutable and
-// corpus-sized, so it stays dense; only the per-node coverage sets (of
-// which there are tens of thousands) are worth compressing.
-type Cover interface {
-	// Count returns the number of ids in the set.
-	Count() int
-	// Contains reports membership of id (out-of-range ids are absent).
-	Contains(id int) bool
-	// Range calls fn for every id in ascending order, stopping early when fn
-	// returns false.
-	Range(fn func(id int) bool)
-	// AppendTo appends the ids in ascending order to dst and returns it.
-	AppendTo(dst []int) []int
-	// AndCount returns |self ∩ p|.
-	AndCount(p Set) int
-	// AndNotCount returns |self \ p|.
-	AndNotCount(p Set) int
-	// AndNotSum returns Σ_{id ∈ self \ p} w[id] together with |self \ p|,
-	// accumulating in ascending id order (bit-identical across
-	// representations). Ids beyond len(w) contribute zero weight but count.
-	AndNotSum(p Set, w []float64) (float64, int)
-	// OrInto ors the set into dst (a corpus-sized accumulator), growing dst
-	// as needed, and returns the possibly reallocated destination.
-	OrInto(dst Set) Set
-	// Bytes reports the payload bytes of the representation (container data
-	// plus per-container headers; excludes the Go object headers).
-	Bytes() int
-}
-
-// Compile-time checks: both representations satisfy the kernel contract.
-var (
-	_ Cover = Set(nil)
-	_ Cover = (*Adaptive)(nil)
-)
-
-// --- Set's Cover methods (thin wrappers over the package kernels) ---
-
-// AndCount implements Cover.
-func (s Set) AndCount(p Set) int { return AndCount(s, p) }
-
-// AndNotCount implements Cover.
-func (s Set) AndNotCount(p Set) int { return AndNotCount(s, p) }
-
-// AndNotSum implements Cover.
-func (s Set) AndNotSum(p Set, w []float64) (float64, int) { return AndNotSum(s, p, w) }
-
-// OrInto implements Cover.
-func (s Set) OrInto(dst Set) Set { return Union(dst, s) }
-
-// Bytes implements Cover: 8 bytes per word.
-func (s Set) Bytes() int { return len(s) * 8 }
 
 // container is one chunk's id set: exactly one of array/bitmap is non-nil.
 // array holds the low 16 bits of each id, sorted ascending and unique;
@@ -268,10 +214,10 @@ func (a *Adaptive) Remove(id int) {
 	}
 }
 
-// Count implements Cover.
+// Count returns the number of ids in the set.
 func (a *Adaptive) Count() int { return a.n }
 
-// Contains implements Cover.
+// Contains reports membership of id (out-of-range ids are absent).
 func (a *Adaptive) Contains(id int) bool {
 	if id < 0 {
 		return false
@@ -288,7 +234,8 @@ func (a *Adaptive) Contains(id int) bool {
 	return j < len(c.array) && c.array[j] == lo
 }
 
-// Range implements Cover.
+// Range calls fn for every id in ascending order, stopping early when fn
+// returns false.
 func (a *Adaptive) Range(fn func(id int) bool) {
 	for i, key := range a.keys {
 		base := int(key) << chunkBits
@@ -313,7 +260,7 @@ func (a *Adaptive) Range(fn func(id int) bool) {
 	}
 }
 
-// AppendTo implements Cover.
+// AppendTo appends the ids in ascending order to dst and returns it.
 func (a *Adaptive) AppendTo(dst []int) []int {
 	a.Range(func(id int) bool {
 		dst = append(dst, id)
@@ -355,7 +302,7 @@ func pWords(p Set, base int) []uint64 {
 	return p[lo:hi]
 }
 
-// AndCount implements Cover.
+// AndCount returns |a ∩ p|.
 func (a *Adaptive) AndCount(p Set) int {
 	total := 0
 	for i, key := range a.keys {
@@ -382,7 +329,7 @@ func (a *Adaptive) AndCount(p Set) int {
 	return total
 }
 
-// AndNotCount implements Cover.
+// AndNotCount returns |a \ p|.
 func (a *Adaptive) AndNotCount(p Set) int {
 	total := 0
 	for i, key := range a.keys {
@@ -409,8 +356,9 @@ func (a *Adaptive) AndNotCount(p Set) int {
 	return total
 }
 
-// AndNotSum implements Cover: ascending-id accumulation, bit-identical to
-// the dense kernel.
+// AndNotSum returns Σ_{id ∈ a \ p} w[id] together with |a \ p|,
+// accumulating in ascending id order (bit-identical to the dense AndNotSum).
+// Ids beyond len(w) contribute zero weight but count.
 func (a *Adaptive) AndNotSum(p Set, w []float64) (sum float64, count int) {
 	for i, key := range a.keys {
 		base := int(key) << chunkBits
@@ -450,7 +398,8 @@ func (a *Adaptive) AndNotSum(p Set, w []float64) (sum float64, count int) {
 	return sum, count
 }
 
-// OrInto implements Cover.
+// OrInto ors the set into dst (a corpus-sized accumulator), growing dst as
+// needed, and returns the possibly reallocated destination.
 func (a *Adaptive) OrInto(dst Set) Set {
 	if len(a.keys) == 0 {
 		return dst
@@ -492,9 +441,9 @@ func (a *Adaptive) OrInto(dst Set) Set {
 	return dst
 }
 
-// Bytes implements Cover: payload bytes of the current representation (array
+// Bytes reports the payload bytes of the current representation (array
 // entries at 2 bytes, bitmap words at 8, plus keys and per-container
-// bookkeeping).
+// bookkeeping; excludes the Go object headers).
 func (a *Adaptive) Bytes() int {
 	total := len(a.keys)*4 + len(a.cs)*8
 	for _, c := range a.cs {

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// oracleEqual checks every Cover accessor of a against the map oracle and
+// oracleEqual checks every read accessor of a against the map oracle and
 // the dense reference built from the same ids.
 func oracleEqual(t *testing.T, a *Adaptive, oracle map[int]bool) {
 	t.Helper()

@@ -1,14 +1,16 @@
-// Package bitset implements dense bitsets over sentence IDs as []uint64
-// words. It is the coverage kernel of the interactive hot path: candidate
-// scoring, cleanup and traversal reduce to word-wise And/AndNot plus
-// popcount instead of per-id map lookups over posting lists.
+// Package bitset implements the sets of sentence IDs the interactive hot
+// path works on: the compressed Adaptive, which holds every index node's
+// coverage, and the dense Set of []uint64 words, which holds the positive
+// set P and corpus-sized accumulators. Candidate scoring, cleanup and
+// traversal reduce to fused Adaptive-vs-Set kernels instead of per-id map
+// lookups over posting lists; the dense package kernels below are their
+// reference.
 //
 // Sets are plain slices: a nil Set is a valid empty set, and all binary
 // operations tolerate operands of different lengths (missing words are
 // treated as zero). Sets are not goroutine-safe for mutation, but any number
 // of goroutines may read (And*, Count, Contains, Range, sums) concurrently
-// once a set is no longer mutated — which is how the engine publishes node
-// coverage bits.
+// once a set is no longer mutated.
 package bitset
 
 import "math/bits"

@@ -64,15 +64,6 @@ type Config struct {
 	// score.
 	FeatureCacheCap int
 
-	// Kernel selects the coverage representation the index hands to
-	// readers: index.KernelAdaptive (the default: each node's compressed
-	// set, its only coverage) or index.KernelDense (a dense mirror of each
-	// set built at publish, kept as the pinned reference for equivalence
-	// tests and benchmark A/B runs). Both kernels are bit-identical in every
-	// score: the session and workspace pin tests check both against the
-	// same transcripts.
-	Kernel string
-
 	// Seed drives all randomness in the engine.
 	Seed int64
 }

@@ -144,7 +144,6 @@ func New(c *corpus.Corpus, cfg Config) (*Engine, error) {
 	start := time.Now()
 	builder := sketch.NewBuilder(reg, cfg.SketchDepth)
 	ix := index.Build(c, builder)
-	ix.SetKernel(cfg.Kernel)
 	ix.Prune(cfg.MinRuleCoverage)
 	indexBuild := time.Since(start)
 
@@ -201,7 +200,7 @@ func (e *Engine) MaterializeRule(spec string) (string, []int, error) {
 // rule-application primitive of the auto-labeling pipeline: resolving a
 // committee of accepted rules costs at most one corpus scan per rule never
 // seen by the index, and zero index growth either way.
-func (e *Engine) CoverageBits(spec string) (string, bitset.Cover, error) {
+func (e *Engine) CoverageBits(spec string) (string, *bitset.Adaptive, error) {
 	h, err := e.reg.Parse(spec)
 	if err != nil {
 		return "", nil, fmt.Errorf("core: rule %q: %w", spec, err)
@@ -213,5 +212,5 @@ func (e *Engine) CoverageBits(spec string) (string, bitset.Cover, error) {
 	}
 	// The fallback corpus scan stays under the read lock so a concurrent
 	// ingest cannot grow the corpus out from under it.
-	return h.Key(), bitset.FromSorted(grammar.Coverage(h, e.corp)), nil
+	return h.Key(), bitset.AdaptiveFromSorted(grammar.Coverage(h, e.corp)), nil
 }

@@ -76,21 +76,12 @@ func (e *Engine) CorpusView() *corpus.Corpus {
 	return e.corp.View()
 }
 
-// ContainerStats reports how the index's per-node coverage sets are
-// represented (adaptive array containers, adaptive bitmap containers, dense
-// fallbacks), under the engine's read lock.
-func (e *Engine) ContainerStats() (arrays, bitmaps, dense int) {
+// ContainerStats reports the array and bitmap container counts of the
+// index's per-node coverage sets, under the engine's read lock.
+func (e *Engine) ContainerStats() (arrays, bitmaps int) {
 	e.ixMu.RLock()
 	defer e.ixMu.RUnlock()
 	return e.ix.ContainerStats()
-}
-
-// CoverageBytes reports the memory footprint of the index's per-node
-// coverage sets, under the engine's read lock.
-func (e *Engine) CoverageBytes() int {
-	e.ixMu.RLock()
-	defer e.ixMu.RUnlock()
-	return e.ix.CoverageBytes()
 }
 
 // IngestedTail returns the boot corpus length and every sentence ingested

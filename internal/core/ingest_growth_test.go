@@ -139,69 +139,96 @@ func TestGrowthUnderConcurrentAnnotation(t *testing.T) {
 }
 
 // TestCoverageBitsSurviveIngest pins that published coverage is immutable
-// at the engine surface, under both kernels: the sets a labeling job holds
-// from CoverageBits (a sketched rule and a materialized seed rule) and one
-// read straight from the index keep their ids across an Ingest of sentences
-// they match, while the sets published after it hold the new ids.
+// at the engine surface: the sets a labeling job holds from CoverageBits (a
+// sketched rule and a materialized seed rule) and one read straight from the
+// index keep their ids across an Ingest of sentences they match, while the
+// sets published after it hold the new ids.
 func TestCoverageBitsSurviveIngest(t *testing.T) {
-	for _, kernel := range []string{index.KernelAdaptive, index.KernelDense} {
-		t.Run(kernel, func(t *testing.T) {
-			cfg := fastConfig("hybrid")
-			cfg.Kernel = kernel
-			eng, err := New(testCorpus(t, 0.05), cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			seed := "best way to get to"
-			if _, _, err := eng.MaterializeRule(seed); err != nil {
-				t.Fatal(err)
-			}
-			specs := []string{"best way", seed}
-			held := make([]bitset.Cover, len(specs))
-			before := make([][]int, len(specs))
-			for i, spec := range specs {
-				var key string
-				key, held[i], err = eng.CoverageBits(spec)
-				if err != nil {
-					t.Fatal(err)
-				}
-				eng.WithIndexRead(func(ix *index.Index) {
-					if ix.Node(key) == nil {
-						t.Errorf("%q is not in the index", spec)
-					}
-				})
-				before[i] = held[i].AppendTo(nil)
-			}
-			var root bitset.Cover
-			eng.WithIndexRead(func(ix *index.Index) { root = ix.Root().Bits() })
-			rootBefore := root.AppendTo(nil)
-
-			from, to, err := eng.Ingest([]ingest.Sentence{
-				{Text: "what is the best way to get to the pier", Label: 1},
-				{Text: "the best way to get to the museum is by bus", Label: 1},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			added := []int{from, from + 1}
-			if to != from+2 {
-				t.Fatalf("ingest assigned [%d, %d)", from, to)
-			}
-			for i, spec := range specs {
-				if got := held[i].AppendTo(nil); !slices.Equal(got, before[i]) {
-					t.Errorf("%q: held set changed across ingest", spec)
-				}
-				_, now, err := eng.CoverageBits(spec)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want := append(slices.Clone(before[i]), added...); !slices.Equal(now.AppendTo(nil), want) {
-					t.Errorf("%q: published %d ids after ingest, want %d", spec, now.Count(), len(want))
-				}
-			}
-			if !slices.Equal(root.AppendTo(nil), rootBefore) {
-				t.Error("held root set changed across ingest")
+	eng, err := New(testCorpus(t, 0.05), fastConfig("hybrid"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed := "best way to get to"
+	if _, _, err := eng.MaterializeRule(seed); err != nil {
+		t.Fatal(err)
+	}
+	specs := []string{"best way", seed}
+	held := make([]*bitset.Adaptive, len(specs))
+	before := make([][]int, len(specs))
+	for i, spec := range specs {
+		var key string
+		key, held[i], err = eng.CoverageBits(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.WithIndexRead(func(ix *index.Index) {
+			if ix.Node(key) == nil {
+				t.Errorf("%q is not in the index", spec)
 			}
 		})
+		before[i] = held[i].AppendTo(nil)
+	}
+	var root *bitset.Adaptive
+	eng.WithIndexRead(func(ix *index.Index) { root = ix.Root().Bits() })
+	rootBefore := root.AppendTo(nil)
+
+	from, to, err := eng.Ingest([]ingest.Sentence{
+		{Text: "what is the best way to get to the pier", Label: 1},
+		{Text: "the best way to get to the museum is by bus", Label: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	added := []int{from, from + 1}
+	if to != from+2 {
+		t.Fatalf("ingest assigned [%d, %d)", from, to)
+	}
+	for i, spec := range specs {
+		if got := held[i].AppendTo(nil); !slices.Equal(got, before[i]) {
+			t.Errorf("%q: held set changed across ingest", spec)
+		}
+		_, now, err := eng.CoverageBits(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := append(slices.Clone(before[i]), added...); !slices.Equal(now.AppendTo(nil), want) {
+			t.Errorf("%q: published %d ids after ingest, want %d", spec, now.Count(), len(want))
+		}
+	}
+	if !slices.Equal(root.AppendTo(nil), rootBefore) {
+		t.Error("held root set changed across ingest")
+	}
+}
+
+// TestCoverageBitsFallbackScan covers CoverageBits for a rule the index does
+// not hold: the set comes from a corpus scan, matches direct matching id for
+// id, and the index is not touched.
+func TestCoverageBitsFallbackScan(t *testing.T) {
+	eng, err := New(testCorpus(t, 0.05), fastConfig("hybrid"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := "best way to get to"
+	h, err := eng.ParseRule(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	version := eng.Index().Version()
+	if eng.Index().Node(h.Key()) != nil {
+		t.Fatalf("%q is already in the index; the fallback needs an absent rule", spec)
+	}
+	key, bits, err := eng.CoverageBits(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := grammar.Coverage(h, eng.Corpus())
+	if len(want) == 0 {
+		t.Fatalf("%q covers nothing; the check needs a matching rule", spec)
+	}
+	if key != h.Key() || !slices.Equal(bits.AppendTo(nil), want) || bits.Count() != len(want) {
+		t.Errorf("fallback %s: %d ids (Count %d), want %s: %d ids", key, len(bits.AppendTo(nil)), bits.Count(), h.Key(), len(want))
+	}
+	if got := eng.Index().Version(); got != version || eng.Index().Node(h.Key()) != nil {
+		t.Errorf("fallback touched the index: version %d -> %d", version, got)
 	}
 }

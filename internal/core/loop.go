@@ -400,7 +400,7 @@ func (l *Loop) HierarchyGenerations() int { return l.hierGens }
 
 // coverageOf resolves a rule key's coverage set from the hierarchy or the
 // index (nil for an unknown key).
-func coverageOf(ix *index.Index, h *hierarchy.Hierarchy, key string) bitset.Cover {
+func coverageOf(ix *index.Index, h *hierarchy.Hierarchy, key string) *bitset.Adaptive {
 	if n := h.Node(key); n != nil {
 		return n.Bits
 	}

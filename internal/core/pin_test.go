@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/baselines"
 	"repro/internal/corpus"
-	"repro/internal/index"
 	"repro/internal/oracle"
 	"repro/internal/traversal"
 )
@@ -68,32 +67,21 @@ func scoresHash(scores []float64) string {
 	return fmt.Sprintf("%d scores fnv64a=%016x", len(scores), h.Sum64())
 }
 
-// pinKernels are the coverage kernels every pin runs under: the default
-// adaptive kernel and the dense reference, checked against one transcript.
-var pinKernels = []string{index.KernelAdaptive, index.KernelDense}
-
-// TestBitExactPinSessions pins a solo session under each traversal and
-// coverage kernel to the bit: every suggestion's key, coverage, new
-// coverage, the float bits of its benefit and average benefit, its
-// presentation samples, and finally the positive set and a hash of the
-// score vector.
+// TestBitExactPinSessions pins a solo session under each traversal to the
+// bit: every suggestion's key, coverage, new coverage, the float bits of its
+// benefit and average benefit, its presentation samples, and finally the
+// positive set and a hash of the score vector.
 func TestBitExactPinSessions(t *testing.T) {
 	c := testCorpus(t, 0.05)
 	for _, trav := range []string{"hybrid", "local", "universal"} {
-		t.Run(trav, func(t *testing.T) {
-			for _, kernel := range pinKernels {
-				t.Run(kernel, func(t *testing.T) { pinSession(t, c, trav, kernel) })
-			}
-		})
+		t.Run(trav, func(t *testing.T) { pinSession(t, c, trav) })
 	}
 }
 
-// pinSession drives one session under the given traversal and kernel and
-// checks its transcript.
-func pinSession(t *testing.T, c *corpus.Corpus, trav, kernel string) {
-	cfg := fastConfig(trav)
-	cfg.Kernel = kernel
-	e, err := New(c, cfg)
+// pinSession drives one session under the given traversal and checks its
+// transcript.
+func pinSession(t *testing.T, c *corpus.Corpus, trav string) {
+	e, err := New(c, fastConfig(trav))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@ import (
 
 // Config returns a copy of the engine's configuration, so a derived engine
 // (e.g. a streaming engine over an uploaded corpus) labels under the same
-// grammars, kernel and seeds as the dataset it belongs to.
+// grammars and seeds as the dataset it belongs to.
 func (e *Engine) Config() Config { return e.cfg }
 
 // NewStreaming prepares a restricted engine over an uploaded corpus for
@@ -29,7 +29,6 @@ func NewStreaming(c *corpus.Corpus, cfg Config) (*Engine, error) {
 	c.Preprocess(corpus.PreprocessOptions{Parse: cfg.UseParseTrees})
 
 	ix := index.New()
-	ix.SetKernel(cfg.Kernel)
 	return &Engine{cfg: cfg, corp: c, reg: reg, ix: ix, bootLen: c.Len()}, nil
 }
 

@@ -5,10 +5,9 @@
 // subset/superset edges plus the cleanup pass that drops heuristics adding no
 // new positives.
 //
-// Candidate scoring runs on the index's coverage kernel (the compressed
-// bitset.Adaptive by default, or the dense bitset.Set) — intersection +
-// popcount against the positive set — and fans large scoring batches across
-// a bounded worker pool.
+// Candidate scoring runs on the index's compressed coverage sets
+// (bitset.Adaptive) — intersection + popcount against the positive set — and
+// fans large scoring batches across a bounded worker pool.
 //
 // Regeneration works on the published index's node ordinals (see package
 // index): candidate state, the candidate heap and edge linking are arrays
@@ -48,10 +47,10 @@ type Node struct {
 	Key string
 	// Heuristic is the candidate labeling rule.
 	Heuristic grammar.Heuristic
-	// Bits is the rule's coverage set: the index node's published set (dense
-	// or adaptive, per the index kernel) when the hierarchy was generated
-	// from an index, built by Add otherwise. Never nil. Read-only.
-	Bits bitset.Cover
+	// Bits is the rule's coverage set: the index node's published set when
+	// the hierarchy was generated from an index, built by Add otherwise.
+	// Never nil. Read-only.
+	Bits *bitset.Adaptive
 	// Parents and Children are hierarchy edges (superset / subset).
 	Parents  []string
 	Children []string

@@ -16,16 +16,14 @@
 // Mutations (AddSketch, AddSentence, Merge, EnsureHeuristic, Prune)
 // invalidate the parent/child edges; BuildEdges recomputes them at a
 // "publish point" (Build, Prune, or an explicit BuildEdges after Merge,
-// AddSentence or EnsureHeuristic) and publishes every node's coverage set
-// (under KernelDense it also builds a dense bitset.Set mirror of each set
-// that changed). BuildEdges on an index that is already published returns at
-// once. After publishing, every accessor is a pure read, so any number of
-// goroutines may use the index concurrently. A published set is never
-// mutated: the first mutation of a node after a publish point clones its set,
-// so a set a reader took under a read lock keeps the coverage it was read
-// with. Children and Parents panic on an unpublished index instead of lazily
-// mutating it, because a lazy rebuild under a caller's read lock is a data
-// race.
+// AddSentence or EnsureHeuristic) and publishes every node's coverage set.
+// BuildEdges on an index that is already published returns at once. After
+// publishing, every accessor is a pure read, so any number of goroutines may
+// use the index concurrently. A published set is never mutated: the first
+// mutation of a node after a publish point clones its set, so a set a reader
+// took under a read lock keeps the coverage it was read with. Children and
+// Parents panic on an unpublished index instead of lazily mutating it,
+// because a lazy rebuild under a caller's read lock is a data race.
 //
 // # Ordinals
 //
@@ -64,10 +62,6 @@ type Node struct {
 	// that clones it (see add), so a set a reader took stays as it was.
 	cov       *bitset.Adaptive
 	published bool
-	// dense is cov's KernelDense mirror, built at publish for nodes whose
-	// set changed; nil under KernelAdaptive and between a mutation and the
-	// next publish.
-	dense bitset.Set
 
 	// adhoc marks nodes materialized by EnsureHeuristic's corpus scan rather
 	// than derived from sentence sketches. Their heuristics are not reachable
@@ -102,18 +96,6 @@ func (n *Node) add(id int) {
 		n.published = false
 	}
 	n.cov.Add(id)
-	n.dense = nil
-}
-
-// publish hands the node's set to readers in the kernel's representation.
-func (n *Node) publish(kernel string) {
-	n.published = true
-	switch {
-	case kernel != KernelDense:
-		n.dense = nil
-	case n.dense == nil:
-		n.dense = n.cov.OrInto(nil)
-	}
 }
 
 // Key returns the node's heuristic key.
@@ -144,37 +126,16 @@ func (n *Node) ChildOrds() []int32 { return n.childOrds }
 // (Heuristic.Depth, cached when the node is materialized).
 func (n *Node) Depth() int { return int(n.depth) }
 
-// Bits returns the node's coverage set: the dense mirror under KernelDense,
-// the compressed set itself otherwise. It is never nil. A set returned on a
-// published index is never mutated afterwards — later mutations work on a
-// copy — so it may be read after the caller's lock is released; callers
-// must not modify it.
-func (n *Node) Bits() bitset.Cover {
-	if n.dense != nil {
-		return n.dense
-	}
-	return n.cov
-}
-
-// Coverage kernels: which representation Bits hands to readers. Adaptive
-// (the default) is the node's compressed set itself, whose memory scales
-// with coverage cardinality instead of corpus size; dense adds a []uint64
-// mirror per node built at publish, and remains the pinned reference the
-// equivalence tests compare against (the core and workspace bit-exact pin
-// tests run under both kernels against one transcript).
-const (
-	KernelAdaptive = "adaptive"
-	KernelDense    = "dense"
-)
+// Bits returns the node's compressed coverage set. It is never nil. A set
+// returned on a published index is never mutated afterwards — later
+// mutations work on a copy — so it may be read after the caller's lock is
+// released; callers must not modify it.
+func (n *Node) Bits() *bitset.Adaptive { return n.cov }
 
 // Index is the merged sketch trie over a corpus.
 type Index struct {
 	nodes map[string]*Node
-	// kernel selects the per-node coverage representation ("" means
-	// KernelAdaptive).
-	kernel string
-	// edgesBuilt records whether parent/child edges (and dense mirrors) are
-	// up to date.
+	// edgesBuilt records whether parent/child edges are up to date.
 	edgesBuilt bool
 	// keys is the sorted key cache and byOrd the nodes in the same order
 	// (byOrd[i].ord == i), both valid while edgesBuilt.
@@ -194,40 +155,13 @@ type Index struct {
 func New() *Index {
 	root := newNode(grammar.Root(), bitset.NewAdaptive())
 	root.ord = 0
-	root.publish(KernelAdaptive)
+	root.published = true
 	return &Index{
 		nodes:      map[string]*Node{grammar.RootKey: root},
 		edgesBuilt: true,
 		keys:       []string{grammar.RootKey},
 		byOrd:      []*Node{root},
 	}
-}
-
-// Kernel returns the index's coverage-kernel name (KernelAdaptive unless
-// explicitly set to KernelDense).
-func (ix *Index) Kernel() string {
-	if ix.kernel == KernelDense {
-		return KernelDense
-	}
-	return KernelAdaptive
-}
-
-// SetKernel switches the per-node coverage representation and republishes
-// the index. A no-op when the kernel is unchanged. Callers holding the
-// engine's index write lock may call it at any time; it never changes
-// coverage, so versioned caches built on the old kernel stay semantically
-// valid but are invalidated anyway (the representation under their bits
-// pointer swapped).
-func (ix *Index) SetKernel(kernel string) {
-	if kernel != KernelDense {
-		kernel = KernelAdaptive
-	}
-	if ix.Kernel() == kernel {
-		return
-	}
-	ix.kernel = kernel
-	ix.invalidate()
-	ix.BuildEdges()
 }
 
 // Build constructs the index of a corpus using the given sketch builder,
@@ -354,9 +288,8 @@ func (ix *Index) Merge(other *Index) {
 }
 
 // BuildEdges (re)computes parent/child edges between materialized nodes,
-// publishes each node's coverage set (building the dense mirrors under
-// KernelDense), numbers the nodes by sorted key and caches the sorted key
-// list. A heuristic whose grammatical parents are not materialized (e.g.
+// publishes each node's coverage set, numbers the nodes by sorted key and
+// caches the sorted key list. A heuristic whose grammatical parents are not materialized (e.g.
 // stop-word unigrams filtered from sketches) is attached directly to the
 // root. This is the publish point: after it returns, all read accessors are
 // safe for concurrent use until the next mutation. On an index that is
@@ -365,14 +298,13 @@ func (ix *Index) BuildEdges() {
 	if ix.edgesBuilt {
 		return
 	}
-	kernel := ix.Kernel()
 	type entry struct {
 		key string
 		n   *Node
 	}
 	entries := make([]entry, 0, len(ix.nodes))
 	for k, n := range ix.nodes {
-		n.publish(kernel)
+		n.published = true
 		entries = append(entries, entry{k, n})
 	}
 	slices.SortFunc(entries, func(a, b entry) int { return strings.Compare(a.key, b.key) })
@@ -516,36 +448,30 @@ func (ix *Index) Keys() []string {
 // Bits returns the coverage set of the heuristic with the given key (see
 // Node.Bits), or nil if the key is not materialized. The returned set must
 // not be modified.
-func (ix *Index) Bits(key string) bitset.Cover {
+func (ix *Index) Bits(key string) *bitset.Adaptive {
 	if n, ok := ix.nodes[key]; ok {
 		return n.Bits()
 	}
 	return nil
 }
 
-// ContainerStats reports the coverage-representation census across all
-// published nodes: adaptive array and bitmap container counts, plus how many
-// nodes hold a dense mirror. It feeds the darwin_bitset_containers gauge.
-func (ix *Index) ContainerStats() (arrays, bitmaps, dense int) {
+// ContainerStats reports the array and bitmap container counts across all
+// nodes' coverage sets. It feeds the darwin_bitset_containers gauge.
+func (ix *Index) ContainerStats() (arrays, bitmaps int) {
 	for _, n := range ix.nodes {
-		if n.dense != nil {
-			dense++
-			continue
-		}
 		a, bm := n.cov.Containers()
 		arrays += a
 		bitmaps += bm
 	}
-	return arrays, bitmaps, dense
+	return arrays, bitmaps
 }
 
-// CoverageBytes sums the payload bytes of the coverage set Bits returns for
-// every node — the series the scale benchmark compares across kernels.
-// Under KernelAdaptive that is all the coverage the index holds.
+// CoverageBytes sums the payload bytes of every node's coverage set: all the
+// coverage the index holds.
 func (ix *Index) CoverageBytes() int {
 	total := 0
 	for _, n := range ix.nodes {
-		total += n.Bits().Bytes()
+		total += n.cov.Bytes()
 	}
 	return total
 }

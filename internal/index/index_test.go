@@ -87,10 +87,10 @@ func ids(ix *Index, key string) []int {
 	return nil
 }
 
-// TestIndexCoverageMatchesDirectMatching checks every node's published set,
-// under both kernels, against a corpus scan of its heuristic. (TokensRegex
-// sketches list every phrase a sentence matches; tree-pattern sketches bound
-// the descendant distance, so a // node can cover a subset of its scan.)
+// TestIndexCoverageMatchesDirectMatching checks every node's published set
+// against a corpus scan of its heuristic. (TokensRegex sketches list every
+// phrase a sentence matches; tree-pattern sketches bound the descendant
+// distance, so a // node can cover a subset of its scan.)
 func TestIndexCoverageMatchesDirectMatching(t *testing.T) {
 	c := paperCorpus()
 	ix := Build(c, sketch.NewBuilder(tokenRegistry(), 5))
@@ -108,21 +108,15 @@ func TestIndexCoverageMatchesDirectMatching(t *testing.T) {
 	for id := range all {
 		all[id] = id
 	}
-	for _, kernel := range []string{KernelDense, KernelAdaptive} {
-		ix.SetKernel(kernel)
-		for _, key := range ix.Keys() {
-			n := ix.Node(key)
-			want := all
-			if key != grammar.RootKey {
-				want = grammar.Coverage(n.Heuristic, c)
-			}
-			got := n.Bits()
-			if !reflect.DeepEqual(got.AppendTo(nil), want) || got.Count() != n.Count() {
-				t.Errorf("%s: coverage mismatch for %s: index=%v (count %d) direct=%v", kernel, key, got.AppendTo(nil), n.Count(), want)
-			}
-			if _, dense := got.(bitset.Set); dense != (kernel == KernelDense && n.Count() > 0) {
-				t.Errorf("%s: %s published as %T", kernel, key, got)
-			}
+	for _, key := range ix.Keys() {
+		n := ix.Node(key)
+		want := all
+		if key != grammar.RootKey {
+			want = grammar.Coverage(n.Heuristic, c)
+		}
+		got := n.Bits()
+		if !reflect.DeepEqual(got.AppendTo(nil), want) || got.Count() != n.Count() {
+			t.Errorf("coverage mismatch for %s: index=%v (count %d) direct=%v", key, got.AppendTo(nil), n.Count(), want)
 		}
 	}
 }
@@ -422,47 +416,39 @@ func TestNodesByOrdPanicsUnpublished(t *testing.T) {
 	ix.NodesByOrd()
 }
 
-// TestPublishedCoverageIsImmutable pins the clone-on-write contract under
-// both kernels: sets taken from a published index keep their ids across an
-// ingest (a sketched node, an ad-hoc node and the root all grow), and the
-// republished index hands out new sets holding the new sentence.
+// TestPublishedCoverageIsImmutable pins the clone-on-write contract: sets
+// taken from a published index keep their ids across an ingest (a sketched
+// node, an ad-hoc node and the root all grow), and the republished index
+// hands out new sets holding the new sentence.
 func TestPublishedCoverageIsImmutable(t *testing.T) {
-	for _, kernel := range []string{KernelAdaptive, KernelDense} {
-		t.Run(kernel, func(t *testing.T) {
-			c := paperCorpus()
-			b := sketch.NewBuilder(tokenRegistry(), 2)
-			ix := Build(c, b)
-			adhoc, _ := tokensregex.New().Parse("best way to get")
-			ix.EnsureHeuristic(adhoc, c)
-			ix.SetKernel(kernel)
-			ix.BuildEdges()
+	c := paperCorpus()
+	b := sketch.NewBuilder(tokenRegistry(), 2)
+	ix := Build(c, b)
+	adhoc, _ := tokensregex.New().Parse("best way to get")
+	ix.EnsureHeuristic(adhoc, c)
+	ix.BuildEdges()
 
-			keys := []string{"tokensregex:best way", adhoc.Key(), grammar.RootKey}
-			held := make([]bitset.Cover, len(keys))
-			before := make([][]int, len(keys))
-			for i, key := range keys {
-				held[i] = ix.Bits(key)
-				before[i] = held[i].AppendTo(nil)
-			}
+	keys := []string{"tokensregex:best way", adhoc.Key(), grammar.RootKey}
+	held := make([]*bitset.Adaptive, len(keys))
+	before := make([][]int, len(keys))
+	for i, key := range keys {
+		held[i] = ix.Bits(key)
+		before[i] = held[i].AppendTo(nil)
+	}
 
-			grown := buildCorpus([]string{"What is the best way to get to the pier?"})
-			s := grown.Sentence(0)
-			s.ID = c.Len()
-			ix.AddSentence(b.Build(s), s)
-			ix.BuildEdges()
+	grown := buildCorpus([]string{"What is the best way to get to the pier?"})
+	s := grown.Sentence(0)
+	s.ID = c.Len()
+	ix.AddSentence(b.Build(s), s)
+	ix.BuildEdges()
 
-			for i, key := range keys {
-				if got := held[i].AppendTo(nil); !reflect.DeepEqual(got, before[i]) {
-					t.Errorf("%s: held set changed to %v, was %v", key, got, before[i])
-				}
-				now := ix.Bits(key)
-				if want := append(slices.Clone(before[i]), s.ID); !reflect.DeepEqual(now.AppendTo(nil), want) {
-					t.Errorf("%s: republished set %v, want %v", key, now.AppendTo(nil), want)
-				}
-				if _, dense := now.(bitset.Set); dense != (kernel == KernelDense) {
-					t.Errorf("%s: republished as %T", key, now)
-				}
-			}
-		})
+	for i, key := range keys {
+		if got := held[i].AppendTo(nil); !reflect.DeepEqual(got, before[i]) {
+			t.Errorf("%s: held set changed to %v, was %v", key, got, before[i])
+		}
+		now := ix.Bits(key)
+		if want := append(slices.Clone(before[i]), s.ID); !reflect.DeepEqual(now.AppendTo(nil), want) {
+			t.Errorf("%s: republished set %v, want %v", key, now.AppendTo(nil), want)
+		}
 	}
 }

@@ -84,7 +84,7 @@ func TestAddRuleBitsMatchesAddRule(t *testing.T) {
 	a := NewMatrix(n)
 	a.AddRule("r", ids, VoteNegative)
 	b := NewMatrix(n)
-	b.AddRuleBits("r", bitset.FromSorted(ids), VoteNegative)
+	b.AddRuleBits("r", bitset.AdaptiveFromSorted(ids), VoteNegative)
 	for id := 0; id < n; id++ {
 		if a.Votes(id)[0] != b.Votes(id)[0] {
 			t.Fatalf("sentence %d: AddRule vote %d != AddRuleBits vote %d", id, a.Votes(id)[0], b.Votes(id)[0])
@@ -93,7 +93,7 @@ func TestAddRuleBitsMatchesAddRule(t *testing.T) {
 	// Bits beyond the matrix width are ignored, mirroring AddRule's range
 	// check.
 	c := NewMatrix(4)
-	c.AddRuleBits("wide", bitset.FromSorted([]int{1, 9, 15}), VotePositive)
+	c.AddRuleBits("wide", bitset.AdaptiveFromSorted([]int{1, 9, 15}), VotePositive)
 	if got := c.CoverageCount(); got != 1 {
 		t.Errorf("out-of-range bits leaked into coverage: %d", got)
 	}

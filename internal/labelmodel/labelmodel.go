@@ -75,7 +75,7 @@ func (m *Matrix) AddRule(name string, coverage []int, vote Vote) {
 // the coverage bitset and abstains elsewhere. It is the corpus-scale batch
 // path: the row is filled straight from the set bits (no intermediate id
 // slice), equivalent to AddRule(name, bits.AppendTo(nil), vote).
-func (m *Matrix) AddRuleBits(name string, bits bitset.Cover, vote Vote) {
+func (m *Matrix) AddRuleBits(name string, bits *bitset.Adaptive, vote Vote) {
 	row := make([]Vote, m.numSentences)
 	bits.Range(func(id int) bool {
 		if id < m.numSentences {

@@ -39,7 +39,7 @@ var (
 	corpusSentences = obs.Default().GaugeVec("darwin_engine_corpus_sentences",
 		"Live corpus length by dataset.", "dataset")
 	bitsetContainers = obs.Default().GaugeVec("darwin_bitset_containers",
-		"Index per-node coverage containers by representation (array, bitmap, dense), across all engines.",
+		"Index per-node coverage containers by kind (array, bitmap), across all engines.",
 		"kind")
 )
 
@@ -47,17 +47,15 @@ var (
 // gauges from every served engine. Called at startup and after each ingest
 // (the only times they change).
 func (s *Server) updateEngineGauges() {
-	arrays, bitmaps, dense := 0, 0, 0
+	arrays, bitmaps := 0, 0
 	for name, d := range s.datasets {
 		corpusSentences.With(name).Set(float64(d.Engine.CorpusLen()))
-		a, b, dn := d.Engine.ContainerStats()
+		a, b := d.Engine.ContainerStats()
 		arrays += a
 		bitmaps += b
-		dense += dn
 	}
 	bitsetContainers.With("array").Set(float64(arrays))
 	bitsetContainers.With("bitmap").Set(float64(bitmaps))
-	bitsetContainers.With("dense").Set(float64(dense))
 }
 
 // handleV2Ingest decodes the JSONL body and appends it through the Backend.

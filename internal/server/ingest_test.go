@@ -109,10 +109,12 @@ func TestIngestE2E(t *testing.T) {
 		`darwin_engine_corpus_sentences{dataset="directions"}`,
 		`darwin_bitset_containers{kind="array"}`,
 		`darwin_bitset_containers{kind="bitmap"}`,
-		`darwin_bitset_containers{kind="dense"}`,
 	} {
 		if !strings.Contains(string(body), series) {
 			t.Errorf("/metrics is missing %s", series)
 		}
+	}
+	if strings.Contains(string(body), `darwin_bitset_containers{kind="dense"}`) {
+		t.Error(`/metrics still exports darwin_bitset_containers{kind="dense"}`)
 	}
 }

@@ -36,9 +36,9 @@ func referenceAvgBenefit(cov []int, positives map[int]bool, scores []float64) fl
 	return referenceBenefit(cov, positives, scores) / float64(newCount)
 }
 
-// TestBenefitBitsMatchesReference cross-checks both kernel representations
-// against the posting-list scan on random sets, including bit-identical
-// float sums.
+// TestBenefitBitsMatchesReference cross-checks the adaptive kernel against
+// the posting-list scan on random sets, including bit-identical float sums.
+// (bitset's TestPropertyVsMapOracle checks the dense kernel the same way.)
 func TestBenefitBitsMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 100; trial++ {
@@ -57,18 +57,16 @@ func TestBenefitBitsMatchesReference(t *testing.T) {
 		}
 		posBits := bitset.FromMap(pos)
 		want, wantAvg := referenceBenefit(cov, pos, scores), referenceAvgBenefit(cov, pos, scores)
-		for _, covBits := range []bitset.Cover{bitset.FromSorted(cov), bitset.AdaptiveFromSorted(cov)} {
-			got, newCov := covBits.AndNotSum(posBits, scores)
-			if got != want {
-				t.Fatalf("trial %d (%T): kernel benefit = %v, reference = %v", trial, covBits, got, want)
-			}
-			gotAvg := 0.0
-			if newCov > 0 {
-				gotAvg = got / float64(newCov)
-			}
-			if gotAvg != wantAvg {
-				t.Fatalf("trial %d (%T): avg benefit %v != %v", trial, covBits, gotAvg, wantAvg)
-			}
+		got, newCov := bitset.AdaptiveFromSorted(cov).AndNotSum(posBits, scores)
+		if got != want {
+			t.Fatalf("trial %d: kernel benefit = %v, reference = %v", trial, got, want)
+		}
+		gotAvg := 0.0
+		if newCov > 0 {
+			gotAvg = got / float64(newCov)
+		}
+		if gotAvg != wantAvg {
+			t.Fatalf("trial %d: avg benefit %v != %v", trial, gotAvg, wantAvg)
 		}
 	}
 }

@@ -7,9 +7,9 @@
 //
 // where p_s is the classifier's probability that sentence s is positive.
 //
-// P is a dense bitset and every candidate's coverage is a published kernel
-// set, so scoring is one fused and-not-sum pass that accumulates in ascending
-// sentence-ID order.
+// P is a dense bitset and every candidate's coverage is a published
+// compressed set, so scoring is one fused and-not-sum pass that accumulates
+// in ascending sentence-ID order.
 package traversal
 
 import (
@@ -39,7 +39,7 @@ type State struct {
 // lookup: the hierarchy node for a candidate, the index node otherwise
 // (local strategies also walk index-only neighbours). Unknown keys resolve
 // to (nil, 0).
-func (st *State) lookup(key string) (bitset.Cover, int) {
+func (st *State) lookup(key string) (*bitset.Adaptive, int) {
 	if n := st.Hierarchy.Node(key); n != nil {
 		return n.Bits, n.Bits.Count()
 	}
@@ -51,7 +51,7 @@ func (st *State) lookup(key string) (bitset.Cover, int) {
 
 // score returns (benefit, |C_r \ P|) for a resolved coverage set in one
 // kernel pass; a nil set scores (0, 0).
-func (st *State) score(cov bitset.Cover) (float64, int) {
+func (st *State) score(cov *bitset.Adaptive) (float64, int) {
 	if cov == nil {
 		return 0, 0
 	}

@@ -13,25 +13,17 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/index"
 	"repro/internal/oracle"
 )
 
 var updatePins = flag.Bool("update-pins", false, "rewrite the testdata/pin transcripts from the current code")
 
-// TestBitExactPinWorkspace pins a two-annotator workspace to the bit, under
-// the adaptive coverage kernel and the dense reference alike: interleaved
-// suggest/answer rounds, one detach that releases a pending suggestion to
-// the pool, every suggestion's statistics (float bits of the benefits
-// included), and the final report, snapshot and export bytes.
+// TestBitExactPinWorkspace pins a two-annotator workspace to the bit:
+// interleaved suggest/answer rounds, one detach that releases a pending
+// suggestion to the pool, every suggestion's statistics (float bits of the
+// benefits included), and the final report, snapshot and export bytes.
 func TestBitExactPinWorkspace(t *testing.T) {
-	for _, kernel := range []string{index.KernelAdaptive, index.KernelDense} {
-		t.Run(kernel, func(t *testing.T) { pinWorkspace(t, kernel) })
-	}
-}
-
-func pinWorkspace(t *testing.T, kernel string) {
-	eng := newKernelEngine(t, kernel)
+	eng := newTestEngine(t)
 	ws, err := New(eng, "pin", "directions", Options{SeedRules: []string{seedRule}, Budget: 16, Seed: 42}, nil)
 	if err != nil {
 		t.Fatal(err)

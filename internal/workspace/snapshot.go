@@ -142,7 +142,7 @@ func Restore(eng *core.Engine, snap *Snapshot, log LogFunc) (*Workspace, error) 
 		if as.Pending != nil {
 			p := *as.Pending
 			an.pending = &p
-			var cov bitset.Cover
+			var cov *bitset.Adaptive
 			eng.WithIndexRead(func(ix *index.Index) {
 				if cov = ix.Bits(p.Key); cov != nil {
 					an.pendingCov = cov.AppendTo(nil)

@@ -16,7 +16,6 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/embedding"
 	"repro/internal/grammar"
-	"repro/internal/index"
 	"repro/internal/journal"
 	"repro/internal/tokensregex"
 )
@@ -25,12 +24,6 @@ import (
 // directions corpus. Two calls with the same arguments produce equivalent
 // engines — the property journal replay relies on across restarts.
 func newTestEngine(t testing.TB) *core.Engine {
-	t.Helper()
-	return newKernelEngine(t, index.KernelAdaptive)
-}
-
-// newKernelEngine is newTestEngine over the given coverage kernel.
-func newKernelEngine(t testing.TB, kernel string) *core.Engine {
 	t.Helper()
 	c, err := datagen.ByName("directions", 0.05, 7)
 	if err != nil {
@@ -49,7 +42,6 @@ func newKernelEngine(t testing.TB, kernel string) *core.Engine {
 		Embedding:          embedding.Config{Dim: 24, Window: 3, MinCount: 2, Seed: 1},
 		LazyScoring:        true,
 		LazyScoreThreshold: 0.3,
-		Kernel:             kernel,
 		Seed:               1,
 	}
 	engine, err := core.New(c, ecfg)
