@@ -144,6 +144,12 @@ func TestGrowthUnderConcurrentAnnotation(t *testing.T) {
 // index keep their ids across an Ingest of sentences they match, while the
 // sets published after it hold the new ids.
 func TestCoverageBitsSurviveIngest(t *testing.T) {
+	// The subtest is named for the coverage kernel the index publishes:
+	// the adaptive (compressed) set.
+	t.Run("adaptive", coverageBitsSurviveIngest)
+}
+
+func coverageBitsSurviveIngest(t *testing.T) {
 	eng, err := New(testCorpus(t, 0.05), fastConfig("hybrid"))
 	if err != nil {
 		t.Fatal(err)

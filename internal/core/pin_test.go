@@ -74,7 +74,11 @@ func scoresHash(scores []float64) string {
 func TestBitExactPinSessions(t *testing.T) {
 	c := testCorpus(t, 0.05)
 	for _, trav := range []string{"hybrid", "local", "universal"} {
-		t.Run(trav, func(t *testing.T) { pinSession(t, c, trav) })
+		t.Run(trav, func(t *testing.T) {
+			// Named for the coverage kernel the index publishes: the adaptive
+			// (compressed) set.
+			t.Run("adaptive", func(t *testing.T) { pinSession(t, c, trav) })
+		})
 	}
 }
 

@@ -421,6 +421,12 @@ func TestNodesByOrdPanicsUnpublished(t *testing.T) {
 // node, an ad-hoc node and the root all grow), and the republished index
 // hands out new sets holding the new sentence.
 func TestPublishedCoverageIsImmutable(t *testing.T) {
+	// The subtest is named for the coverage kernel the index publishes:
+	// the adaptive (compressed) set.
+	t.Run("adaptive", publishedCoverageIsImmutable)
+}
+
+func publishedCoverageIsImmutable(t *testing.T) {
 	c := paperCorpus()
 	b := sketch.NewBuilder(tokenRegistry(), 2)
 	ix := Build(c, b)

@@ -23,6 +23,12 @@ var updatePins = flag.Bool("update-pins", false, "rewrite the testdata/pin trans
 // suggestion to the pool, every suggestion's statistics (float bits of the
 // benefits included), and the final report, snapshot and export bytes.
 func TestBitExactPinWorkspace(t *testing.T) {
+	// The subtest is named for the coverage kernel the index publishes:
+	// the adaptive (compressed) set.
+	t.Run("adaptive", pinWorkspace)
+}
+
+func pinWorkspace(t *testing.T) {
 	eng := newTestEngine(t)
 	ws, err := New(eng, "pin", "directions", Options{SeedRules: []string{seedRule}, Budget: 16, Seed: 42}, nil)
 	if err != nil {
