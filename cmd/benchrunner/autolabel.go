@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -121,7 +120,7 @@ func runAutolabel(perfPath string) error {
 		FloorPerSec:       autolabelFloorPerSec,
 		OutputBytesPerRun: st.OutputBytes,
 	}
-	if err := mergeAutolabelPerf(perfPath, perf); err != nil {
+	if err := mergePerfSection(perfPath, "autolabel", perf); err != nil {
 		return err
 	}
 	fmt.Printf("sentences=%d rules=%d rounds=%d throughput=%.0f sentences/sec (%.1fM/min, floor %.0f/sec) e2e job=%.0fms output=%dB\n",
@@ -132,28 +131,4 @@ func runAutolabel(perfPath string) error {
 			perSec, autolabelFloorPerSec)
 	}
 	return nil
-}
-
-// mergeAutolabelPerf folds the autolabel numbers into the existing
-// BENCH_perf.json without disturbing the hot-path snapshot the perf
-// experiment owns. The file is read as loose JSON so this experiment can run
-// standalone (missing or foreign file: a fresh object holding only the
-// autolabel section).
-func mergeAutolabelPerf(path string, perf *AutolabelPerf) error {
-	doc := map[string]json.RawMessage{}
-	if raw, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(raw, &doc); err != nil {
-			return fmt.Errorf("autolabel: %s exists but is not a JSON object: %v", path, err)
-		}
-	}
-	section, err := json.Marshal(perf)
-	if err != nil {
-		return err
-	}
-	doc["autolabel"] = section
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
 }

@@ -1,9 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 
 	"repro/internal/corpus"
@@ -95,7 +93,7 @@ func runScale(perfPath string) error {
 		ArrayContainers:          arrays,
 		BitmapContainers:         bitmaps,
 	}
-	if err := mergeScalePerf(perfPath, perf); err != nil {
+	if err := mergePerfSection(perfPath, "scale", perf); err != nil {
 		return err
 	}
 	fmt.Printf("sentences=%d nodes=%d index_build=%.0fms\n", perf.Sentences, perf.IndexNodes, perf.IndexBuildMillis)
@@ -109,26 +107,4 @@ func runScale(perfPath string) error {
 			reduction*100, scaleMinMemoryReduction*100)
 	}
 	return nil
-}
-
-// mergeScalePerf folds the scale numbers into BENCH_perf.json without
-// disturbing the sections owned by the other experiments (same loose-JSON
-// idiom as mergeAutolabelPerf).
-func mergeScalePerf(path string, perf *ScalePerf) error {
-	doc := map[string]json.RawMessage{}
-	if raw, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(raw, &doc); err != nil {
-			return fmt.Errorf("scale: %s exists but is not a JSON object: %v", path, err)
-		}
-	}
-	section, err := json.Marshal(perf)
-	if err != nil {
-		return err
-	}
-	doc["scale"] = section
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
 }

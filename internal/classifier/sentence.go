@@ -46,6 +46,11 @@ type SentenceClassifier struct {
 	scores []float64
 	scored bool
 
+	// negSeen marks the sentences drawn as negatives in the current
+	// training round. It is reused across rounds: each round grows it to
+	// the corpus and clears it.
+	negSeen bitset.Set
+
 	// cache holds each sentence's feature vector in sparse form, the form
 	// the model trains and scores on. By default it is private to this
 	// classifier; classifiers over one shared corpus and embedding model
@@ -196,15 +201,16 @@ func (sc *SentenceClassifier) TrainFromPositives(positives bitset.Set) error {
 	if wantNeg < 8 {
 		wantNeg = 8
 	}
-	tries := 0
-	negSeen := map[int]bool{}
-	for len(negSeen) < wantNeg && tries < wantNeg*20 {
+	sc.negSeen = sc.negSeen.Grow(n)
+	sc.negSeen.Clear()
+	for negs, tries := 0, 0; negs < wantNeg && tries < wantNeg*20; {
 		tries++
 		id := sc.rng.Intn(n)
-		if positives.Contains(id) || negSeen[id] {
+		if positives.Contains(id) || sc.negSeen.Contains(id) {
 			continue
 		}
-		negSeen[id] = true
+		sc.negSeen.Add(id)
+		negs++
 		X = append(X, sc.features(id))
 		y = append(y, 0)
 	}

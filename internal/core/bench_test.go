@@ -55,12 +55,29 @@ func benchEngine(b *testing.B) *Engine {
 }
 
 // BenchmarkSessionNext measures one interactive step (Next + Answer) on a
-// reject-heavy session, the hot path an annotator waits on. Roughly one in
-// seven suggestions is accepted, matching observed interactive accept rates.
+// reject-heavy session: one suggestion in seven is accepted, so the cached
+// hierarchy is mostly reused. BenchmarkSessionAccepts runs the accept-heavy
+// mix of an interactive annotator.
 func BenchmarkSessionNext(b *testing.B) {
+	benchSteps(b, 1<<30, func(i int) bool { return i%7 == 0 })
+}
+
+// BenchmarkSessionAccepts measures one interactive step (Next + Answer)
+// when every other suggestion is accepted, close to the ~0.5 accepts per
+// question the perfbench solo workload measures, in sessions of 32
+// questions as there. Each accept retrains the classifier and regenerates
+// the hierarchy, overlapped in Loop.Refit. The bounded sessions keep the
+// cost per step independent of b.N while P grows.
+func BenchmarkSessionAccepts(b *testing.B) {
+	benchSteps(b, 32, func(i int) bool { return i%2 == 0 })
+}
+
+// benchSteps runs b.N session steps, answering step i with accept(i) and
+// starting a fresh session with the given budget whenever one ends.
+func benchSteps(b *testing.B, budget int, accept func(i int) bool) {
 	e := benchEngine(b)
 	newSession := func() *Session {
-		s, err := e.NewSession(SessionOptions{SeedRules: []string{"best way to get to"}, Budget: 1 << 30})
+		s, err := e.NewSession(SessionOptions{SeedRules: []string{"best way to get to"}, Budget: budget})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -76,7 +93,7 @@ func BenchmarkSessionNext(b *testing.B) {
 			b.StartTimer()
 			continue
 		}
-		if _, err := s.Answer(sug.Key, i%7 == 0); err != nil {
+		if _, err := s.Answer(sug.Key, accept(i)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -86,26 +103,5 @@ func BenchmarkSessionNext(b *testing.B) {
 // suggestion, every answer is NO, so the positive set never changes. This is
 // the path incremental hierarchy reuse targets.
 func BenchmarkSessionNextRejects(b *testing.B) {
-	e := benchEngine(b)
-	newSession := func() *Session {
-		s, err := e.NewSession(SessionOptions{SeedRules: []string{"best way to get to"}, Budget: 1 << 30})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return s
-	}
-	s := newSession()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sug, ok := s.Next()
-		if !ok {
-			b.StopTimer()
-			s = newSession()
-			b.StartTimer()
-			continue
-		}
-		if _, err := s.Answer(sug.Key, false); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchSteps(b, 1<<30, func(int) bool { return false })
 }

@@ -46,6 +46,10 @@ type Loop struct {
 	hierPos   int
 	hierIxVer uint64
 	hierGens  int
+	// taken counts rules Taken and still waiting for a Verdict or Release.
+	// While it is zero the holder's next step is a View, so Refit rebuilds
+	// a stale hierarchy ahead of it.
+	taken int
 }
 
 // Suggestion is one candidate rule proposed to an annotator, with the
@@ -63,12 +67,13 @@ type Suggestion struct {
 // LoopState is the persistent part of a Loop. The classifier model is left
 // out (its holder refits it from P) and so is the hierarchy cache (it is
 // regenerated on first use). len(Scores) is the corpus length the state was
-// taken at.
+// taken at. Taken is how many of the queried rules still wait for a verdict.
 type LoopState struct {
 	Positives []int
 	Queried   []string
 	Scores    []float64
 	Retrains  int
+	Taken     int
 }
 
 // newLoop returns an empty loop whose classifier draws negatives from seed
@@ -198,6 +203,7 @@ func (e *Engine) RestoreLoop(seed int64, seedRules []string, st LoopState) (*Loo
 	e.ixMu.Unlock()
 	l.scores = append([]float64(nil), st.Scores...)
 	l.retrains = st.Retrains
+	l.taken = st.Taken
 	l.AddPositives(st.Positives)
 	for _, key := range st.Queried {
 		l.queried[key] = true
@@ -218,6 +224,7 @@ func (l *Loop) State() LoopState {
 		Queried:   queried,
 		Scores:    append([]float64(nil), l.scores...),
 		Retrains:  l.retrains,
+		Taken:     l.taken,
 	}
 }
 
@@ -258,8 +265,10 @@ func (l *Loop) grow() {
 // state. First P and the scores grow to the live corpus, and the candidate
 // hierarchy is regenerated (Algorithm 1 line 6) if |P| or the index version
 // changed since the cached one was built — so rejected answers and repeated
-// views reuse it. f picks a rule (line 7) and Takes it; it must not retain
-// the index.
+// views reuse it. After an accept, Refit has usually rebuilt it already, and
+// View regenerates only when the index grew in between or a rule was still
+// waiting for a verdict at the refit. f picks a rule (line 7) and Takes it;
+// it must not retain the index.
 //
 //darwin:lockrank-callback index
 //darwin:replaypure
@@ -268,11 +277,8 @@ func (l *Loop) View(f func(st *traversal.State)) {
 	e.ixMu.RLock()
 	defer e.ixMu.RUnlock()
 	l.grow()
-	if ver := e.ix.Version(); l.hier == nil || l.hierPos != l.npos || l.hierIxVer != ver {
-		l.hier = hierarchy.Generate(e.ix, l.positives, e.cfg.hierarchyConfig())
-		l.hierPos = l.npos
-		l.hierIxVer = ver
-		l.hierGens++
+	if ver := e.ix.Version(); l.hierStale(ver) {
+		l.cacheHierarchy(l.generate(), ver)
 	}
 	f(&traversal.State{
 		Hierarchy: l.hier,
@@ -291,6 +297,7 @@ func (l *Loop) View(f func(st *traversal.State)) {
 //darwin:replaypure
 func (l *Loop) Take(st *traversal.State, key string, rng *rand.Rand) (Suggestion, []int, grammar.Heuristic) {
 	l.queried[key] = true
+	l.taken++
 	var cov []int
 	if set := coverageOf(st.Index, st.Hierarchy, key); set != nil {
 		cov = set.AppendTo(nil)
@@ -317,7 +324,10 @@ func (l *Loop) Take(st *traversal.State, key string, rng *rand.Rand) (Suggestion
 // was never answered).
 //
 //darwin:replaypure
-func (l *Loop) Release(key string) { delete(l.queried, key) }
+func (l *Loop) Release(key string) {
+	delete(l.queried, key)
+	l.taken--
+}
 
 // Verdict records the answer to question q on a taken rule with coverage
 // cov. An accept grows P by cov (Algorithm 1 line 9) and the record lists
@@ -328,6 +338,7 @@ func (l *Loop) Release(key string) { delete(l.queried, key) }
 //
 //darwin:replaypure
 func (l *Loop) Verdict(q int, sug Suggestion, cov []int, accept bool) RuleRecord {
+	l.taken--
 	rec := RuleRecord{
 		Question: q,
 		Key:      sug.Key,
@@ -349,12 +360,52 @@ func (l *Loop) Verdict(q int, sug Suggestion, cov []int, accept bool) RuleRecord
 // and the scores to the live corpus. A failed fit keeps the previous model
 // and scores.
 //
+// When the holder's next step is a View (the hierarchy cache is in use and
+// no taken rule waits for a verdict) and the cached hierarchy is stale, Refit
+// also regenerates it (line 6) on a second goroutine while the classifier
+// trains, so the next View reuses it instead of rebuilding on the suggest
+// path. The hierarchy never reads the scores or the model, and both
+// goroutines only read shared state under the lock Refit holds.
+//
 //darwin:replaypure
 func (l *Loop) Refit() error {
-	l.e.ixMu.RLock()
-	defer l.e.ixMu.RUnlock()
+	e := l.e
+	e.ixMu.RLock()
+	defer e.ixMu.RUnlock()
 	l.grow()
-	return l.clf.Refit(l.positives, l.scores, &l.retrains, l.e.cfg.LazyScoring, l.e.cfg.LazyScoreThreshold)
+	var regen chan *hierarchy.Hierarchy
+	ver := e.ix.Version()
+	if l.hier != nil && l.taken == 0 && l.hierStale(ver) {
+		regen = make(chan *hierarchy.Hierarchy, 1)
+		//darwin:replaypure-exempt fork-join: Generate is a pure function of (index version, P), both fixed under the held lock, and is joined before Refit returns
+		go func() { regen <- l.generate() }()
+	}
+	err := l.clf.Refit(l.positives, l.scores, &l.retrains, e.cfg.LazyScoring, e.cfg.LazyScoreThreshold)
+	if regen != nil {
+		l.cacheHierarchy(<-regen, ver)
+	}
+	return err
+}
+
+// hierStale reports whether the cached hierarchy is missing or was generated
+// against another |P| or index version than ver.
+func (l *Loop) hierStale(ver uint64) bool {
+	return l.hier == nil || l.hierPos != l.npos || l.hierIxVer != ver
+}
+
+// generate builds the candidate hierarchy for P over the shared index.
+// Callers hold the index lock.
+func (l *Loop) generate() *hierarchy.Hierarchy {
+	return hierarchy.Generate(l.e.ix, l.positives, l.e.cfg.hierarchyConfig())
+}
+
+// cacheHierarchy stores h as the hierarchy for the current |P| and index
+// version ver.
+func (l *Loop) cacheHierarchy(h *hierarchy.Hierarchy, ver uint64) {
+	l.hier = h
+	l.hierPos = l.npos
+	l.hierIxVer = ver
+	l.hierGens++
 }
 
 // Fit trains the classifier on P without rescoring, reproducing a model
@@ -394,8 +445,8 @@ func (l *Loop) Classifier() *classifier.SentenceClassifier { return l.clf }
 func (l *Loop) Retrains() int { return l.retrains }
 
 // HierarchyGenerations returns how many times the loop regenerated its
-// candidate hierarchy: once per change of P (plus one per shared-index
-// growth), not once per view.
+// candidate hierarchy, in View or ahead of it in Refit: once per change of P
+// (plus one per shared-index growth), not once per view.
 func (l *Loop) HierarchyGenerations() int { return l.hierGens }
 
 // coverageOf resolves a rule key's coverage set from the hierarchy or the

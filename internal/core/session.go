@@ -16,10 +16,10 @@ import (
 // batch Session.Run callers are covered alike.
 var (
 	nextDurations = obs.Default().Histogram("darwin_session_next_duration_seconds",
-		"Latency of one Session.Next that did real work (hierarchy reuse or regen + traversal).",
+		"Latency of one Session.Next that did real work (traversal of the cached hierarchy, regenerated first only when the index grew or P changed outside an accepting answer).",
 		obs.LatencyBuckets)
 	answerDurations = obs.Default().Histogram("darwin_session_answer_duration_seconds",
-		"Latency of one Session.Answer (on accept: positive-set merge + classifier retrain + rescore).",
+		"Latency of one Session.Answer (on accept: positive-set merge, then classifier retrain + rescore overlapped with the hierarchy regeneration).",
 		obs.LatencyBuckets)
 )
 
@@ -152,10 +152,12 @@ func (s *Session) Run(o oracle.Oracle, onQuery func(RuleRecord)) *Report {
 
 // Next returns the most promising unqueried candidate rule, or ok=false when
 // the session is over (budget spent or no candidates left). Calling Next again
-// before Answer returns the same pending suggestion. The heavy work — regrow
-// the candidate hierarchy around the current positive set and traverse it — is
-// done in Loop.View, under the engine's read lock, so concurrent sessions
-// step in parallel.
+// before Answer returns the same pending suggestion. The heavy work — traverse
+// the candidate hierarchy for the current positive set — is done in
+// Loop.View, under the engine's read lock, so concurrent sessions step in
+// parallel. The hierarchy was usually regenerated by the accepting Answer
+// that last grew P; Next regenerates it only on the first step or when the
+// shared index grew since.
 //
 //darwin:replaypure
 func (s *Session) Next() (Suggestion, bool) {
@@ -201,8 +203,10 @@ func (s *Session) Next() (Suggestion, bool) {
 
 // Answer records the caller's verdict on the pending suggestion (Algorithm 1
 // lines 8-12): on accept it extends the positive set with the rule's coverage
-// and retrains the classifier; either way it informs the traversal strategy.
-// The key must match the pending suggestion's key.
+// and retrains the classifier, regenerating the candidate hierarchy for the
+// next Next on a second goroutine meanwhile (Loop.Refit); either way it
+// informs the traversal strategy. The key must match the pending
+// suggestion's key.
 //
 //darwin:replaypure
 func (s *Session) Answer(key string, accept bool) (RuleRecord, error) {

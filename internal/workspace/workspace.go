@@ -47,10 +47,10 @@ var (
 	wsEventsTotal = obs.Default().CounterVec("darwin_workspace_events_total",
 		"State-changing workspace events applied (and journaled), by event type.", "type")
 	wsSuggestDurations = obs.Default().Histogram("darwin_workspace_suggest_duration_seconds",
-		"Latency of one shared-workspace suggest (includes hierarchy regeneration when the positive set changed).",
+		"Latency of one shared-workspace suggest (includes hierarchy regeneration when the positive set changed and the accepting answer left it to the suggest).",
 		obs.LatencyBuckets)
 	wsAnswerDurations = obs.Default().Histogram("darwin_workspace_answer_duration_seconds",
-		"Latency of one shared-workspace answer (includes classifier retrain on accept).",
+		"Latency of one shared-workspace answer (on accept: classifier retrain, and hierarchy regeneration overlapped with it when no other assignment is outstanding).",
 		obs.LatencyBuckets)
 	wsAttachmentsExpired = obs.Default().Counter("darwin_workspace_attachments_expired_total",
 		"Annotator attachments detached by the per-attachment idle TTL.")
@@ -392,8 +392,9 @@ func (ws *Workspace) outstandingLocked() int {
 // assignment is possible: the shared budget is exhausted (counting
 // outstanding assignments, so the budget is never oversubscribed) or no
 // candidates remain. The heavy work — regenerating the shared hierarchy
-// when |P| or the index changed, and one benefit-kernel pass over the
-// candidates — runs under the engine's read lock.
+// when |P| or the index changed and the accepting answer did not already
+// (see core.Loop.Refit), and one benefit-kernel pass over the candidates —
+// runs under the engine's read lock.
 //
 //darwin:replaypure
 func (ws *Workspace) Suggest(name string) (Suggestion, bool, error) {
