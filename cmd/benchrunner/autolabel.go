@@ -120,7 +120,7 @@ func runAutolabel(perfPath string) error {
 		FloorPerSec:       autolabelFloorPerSec,
 		OutputBytesPerRun: st.OutputBytes,
 	}
-	if err := mergePerfSection(perfPath, "autolabel", perf); err != nil {
+	if err := updatePerfReport(perfPath, func(r *PerfReport) { r.Autolabel = perf }); err != nil {
 		return err
 	}
 	fmt.Printf("sentences=%d rules=%d rounds=%d throughput=%.0f sentences/sec (%.1fM/min, floor %.0f/sec) e2e job=%.0fms output=%dB\n",

@@ -1,10 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
 	"sort"
 	"time"
 
@@ -182,15 +180,10 @@ func runPerf(outPath string) error {
 		Baseline: baselinePrePR2,
 	}
 	// Keep the other experiments' sections across rewrites of the file.
-	if prev, err := readPerfReport(outPath); err == nil {
-		rep.Autolabel = prev.Autolabel
-		rep.ScaleSection = prev.ScaleSection
-	}
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(out, '\n'), 0o644); err != nil {
+	if err := updatePerfReport(outPath, func(r *PerfReport) {
+		rep.Autolabel, rep.ScaleSection = r.Autolabel, r.ScaleSection
+		*r = rep
+	}); err != nil {
 		return err
 	}
 	fmt.Printf("sentences=%d index_build=%.0fms step p50=%.2fms p95=%.2fms mean=%.2fms (%d steps, %d hierarchy generations) candidates/sec=%.0f\n",

@@ -1,73 +1,25 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io/fs"
 	"os"
-	"slices"
 )
 
-// mergePerfSection writes section as the top-level key of the JSON object
-// in the file at path and leaves every other byte of the file as it was, so
-// the sections other experiments own keep their content, formatting and
-// order. A key the file does not hold yet is appended after the last one; a
-// missing file becomes an object holding only this section.
-func mergePerfSection(path, key string, section any) error {
-	val, err := json.MarshalIndent(section, "  ", "  ")
+// updatePerfReport rewrites BENCH_perf.json at path with set applied to the
+// report it holds (a zero report if the file is missing). Each experiment
+// sets only its own section, and the file is written in PerfReport field
+// order, so the sections the other experiments own come out byte-identical.
+func updatePerfReport(path string, set func(*PerfReport)) error {
+	rep, err := readPerfReport(path)
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return err
+	}
+	set(&rep)
+	out, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		return err
 	}
-	doc, err := os.ReadFile(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		doc = []byte("{}\n")
-	} else if err != nil {
-		return err
-	}
-	out, err := spliceSection(doc, key, val)
-	if err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	return os.WriteFile(path, out, 0o644)
-}
-
-// spliceSection returns doc, a JSON object, with the value of its top-level
-// key replaced by val (or key: val appended as its last member), indented
-// the way json.MarshalIndent(doc, "", "  ") lays out members.
-func spliceSection(doc []byte, key string, val []byte) ([]byte, error) {
-	dec := json.NewDecoder(bytes.NewReader(doc))
-	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
-		return nil, errors.New("not a JSON object")
-	}
-	lastEnd := -1
-	for dec.More() {
-		tok, err := dec.Token()
-		if err != nil {
-			return nil, err
-		}
-		var v json.RawMessage
-		if err := dec.Decode(&v); err != nil {
-			return nil, err
-		}
-		end := int(dec.InputOffset())
-		if tok == key {
-			return slices.Concat(doc[:end-len(v)], val, doc[end:]), nil
-		}
-		lastEnd = end
-	}
-	if tok, err := dec.Token(); err != nil || tok != json.Delim('}') {
-		return nil, errors.New("not a JSON object")
-	}
-	name, err := json.Marshal(key)
-	if err != nil {
-		return nil, err
-	}
-	member := slices.Concat([]byte("\n  "), name, []byte(": "), val)
-	if lastEnd < 0 {
-		closing := int(dec.InputOffset()) - 1
-		return slices.Concat(doc[:closing], member, []byte("\n"), doc[closing:]), nil
-	}
-	return slices.Concat(doc[:lastEnd], []byte(","), member, doc[lastEnd:]), nil
+	return os.WriteFile(path, append(out, '\n'), 0o644)
 }

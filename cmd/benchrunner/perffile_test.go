@@ -1,166 +1,131 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// perfFixture is a BENCH_perf.json whose top-level keys are not sorted and
-// whose sections are not all laid out the way json.MarshalIndent would lay
-// them out, so a merge that re-encodes the whole file shows up as a diff.
-const perfFixture = `{
-  "dataset": "directions",
-  "sentences": 7650,
-  "current": {"step_mean_ms": 1.50, "steps": 60},
-  "scale": {
-    "dataset": "professions",
-    "sentences": 1000000
-  },
-  "autolabel": {
-    "dataset": "directions",
-    "rounds": 53
-  }
-}
-`
-
-type sectionFixture struct {
-	Dataset string  `json:"dataset"`
-	Ratio   float64 `json:"ratio"`
-}
-
-func writeFixture(t *testing.T, body string) string {
+func writeFixture(t *testing.T, body []byte) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "BENCH_perf.json")
-	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+	if err := os.WriteFile(path, body, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return path
 }
 
-func readFile(t *testing.T, path string) string {
+func readFile(t *testing.T, path string) []byte {
 	t.Helper()
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !json.Valid(raw) {
-		t.Fatalf("merged file is not valid JSON:\n%s", raw)
-	}
-	return string(raw)
+	return raw
 }
 
-// TestMergePerfSectionReplacesInPlace pins that a merge rewrites only its
-// own section: every line outside it stays byte-identical and in place.
-func TestMergePerfSectionReplacesInPlace(t *testing.T) {
-	path := writeFixture(t, perfFixture)
-	if err := mergePerfSection(path, "scale", sectionFixture{Dataset: "tweets", Ratio: 0.25}); err != nil {
+// topLevelKeys returns the keys of the JSON object doc in file order.
+func topLevelKeys(t *testing.T, doc []byte) []string {
+	t.Helper()
+	var keys []string
+	dec := json.NewDecoder(bytes.NewReader(doc))
+	if _, err := dec.Token(); err != nil {
 		t.Fatal(err)
 	}
-	got := strings.Split(readFile(t, path), "\n")
-	want := strings.Split(perfFixture, "\n")
-	// The fixture's scale section is lines 5-8; the merged one takes
-	// exactly their place.
-	newSection := []string{
-		`  "scale": {`,
-		`    "dataset": "tweets",`,
-		`    "ratio": 0.25`,
-		`  },`,
-	}
-	want = append(append(append([]string(nil), want[:4]...), newSection...), want[8:]...)
-	if len(got) != len(want) {
-		t.Fatalf("merged file has %d lines, want %d:\n%s", len(got), len(want), strings.Join(got, "\n"))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("line %d: got %q, want %q", i+1, got[i], want[i])
-		}
-	}
-}
-
-// TestMergePerfSectionAppendsNewKey pins that a section the file does not
-// hold yet goes after the last one, with the rest untouched.
-func TestMergePerfSectionAppendsNewKey(t *testing.T) {
-	path := writeFixture(t, perfFixture)
-	if err := mergePerfSection(path, "jobs", sectionFixture{Dataset: "tweets"}); err != nil {
-		t.Fatal(err)
-	}
-	want := strings.TrimSuffix(perfFixture, "\n}\n") + `,
-  "jobs": {
-    "dataset": "tweets",
-    "ratio": 0
-  }
-}
-`
-	if got := readFile(t, path); got != want {
-		t.Fatalf("merged file:\n%s\nwant:\n%s", got, want)
-	}
-}
-
-// TestMergePerfSectionFreshFile pins that a missing file and an empty
-// object both become the same document json.MarshalIndent writes.
-func TestMergePerfSectionFreshFile(t *testing.T) {
-	sec := sectionFixture{Dataset: "directions", Ratio: 1.5}
-	enc, err := json.MarshalIndent(map[string]sectionFixture{"autolabel": sec}, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := string(enc) + "\n"
-	missing := filepath.Join(t.TempDir(), "BENCH_perf.json")
-	empty := writeFixture(t, "{}\n")
-	for _, path := range []string{missing, empty} {
-		if err := mergePerfSection(path, "autolabel", sec); err != nil {
-			t.Fatal(err)
-		}
-		if got := readFile(t, path); got != want {
-			t.Errorf("%s:\n%s\nwant:\n%s", filepath.Base(filepath.Dir(path)), got, want)
-		}
-	}
-}
-
-// TestMergePerfSectionRejectsNonObject pins that a file that is not a JSON
-// object is an error and is left as it was.
-func TestMergePerfSectionRejectsNonObject(t *testing.T) {
-	for _, body := range []string{"[1, 2]\n", "not json", `{"a": 1`} {
-		path := writeFixture(t, body)
-		if err := mergePerfSection(path, "scale", sectionFixture{}); err == nil {
-			t.Errorf("%q: merge succeeded, want an error", body)
-		}
-		raw, err := os.ReadFile(path)
+	for dec.More() {
+		tok, err := dec.Token()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if string(raw) != body {
-			t.Errorf("%q: file rewritten to %q", body, raw)
+		keys = append(keys, tok.(string))
+		var skip json.RawMessage
+		if err := dec.Decode(&skip); err != nil {
+			t.Fatal(err)
 		}
+	}
+	return keys
+}
+
+// TestUpdatePerfReportKeepsCommittedFile pins that a rewrite of the
+// committed BENCH_perf.json (whose top-level keys are not sorted) that sets
+// nothing changes no byte, and one that sets a section leaves every line
+// outside that section byte-identical and in place.
+func TestUpdatePerfReportKeepsCommittedFile(t *testing.T) {
+	orig := readFile(t, "../../BENCH_perf.json")
+	keys := topLevelKeys(t, orig)
+	if slices.IsSorted(keys) {
+		t.Fatalf("committed file's keys %v are sorted; the test needs an unsorted file", keys)
+	}
+	path := writeFixture(t, orig)
+	if err := updatePerfReport(path, func(*PerfReport) {}); err != nil {
+		t.Fatal(err)
+	}
+	if got := readFile(t, path); !bytes.Equal(got, orig) {
+		t.Fatalf("a rewrite that sets nothing changed the file:\n%s", got)
+	}
+
+	scale := &ScalePerf{Dataset: "tweets", Sentences: 42}
+	if err := updatePerfReport(path, func(r *PerfReport) { r.ScaleSection = scale }); err != nil {
+		t.Fatal(err)
+	}
+	got := strings.Split(string(readFile(t, path)), "\n")
+	want := strings.Split(string(orig), "\n")
+	// The scale section is the last member: every line before it is kept.
+	start := slices.Index(want, `  "scale": {`)
+	if start < 0 {
+		t.Fatal("committed file has no scale section")
+	}
+	if !slices.Equal(got[:start+1], want[:start+1]) {
+		t.Fatalf("lines outside the scale section changed:\n%s", strings.Join(got[:start+1], "\n"))
+	}
+	if !slices.Equal(got[len(got)-2:], want[len(want)-2:]) {
+		t.Fatalf("closing lines changed: %q", got[len(got)-2:])
+	}
+	rep, err := readPerfReport(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *rep.ScaleSection != *scale {
+		t.Fatalf("scale section reads back as %+v, want %+v", *rep.ScaleSection, *scale)
 	}
 }
 
-// TestMergePerfSectionKeepsCommittedFile pins that merging the committed
-// BENCH_perf.json's own sections back into it changes no byte.
-func TestMergePerfSectionKeepsCommittedFile(t *testing.T) {
-	const committed = "../../BENCH_perf.json"
-	orig, err := os.ReadFile(committed)
+// TestUpdatePerfReportFixedOrder pins that a file with its keys in another
+// order comes out in PerfReport field order with every value kept, so runs
+// of different experiments never reorder the file between them.
+func TestUpdatePerfReportFixedOrder(t *testing.T) {
+	const shuffled = `{
+  "scale": {"dataset": "professions", "sentences": 1000000},
+  "sentences": 7650,
+  "autolabel": {"dataset": "directions", "rounds": 53},
+  "dataset": "directions",
+  "current": {"step_mean_ms": 1.5, "steps": 60}
+}
+`
+	path := writeFixture(t, []byte(shuffled))
+	before, err := readPerfReport(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := readPerfReport(committed)
+	if err := updatePerfReport(path, func(r *PerfReport) { r.Autolabel.Rounds = 54 }); err != nil {
+		t.Fatal(err)
+	}
+	got := readFile(t, path)
+	wantKeys := []string{"dataset", "corpus_scale", "sentences", "current", "baseline_pre_pr2", "autolabel", "scale"}
+	if keys := topLevelKeys(t, got); !slices.Equal(keys, wantKeys) {
+		t.Fatalf("keys %v, want %v", keys, wantKeys)
+	}
+	after, err := readPerfReport(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Autolabel == nil || rep.ScaleSection == nil {
-		t.Fatal("committed file lacks the autolabel or scale section")
-	}
-	path := writeFixture(t, string(orig))
-	if err := mergePerfSection(path, "autolabel", rep.Autolabel); err != nil {
-		t.Fatal(err)
-	}
-	if err := mergePerfSection(path, "scale", rep.ScaleSection); err != nil {
-		t.Fatal(err)
-	}
-	if got := readFile(t, path); got != string(orig) {
-		t.Fatalf("merging the file's own sections rewrote it:\n%s", got)
+	before.Autolabel.Rounds = 54
+	if after.Dataset != before.Dataset || after.Sentences != before.Sentences || after.Current != before.Current ||
+		*after.Autolabel != *before.Autolabel || *after.ScaleSection != *before.ScaleSection {
+		t.Fatalf("values changed:\n got %+v\nwant %+v", after, before)
 	}
 }

@@ -93,7 +93,7 @@ func runScale(perfPath string) error {
 		ArrayContainers:          arrays,
 		BitmapContainers:         bitmaps,
 	}
-	if err := mergePerfSection(perfPath, "scale", perf); err != nil {
+	if err := updatePerfReport(perfPath, func(r *PerfReport) { r.ScaleSection = perf }); err != nil {
 		return err
 	}
 	fmt.Printf("sentences=%d nodes=%d index_build=%.0fms\n", perf.Sentences, perf.IndexNodes, perf.IndexBuildMillis)

@@ -46,10 +46,6 @@ type Loop struct {
 	hierPos   int
 	hierIxVer uint64
 	hierGens  int
-	// taken counts rules Taken and still waiting for a Verdict or Release.
-	// While it is zero the holder's next step is a View, so Refit rebuilds
-	// a stale hierarchy ahead of it.
-	taken int
 }
 
 // Suggestion is one candidate rule proposed to an annotator, with the
@@ -67,13 +63,12 @@ type Suggestion struct {
 // LoopState is the persistent part of a Loop. The classifier model is left
 // out (its holder refits it from P) and so is the hierarchy cache (it is
 // regenerated on first use). len(Scores) is the corpus length the state was
-// taken at. Taken is how many of the queried rules still wait for a verdict.
+// taken at.
 type LoopState struct {
 	Positives []int
 	Queried   []string
 	Scores    []float64
 	Retrains  int
-	Taken     int
 }
 
 // newLoop returns an empty loop whose classifier draws negatives from seed
@@ -203,7 +198,6 @@ func (e *Engine) RestoreLoop(seed int64, seedRules []string, st LoopState) (*Loo
 	e.ixMu.Unlock()
 	l.scores = append([]float64(nil), st.Scores...)
 	l.retrains = st.Retrains
-	l.taken = st.Taken
 	l.AddPositives(st.Positives)
 	for _, key := range st.Queried {
 		l.queried[key] = true
@@ -224,7 +218,6 @@ func (l *Loop) State() LoopState {
 		Queried:   queried,
 		Scores:    append([]float64(nil), l.scores...),
 		Retrains:  l.retrains,
-		Taken:     l.taken,
 	}
 }
 
@@ -266,9 +259,9 @@ func (l *Loop) grow() {
 // hierarchy is regenerated (Algorithm 1 line 6) if |P| or the index version
 // changed since the cached one was built — so rejected answers and repeated
 // views reuse it. After an accept, Refit has usually rebuilt it already, and
-// View regenerates only when the index grew in between or a rule was still
-// waiting for a verdict at the refit. f picks a rule (line 7) and Takes it;
-// it must not retain the index.
+// View regenerates only when the index grew in between or the holder did
+// not expect a View to follow the refit. f picks a rule (line 7) and Takes
+// it; it must not retain the index.
 //
 //darwin:lockrank-callback index
 //darwin:replaypure
@@ -297,7 +290,6 @@ func (l *Loop) View(f func(st *traversal.State)) {
 //darwin:replaypure
 func (l *Loop) Take(st *traversal.State, key string, rng *rand.Rand) (Suggestion, []int, grammar.Heuristic) {
 	l.queried[key] = true
-	l.taken++
 	var cov []int
 	if set := coverageOf(st.Index, st.Hierarchy, key); set != nil {
 		cov = set.AppendTo(nil)
@@ -324,10 +316,7 @@ func (l *Loop) Take(st *traversal.State, key string, rng *rand.Rand) (Suggestion
 // was never answered).
 //
 //darwin:replaypure
-func (l *Loop) Release(key string) {
-	delete(l.queried, key)
-	l.taken--
-}
+func (l *Loop) Release(key string) { delete(l.queried, key) }
 
 // Verdict records the answer to question q on a taken rule with coverage
 // cov. An accept grows P by cov (Algorithm 1 line 9) and the record lists
@@ -338,7 +327,6 @@ func (l *Loop) Release(key string) {
 //
 //darwin:replaypure
 func (l *Loop) Verdict(q int, sug Suggestion, cov []int, accept bool) RuleRecord {
-	l.taken--
 	rec := RuleRecord{
 		Question: q,
 		Key:      sug.Key,
@@ -360,22 +348,23 @@ func (l *Loop) Verdict(q int, sug Suggestion, cov []int, accept bool) RuleRecord
 // and the scores to the live corpus. A failed fit keeps the previous model
 // and scores.
 //
-// When the holder's next step is a View (the hierarchy cache is in use and
-// no taken rule waits for a verdict) and the cached hierarchy is stale, Refit
+// viewNext is the holder's word that its next step is a View: a session
+// with budget left, or a workspace with budget left and no other
+// assignment out. Then, if the hierarchy cache is in use and stale, Refit
 // also regenerates it (line 6) on a second goroutine while the classifier
 // trains, so the next View reuses it instead of rebuilding on the suggest
 // path. The hierarchy never reads the scores or the model, and both
 // goroutines only read shared state under the lock Refit holds.
 //
 //darwin:replaypure
-func (l *Loop) Refit() error {
+func (l *Loop) Refit(viewNext bool) error {
 	e := l.e
 	e.ixMu.RLock()
 	defer e.ixMu.RUnlock()
 	l.grow()
 	var regen chan *hierarchy.Hierarchy
 	ver := e.ix.Version()
-	if l.hier != nil && l.taken == 0 && l.hierStale(ver) {
+	if viewNext && l.hier != nil && l.hierStale(ver) {
 		regen = make(chan *hierarchy.Hierarchy, 1)
 		//darwin:replaypure-exempt fork-join: Generate is a pure function of (index version, P), both fixed under the held lock, and is joined before Refit returns
 		go func() { regen <- l.generate() }()

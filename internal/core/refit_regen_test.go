@@ -2,14 +2,12 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/hierarchy"
 	"repro/internal/ingest"
-	"repro/internal/traversal"
 )
 
 // acceptNext steps s until it accepts a suggestion that grows P, rejecting
@@ -96,61 +94,44 @@ func TestAcceptPrebuildsHierarchy(t *testing.T) {
 	}
 }
 
-// TestRefitWaitsForOutstandingTakes pins when Refit rebuilds: not while a
-// taken rule still waits for a verdict (its holder's next step may be that
-// verdict, not a View), so two back-to-back accepts regenerate once.
-func TestRefitWaitsForOutstandingTakes(t *testing.T) {
-	e, err := New(testCorpus(t, 0.06), fastConfig("hybrid"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, _, err := e.NewLoop(1, []string{"best way to get to"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Refit(); err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	type taken struct {
-		sug Suggestion
-		cov []int
-	}
-	var held []taken
-	l.View(func(st *traversal.State) {
-		for _, key := range st.Hierarchy.NonRootKeys() {
-			if len(held) == 2 {
-				break
-			}
-			if _, newCov := st.BenefitNewOf(key); newCov == 0 || l.queried[key] {
-				continue
-			}
-			sug, cov, _ := l.Take(st, key, rng)
-			held = append(held, taken{sug, cov})
+// TestBudgetSpendingAcceptSkipsRegen pins that the accept which spends the
+// session's budget leaves the hierarchy alone: no Next follows it, so a
+// regeneration there would be wasted.
+func TestBudgetSpendingAcceptSkipsRegen(t *testing.T) {
+	newSession := func(budget int) *Session {
+		e, err := New(testCorpus(t, 0.06), fastConfig("hybrid"))
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
-	if len(held) != 2 {
-		t.Fatalf("scenario not reached: took %d rules with new coverage", len(held))
+		s, err := e.NewSession(SessionOptions{SeedRules: []string{"best way to get to"}, Budget: budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
 	}
-	gens := l.HierarchyGenerations()
-	l.Verdict(1, held[0].sug, held[0].cov, true)
-	if err := l.Refit(); err != nil {
-		t.Fatal(err)
+	probe := newSession(40)
+	if !acceptNext(t, probe) {
+		t.Fatal("scenario not reached: no accept within the budget")
 	}
-	if got := l.HierarchyGenerations(); got != gens {
-		t.Fatalf("Refit regenerated with a taken rule outstanding: %d -> %d generations", gens, got)
+	// The same session, budgeted to end on that first accept.
+	s := newSession(probe.Questions())
+	gens := -1
+	for {
+		sug, ok := s.Next()
+		if !ok {
+			break
+		}
+		gens = s.HierarchyGenerations()
+		if _, err := s.Answer(sug.Key, sug.NewCoverage > 0); err != nil {
+			t.Fatal(err)
+		}
 	}
-	l.Verdict(2, held[1].sug, held[1].cov, true)
-	if err := l.Refit(); err != nil {
-		t.Fatal(err)
+	if s.Questions() != probe.Questions() || len(s.report.Accepted) != len(probe.report.Accepted) {
+		t.Fatalf("scenario not reached: %d questions, %d accepted; probe %d, %d",
+			s.Questions(), len(s.report.Accepted), probe.Questions(), len(probe.report.Accepted))
 	}
-	if got := l.HierarchyGenerations(); got != gens+1 {
-		t.Fatalf("last outstanding accept: %d -> %d generations, want one regeneration", gens, got)
-	}
-	assertFreshHierarchy(t, l)
-	l.View(func(*traversal.State) {})
-	if got := l.HierarchyGenerations(); got != gens+1 {
-		t.Fatalf("View after the refit regenerated again: %d generations", got)
+	if got := s.HierarchyGenerations(); got != gens {
+		t.Fatalf("the budget-spending accept regenerated the hierarchy: %d -> %d generations", gens, got)
 	}
 }
 
@@ -189,8 +170,7 @@ func TestConcurrentAcceptsDuringIngest(t *testing.T) {
 				}
 				sug, ok := s.Next()
 				if !ok {
-					t.Errorf("session %d ended early", w)
-					return
+					return // out of candidates: the session is over
 				}
 				if _, err := s.Answer(sug.Key, i%2 == 0); err != nil {
 					t.Errorf("session %d: %v", w, err)

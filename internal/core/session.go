@@ -123,7 +123,7 @@ func (e *Engine) NewSession(opts SessionOptions) (*Session, error) {
 	}
 	// Initial classifier (Algorithm 1 line 4). A failed fit keeps the prior
 	// scores.
-	_ = loop.Refit()
+	_ = loop.Refit(false)
 	if s.trav == nil {
 		s.trav = traversal.New(e.cfg.Traversal, e.cfg.Tau, s.seedKeys...)
 	}
@@ -204,9 +204,9 @@ func (s *Session) Next() (Suggestion, bool) {
 // Answer records the caller's verdict on the pending suggestion (Algorithm 1
 // lines 8-12): on accept it extends the positive set with the rule's coverage
 // and retrains the classifier, regenerating the candidate hierarchy for the
-// next Next on a second goroutine meanwhile (Loop.Refit); either way it
-// informs the traversal strategy. The key must match the pending
-// suggestion's key.
+// next Next on a second goroutine meanwhile (Loop.Refit) unless this answer
+// spent the budget; either way it informs the traversal strategy. The key
+// must match the pending suggestion's key.
 //
 //darwin:replaypure
 func (s *Session) Answer(key string, accept bool) (RuleRecord, error) {
@@ -226,7 +226,7 @@ func (s *Session) Answer(key string, accept bool) (RuleRecord, error) {
 		s.report.Accepted = append(s.report.Accepted, rec)
 		// A failed fit (not enough signal, which should not happen once P
 		// is non-empty) keeps the previous scores.
-		_ = s.loop.Refit()
+		_ = s.loop.Refit(rec.Question < s.budget)
 	}
 	rec.PositivesAfter = s.loop.Count()
 	s.report.History = append(s.report.History, rec)

@@ -108,18 +108,11 @@ func Restore(eng *core.Engine, snap *Snapshot, log LogFunc) (*Workspace, error) 
 			return nil, fmt.Errorf("workspace: snapshot %s has out-of-range positive %d", snap.ID, id)
 		}
 	}
-	taken := 0
-	for _, as := range snap.Annotators {
-		if as.Pending != nil {
-			taken++
-		}
-	}
 	loop, err := eng.RestoreLoop(snap.Seed, snap.SeedRules, core.LoopState{
 		Positives: snap.Positives,
 		Queried:   snap.Queried,
 		Scores:    snap.Scores,
 		Retrains:  snap.Retrains,
-		Taken:     taken,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("workspace: snapshot %s: %w", snap.ID, err)

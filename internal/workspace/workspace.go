@@ -225,7 +225,7 @@ func New(eng *core.Engine, id, dataset string, opts Options, log LogFunc) (*Work
 	for _, rec := range seeds {
 		ws.accepted = append(ws.accepted, Record{RuleRecord: rec})
 	}
-	ws.retrain() // event 0: the create itself
+	ws.retrain(false) // event 0: the create itself
 	ws.eventSeq = 1
 	ws.publishStatsLocked()
 	return ws, nil
@@ -243,15 +243,17 @@ func (ws *Workspace) Budget() int { return ws.budget }
 // retrain refits the shared classifier on P and refreshes the scores. The
 // negative-sampling RNG is reseeded from the current event sequence number,
 // making the retrain a pure function of (P, seed, eventSeq, corpus length).
+// viewNext says the next loop step is a suggest, so the refit may regenerate
+// the hierarchy for it (see core.Loop.Refit).
 //
 //darwin:replaypure
-func (ws *Workspace) retrain() {
+func (ws *Workspace) retrain(viewNext bool) {
 	ws.loop.Classifier().Reseed(mix(ws.seed, ws.eventSeq))
 	// Training failure is tolerated live (previous model and scores keep
 	// serving); lastRetrainSeq deliberately still points at the last
 	// successful fit, so a snapshot Restore refits a seq that is known to
 	// succeed.
-	if ws.loop.Refit() == nil {
+	if ws.loop.Refit(viewNext) == nil {
 		ws.lastRetrainSeq = ws.eventSeq
 	}
 }
@@ -474,7 +476,10 @@ func (ws *Workspace) Answer(name, key string, accept bool) (Record, error) {
 	rec := Record{RuleRecord: ws.loop.Verdict(ws.questions+1, pending.Suggestion, cov, accept), Annotator: name}
 	if accept {
 		ws.accepted = append(ws.accepted, rec)
-		ws.retrain()
+		// Regenerate ahead of the next suggest only when one follows
+		// for this P: another annotator's outstanding assignment may
+		// grow P again first, and a budget-spending answer has none.
+		ws.retrain(ws.outstandingLocked() == 0 && rec.Question < ws.budget)
 	}
 	rec.PositivesAfter = ws.loop.Count()
 	ws.history = append(ws.history, rec)

@@ -840,11 +840,11 @@ func TestStatsDoesNotBlockOnInFlightSuggest(t *testing.T) {
 	<-sugDone
 }
 
-// TestRestoredPendingDefersRegen pins that a snapshot restore counts the
-// restored pending suggestions as rules still waiting for a verdict: while
-// one is outstanding, another annotator's accept leaves the hierarchy to the
-// next suggest instead of regenerating it in the answer.
-func TestRestoredPendingDefersRegen(t *testing.T) {
+// TestOutstandingAssignmentDefersRegen pins that while one annotator's
+// suggestion is outstanding, another annotator's accept leaves the hierarchy
+// to the next suggest instead of regenerating it in the answer: the
+// outstanding verdict may grow P again before anyone suggests.
+func TestOutstandingAssignmentDefersRegen(t *testing.T) {
 	m := newTestManager(t, "", ManagerConfig{})
 	ws, err := m.Create("directions", Options{SeedRules: []string{seedRule}, Budget: 20})
 	if err != nil {
@@ -855,38 +855,34 @@ func TestRestoredPendingDefersRegen(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	asug, ok, err := m.Suggest(ws.ID(), "alice")
+	asug, ok, err := ws.Suggest("alice")
 	if err != nil || !ok {
 		t.Fatalf("alice suggest: ok=%v err=%v", ok, err)
 	}
-	rws, err := Restore(newTestEngine(t), ws.Snapshot(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	accepted := false
 	for i := 0; i < 10 && !accepted; i++ {
-		sug, ok, err := rws.Suggest("bob")
+		sug, ok, err := ws.Suggest("bob")
 		if err != nil || !ok {
 			t.Fatalf("bob suggest %d: ok=%v err=%v", i, ok, err)
 		}
 		accepted = sug.NewCoverage > 0
-		if _, err := rws.Answer("bob", sug.Key, accepted); err != nil {
+		if _, err := ws.Answer("bob", sug.Key, accepted); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if !accepted {
 		t.Fatal("scenario not reached: bob accepted no rule")
 	}
-	if got := rws.HierarchyGenerations(); got != 1 {
-		t.Fatalf("bob's accept regenerated with alice's restored suggestion pending: %d generations, want 1", got)
+	if got := ws.HierarchyGenerations(); got != 1 {
+		t.Fatalf("bob's accept regenerated with alice's suggestion pending: %d generations, want 1", got)
 	}
-	if _, err := rws.Answer("alice", asug.Key, false); err != nil {
+	if _, err := ws.Answer("alice", asug.Key, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := rws.Suggest("bob"); err != nil || !ok {
+	if _, ok, err := ws.Suggest("bob"); err != nil || !ok {
 		t.Fatalf("bob suggest after the accept: ok=%v err=%v", ok, err)
 	}
-	if got := rws.HierarchyGenerations(); got != 2 {
+	if got := ws.HierarchyGenerations(); got != 2 {
 		t.Fatalf("suggest after the accept: %d generations, want 2", got)
 	}
 }
