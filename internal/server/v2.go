@@ -594,24 +594,9 @@ func (s *Server) createWorkspaceLabeler(ctx context.Context, req darwin.CreateOp
 	if fresh {
 		// Fresh workspace for this labeler; its durability and TTL are the
 		// workspace manager's business.
-		if _, ok := s.datasets[req.Dataset]; !ok {
-			return darwin.Status{}, fmt.Errorf("%w: unknown dataset %q (have %v)", darwin.ErrNotFound, req.Dataset, s.DatasetNames())
-		}
-		if len(req.SeedRules) > s.cfg.MaxSeedRules {
-			return darwin.Status{}, fmt.Errorf("%w: too many seed rules (%d > %d)", darwin.ErrInvalid, len(req.SeedRules), s.cfg.MaxSeedRules)
-		}
-		budget := req.Budget
-		if budget <= 0 {
-			budget = s.cfg.DefaultBudget
-		}
-		ws, err := s.mgr.Create(req.Dataset, workspace.Options{
-			SeedRules:       req.SeedRules,
-			SeedPositiveIDs: req.SeedPositiveIDs,
-			Budget:          budget,
-			Seed:            req.Seed,
-		})
+		ws, err := s.createWorkspace(req)
 		if err != nil {
-			return darwin.Status{}, fmt.Errorf("%w: %v", darwin.ErrInvalid, err)
+			return darwin.Status{}, err
 		}
 		wsID = ws.ID()
 	} else {
@@ -664,6 +649,37 @@ func (s *Server) createWorkspaceLabeler(ctx context.Context, req darwin.CreateOp
 	}
 	st.ID = id
 	return st, nil
+}
+
+// createWorkspace validates a fresh-workspace request and creates the
+// workspace, journaled; /v1 and /v2 creation share it. It returns a typed
+// error: a full manager or a dead journal is darwin.ErrUnavailable (retry
+// later), any other refusal is the request's fault.
+func (s *Server) createWorkspace(req darwin.CreateOptions) (*workspace.Workspace, error) {
+	if _, ok := s.datasets[req.Dataset]; !ok {
+		return nil, fmt.Errorf("%w: unknown dataset %q (have %v)", darwin.ErrNotFound, req.Dataset, s.DatasetNames())
+	}
+	if len(req.SeedRules) > s.cfg.MaxSeedRules {
+		return nil, fmt.Errorf("%w: too many seed rules (%d > %d)", darwin.ErrInvalid, len(req.SeedRules), s.cfg.MaxSeedRules)
+	}
+	budget := req.Budget
+	if budget <= 0 {
+		budget = s.cfg.DefaultBudget
+	}
+	ws, err := s.mgr.Create(req.Dataset, workspace.Options{
+		SeedRules:       req.SeedRules,
+		SeedPositiveIDs: req.SeedPositiveIDs,
+		Budget:          budget,
+		Seed:            req.Seed,
+	})
+	switch {
+	case err == nil:
+		return ws, nil
+	case errors.Is(err, workspace.ErrLimit), errors.Is(err, workspace.ErrJournal):
+		return nil, fmt.Errorf("%w: %v", darwin.ErrUnavailable, err)
+	default:
+		return nil, fmt.Errorf("%w: %v", darwin.ErrInvalid, err)
+	}
 }
 
 // Labeler implements Backend: it maps a labeler id to its darwin.Labeler.

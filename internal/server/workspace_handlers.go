@@ -142,26 +142,15 @@ func (s *Server) handleWSCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid JSON body: %v", err)
 		return
 	}
-	if _, ok := s.datasets[req.Dataset]; !ok {
-		writeError(w, http.StatusNotFound, "unknown dataset %q (have %v)", req.Dataset, s.DatasetNames())
-		return
-	}
-	if len(req.SeedRules) > s.cfg.MaxSeedRules {
-		writeError(w, http.StatusBadRequest, "too many seed rules (%d > %d)", len(req.SeedRules), s.cfg.MaxSeedRules)
-		return
-	}
-	budget := req.Budget
-	if budget <= 0 {
-		budget = s.cfg.DefaultBudget
-	}
-	ws, err := s.mgr.Create(req.Dataset, workspace.Options{
+	ws, err := s.createWorkspace(darwin.CreateOptions{
+		Dataset:         req.Dataset,
 		SeedRules:       req.SeedRules,
 		SeedPositiveIDs: req.SeedPositiveIDs,
-		Budget:          budget,
+		Budget:          req.Budget,
 		Seed:            req.Seed,
 	})
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		writeV1Error(w, err)
 		return
 	}
 	rep := ws.Report()

@@ -6,11 +6,13 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/corpus"
+	"repro/pkg/darwin"
 )
 
 // playWorkspace drives a two-annotator workspace over HTTP for up to steps
@@ -414,4 +416,61 @@ func TestWSDeleteRefusesUndurableEviction(t *testing.T) {
 	if status := doJSON(t, ts, http.MethodDelete, "/v1/workspaces/"+created.ID, nil, nil); status != http.StatusServiceUnavailable {
 		t.Fatalf("delete on a dead journal: status %d, want 503", status)
 	}
+}
+
+// TestWorkspaceCreateFailuresAreRetryable pins the error class of a
+// workspace create the server cannot take right now: at the workspace limit
+// and on a dead journal, both surfaces answer 503 (retryable), as the
+// session limit does, not the 400 of a malformed request.
+func TestWorkspaceCreateFailuresAreRetryable(t *testing.T) {
+	create := `{"dataset":"directions","seed_rules":["best way to get to"]}`
+	createV2 := `{"dataset":"directions","mode":"workspace","annotator":"a","seed_rules":["best way to get to"]}`
+	check := func(t *testing.T, ts *httptest.Server) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/workspaces", "application/json", strings.NewReader(create))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Errorf("/v1 create: HTTP %d, want 503", resp.StatusCode)
+		}
+		resp, err = http.Post(ts.URL+"/v2/labelers", "application/json", strings.NewReader(createV2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env darwin.ErrorEnvelope
+		err = json.NewDecoder(resp.Body).Decode(&env)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusServiceUnavailable || env.Code != darwin.CodeUnavailable || !env.Retryable {
+			t.Errorf("/v2 create: HTTP %d %+v, want 503 unavailable retryable", resp.StatusCode, env)
+		}
+	}
+
+	t.Run("limit", func(t *testing.T) {
+		srv, _ := newTestServer(t, Config{MaxWorkspaces: 1})
+		ts := httptest.NewServer(srv)
+		defer ts.Close()
+		resp, err := http.Post(ts.URL+"/v1/workspaces", "application/json", strings.NewReader(create))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("first create: HTTP %d", resp.StatusCode)
+		}
+		check(t, ts)
+	})
+	t.Run("journal", func(t *testing.T) {
+		srv, _ := newTestServer(t, Config{JournalPath: filepath.Join(t.TempDir(), "journal.jsonl")})
+		ts := httptest.NewServer(srv)
+		defer ts.Close()
+		if err := srv.Workspaces().Close(); err != nil {
+			t.Fatal(err)
+		}
+		check(t, ts)
+	})
 }

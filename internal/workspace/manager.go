@@ -228,7 +228,7 @@ func (m *Manager) create(dataset string, opts Options) (*Workspace, error) {
 	full := len(m.items) >= m.cfg.MaxWorkspaces
 	m.mu.Unlock()
 	if full {
-		return nil, fmt.Errorf("workspace: limit reached (%d live workspaces)", m.cfg.MaxWorkspaces)
+		return nil, fmt.Errorf("workspace: %w (%d live workspaces)", ErrLimit, m.cfg.MaxWorkspaces)
 	}
 	id, err := newWorkspaceID()
 	if err != nil {

@@ -67,6 +67,9 @@ var (
 	// state changes rather than keep acknowledging work that would not
 	// survive a restart.
 	ErrJournal = errors.New("journal write failed")
+	// ErrLimit marks a create refused because the manager already holds
+	// its maximum of live workspaces.
+	ErrLimit = errors.New("limit reached")
 )
 
 // Options configures one workspace. The manager resolves Budget and Seed
