@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/bitset"
@@ -110,6 +111,10 @@ type Engine struct {
 	// generation, traversal and classifier reads in concurrent loops.
 	//darwin:lockrank index
 	ixMu sync.RWMutex
+	// view is the published corpus snapshot CorpusView hands out. The
+	// constructors store it, and Ingest replaces it under the write lock
+	// once the sentences it covers are fully preprocessed and indexed.
+	view atomic.Pointer[corpus.Corpus]
 	// matHook, when set, observes seed-rule materializations under the index
 	// write lock (see SetMaterializeHook).
 	matHook func(specs []string)
@@ -147,7 +152,7 @@ func New(c *corpus.Corpus, cfg Config) (*Engine, error) {
 	ix.Prune(cfg.MinRuleCoverage)
 	indexBuild := time.Since(start)
 
-	return &Engine{
+	e := &Engine{
 		cfg:        cfg,
 		corp:       c,
 		reg:        reg,
@@ -156,7 +161,9 @@ func New(c *corpus.Corpus, cfg Config) (*Engine, error) {
 		featCache:  classifier.NewFeatureCacheCapped(c.Len(), cfg.FeatureCacheCap),
 		indexBuild: indexBuild,
 		bootLen:    c.Len(),
-	}, nil
+	}
+	e.view.Store(c.View())
+	return e, nil
 }
 
 // Corpus returns the engine's corpus.

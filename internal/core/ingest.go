@@ -52,29 +52,23 @@ func (e *Engine) Ingest(batch []ingest.Sentence) (from, to int, err error) {
 		e.ix.AddSentence(b.Build(s), s)
 	}
 	e.ix.BuildEdges()
+	e.view.Store(e.corp.View())
 	return from, to, nil
 }
 
-// CorpusLen returns the live corpus length under the engine's read lock.
-func (e *Engine) CorpusLen() int {
-	e.ixMu.RLock()
-	defer e.ixMu.RUnlock()
-	return e.corp.Len()
-}
+// CorpusLen returns the length of the published corpus view.
+func (e *Engine) CorpusLen() int { return e.CorpusView().Len() }
 
 // BootCorpusLen returns the corpus length at engine construction — the
 // prefix loaded from the dataset source rather than ingested.
 func (e *Engine) BootCorpusLen() int { return e.bootLen }
 
 // CorpusView returns an immutable snapshot view of the live corpus (see
-// corpus.View). Long read paths that run outside the engine locks — exports,
-// labeling jobs, baselines — iterate the view instead of the live corpus so
-// concurrent ingest never races them.
-func (e *Engine) CorpusView() *corpus.Corpus {
-	e.ixMu.RLock()
-	defer e.ixMu.RUnlock()
-	return e.corp.View()
-}
+// corpus.View), as published by the last Ingest (or New). It takes no lock.
+// Read paths that run outside the engine locks — suggestion samples,
+// exports, labeling jobs, baselines — read the view instead of the live
+// corpus so concurrent ingest never races them.
+func (e *Engine) CorpusView() *corpus.Corpus { return e.view.Load() }
 
 // ContainerStats reports the array and bitmap container counts of the
 // index's per-node coverage sets, under the engine's read lock.

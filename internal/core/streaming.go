@@ -29,7 +29,9 @@ func NewStreaming(c *corpus.Corpus, cfg Config) (*Engine, error) {
 	c.Preprocess(corpus.PreprocessOptions{Parse: cfg.UseParseTrees})
 
 	ix := index.New()
-	return &Engine{cfg: cfg, corp: c, reg: reg, ix: ix, bootLen: c.Len()}, nil
+	e := &Engine{cfg: cfg, corp: c, reg: reg, ix: ix, bootLen: c.Len()}
+	e.view.Store(c.View())
+	return e, nil
 }
 
 // NewStreamingFromBatch builds a streaming engine directly from decoded wire

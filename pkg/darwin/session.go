@@ -107,7 +107,7 @@ func (l *SessionLabeler) suggestLocked() (Suggestion, error) {
 		AvgBenefit:  sug.AvgBenefit,
 		Question:    l.sess.Questions() + 1,
 		BudgetLeft:  l.sess.Budget() - l.sess.Questions(),
-		Samples:     samplesFrom(l.eng.Corpus(), sug.SampleIDs),
+		Samples:     samplesFrom(l.eng.CorpusView(), sug.SampleIDs),
 	}
 	return out, nil
 }
@@ -218,7 +218,7 @@ func (l *SessionLabeler) Export(ctx context.Context, w io.Writer) error {
 	}
 	positives := l.sess.Positives()
 	l.mu.Unlock()
-	return l.eng.Corpus().WriteLabeledJSONL(w, positives)
+	return l.eng.CorpusView().WriteLabeledJSONL(w, positives)
 }
 
 // Close implements Labeler. Further calls fail with ErrNotFound.

@@ -117,7 +117,7 @@ func (l *WorkspaceLabeler) Suggest(ctx context.Context) (Suggestion, error) {
 		AvgBenefit:  sug.AvgBenefit,
 		Question:    sug.Question,
 		BudgetLeft:  sug.BudgetLeft,
-		Samples:     samplesFrom(l.eng.Corpus(), sug.SampleIDs),
+		Samples:     samplesFrom(l.eng.CorpusView(), sug.SampleIDs),
 	}
 	return out, nil
 }
@@ -225,7 +225,7 @@ func (l *WorkspaceLabeler) Export(ctx context.Context, w io.Writer) error {
 	if !ok {
 		return fmt.Errorf("%w: unknown or expired workspace %q", ErrNotFound, l.wsID)
 	}
-	return l.eng.Corpus().WriteLabeledJSONL(w, ws.PositivesMap())
+	return l.eng.CorpusView().WriteLabeledJSONL(w, ws.PositivesMap())
 }
 
 // Close implements Labeler: it detaches the annotator when the labeler
