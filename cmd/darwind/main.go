@@ -65,7 +65,6 @@ func main() {
 		ttl        = flag.Duration("session-ttl", server.DefaultSessionTTL, "evict sessions idle longer than this")
 		maxSess    = flag.Int("max-sessions", server.DefaultMaxSessions, "maximum number of live sessions")
 		journalP   = flag.String("journal", "", "path to the workspace event journal (enables durable multi-annotator workspaces with crash recovery)")
-		journalSes = flag.Bool("journal-sessions", false, "also journal plain (non-workspace) sessions to \"<-journal path>.sessions\" so they survive restarts (requires -journal)")
 		jobsDir    = flag.String("jobs-dir", "", "directory for async labeling jobs: job journal plus labeled JSONL outputs (empty disables /v2 labeling jobs)")
 		jobWorkers = flag.Int("job-workers", 2, "concurrent labeling-job workers")
 		jobTTL     = flag.Duration("job-ttl", time.Hour, "evict finished labeling jobs (and their outputs) this long after completion")
@@ -82,6 +81,9 @@ func main() {
 		accessLog  = flag.Bool("access-log", true, "emit one structured (JSON) log line per request, carrying the request id")
 		pprofOn    = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (unauthenticated; bind accordingly)")
 	)
+	// Solo sessions are journaled whenever -journal is set; the flag that
+	// once opted them in is still accepted so existing command lines start.
+	flag.Bool("journal-sessions", false, "ignored: solo sessions are journaled to \"<-journal path>.sessions\" whenever -journal is set")
 	flag.Parse()
 
 	var sets []*server.Dataset
@@ -113,7 +115,6 @@ func main() {
 		MaxSessions:            *maxSess,
 		DefaultBudget:          *budget,
 		JournalPath:            *journalP,
-		JournalSessions:        *journalSes,
 		JobsDir:                *jobsDir,
 		JobWorkers:             *jobWorkers,
 		JobTTL:                 *jobTTL,

@@ -5,14 +5,12 @@ package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
 	"time"
 
 	"repro/internal/ingest"
 	"repro/internal/obs"
-	"repro/internal/workspace"
 	"repro/pkg/darwin"
 )
 
@@ -91,12 +89,10 @@ func (s *Server) IngestSentences(ctx context.Context, dataset string, batch []in
 	start := time.Now()
 	from, to, err := s.mgr.Ingest(dataset, batch)
 	if err != nil {
-		if errors.Is(err, workspace.ErrJournal) {
-			// The sentences may be applied in memory but are not durable;
-			// the client must treat the batch as unacknowledged.
-			return darwin.IngestResult{}, fmt.Errorf("%w: %v", darwin.ErrUnavailable, err)
-		}
-		return darwin.IngestResult{}, fmt.Errorf("%w: %v", darwin.ErrInvalid, err)
+		// On a journal failure (ErrUnavailable) the sentences may be applied
+		// in memory but are not durable; the client must treat the batch as
+		// unacknowledged.
+		return darwin.IngestResult{}, darwin.MapWorkspaceErr(err)
 	}
 	ingestDurations.ObserveSince(start)
 	ingestBatches.Inc()

@@ -19,8 +19,8 @@
 //	GET    /v2/labelers/{id}/export         JSONL labeled corpus
 //	DELETE /v2/labelers/{id}                close (delete session / detach annotator)
 //
-// The legacy /v1 endpoints remain as thin adapters over the same SDK
-// adapters — same state, same semantics, v1 wire shapes:
+// The legacy /v1 endpoints remain as a wire-format shim over the same
+// calls (see v1.go): same state, same semantics, v1 wire shapes:
 //
 //	GET  /healthz                      liveness + dataset/session counts
 //	POST /v1/sessions                  create a session {dataset, seed_rules, ...}
@@ -30,8 +30,7 @@
 //	GET  /v1/sessions/{id}/export      JSONL labeled corpus (text/plain lines)
 //	DELETE /v1/sessions/{id}           drop a session early
 //
-// Multi-annotator workspaces (durable when a journal is configured — see
-// internal/workspace and internal/journal):
+// Multi-annotator workspaces:
 //
 //	POST /v1/workspaces                          create {dataset, seed_rules, ...}
 //	POST /v1/workspaces/{id}/annotators          attach {annotator}
@@ -42,6 +41,11 @@
 //	GET  /v1/workspaces/{id}/export              JSONL labeled corpus of the shared P
 //	DELETE /v1/workspaces/{id}                   evict a workspace
 //
+// When Config.JournalPath is set, labelers are durable: workspace events go
+// to that write-ahead log (internal/workspace, internal/journal) and solo
+// session events to "<JournalPath>.sessions" (session_journal.go), and New
+// replays both to recover the pre-crash state.
+//
 // When Config.Token is set, every /v1/* and /v2/* endpoint requires
 // "Authorization: Bearer <token>" (healthz stays open); Config.RatePerSec
 // adds a per-IP token-bucket rate limit across all endpoints.
@@ -49,7 +53,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
@@ -89,9 +92,10 @@ type Config struct {
 	// write lock.
 	MaxSeedRules int
 
-	// JournalPath, when non-empty, makes workspaces durable: every
-	// workspace event is appended to this JSONL write-ahead log, and New
-	// replays it to recover workspaces from a previous process.
+	// JournalPath, when non-empty, makes workspaces and solo sessions
+	// durable: every workspace event is appended to this JSONL write-ahead
+	// log and every session event to "<JournalPath>.sessions", and New
+	// replays both to recover labelers from a previous process.
 	JournalPath string
 	// WorkspaceTTL evicts workspaces idle longer than this (default 2h).
 	WorkspaceTTL time.Duration
@@ -114,11 +118,6 @@ type Config struct {
 	JobWorkers int
 	// JobTTL retains terminal labeling jobs and their outputs (default 1h).
 	JobTTL time.Duration
-
-	// JournalSessions additionally journals plain (non-workspace) session
-	// lifecycle and answers into "<JournalPath>.sessions", so solo sessions
-	// recover across a restart like workspaces do. Requires JournalPath.
-	JournalSessions bool
 
 	// ReplicationSync blocks acknowledged workspace writes until the
 	// dataset's replication follower acks them (bounded by
@@ -163,8 +162,7 @@ type Server struct {
 	// jobs is the labeling-job manager (nil without Config.JobsDir; the job
 	// endpoints then answer 503).
 	jobs *autolabel.Manager
-	// sessJournal journals solo-session events when Config.JournalSessions
-	// is set (nil otherwise).
+	// sessJournal journals solo-session events (nil without a journal).
 	sessJournal *sessionJournal
 }
 
@@ -235,10 +233,7 @@ func New(cfg Config, datasets ...*Dataset) (*Server, error) {
 			DropLabelers:  s.dropLabelers,
 		})
 	}
-	if cfg.JournalSessions {
-		if cfg.JournalPath == "" {
-			return nil, errors.New("server: JournalSessions requires JournalPath")
-		}
+	if jw != nil {
 		sj, err := openSessionJournal(cfg.JournalPath+".sessions", s)
 		if err != nil {
 			return nil, err
@@ -362,416 +357,55 @@ func (s *Server) DatasetNames() []string {
 	return out
 }
 
-// newSessionLabeler validates a create request and builds the SDK adapter
-// both /v1 and /v2 session creation share. It returns a typed error.
-func (s *Server) newSessionLabeler(dataset string, seedRules []string, seedIDs []int, budget int, seed int64) (*darwin.SessionLabeler, *sessionEntry, error) {
-	d, ok := s.datasets[dataset]
+// newSessionLabeler validates a session create request, builds the SDK
+// adapter and registers it in the store, journaled. It returns a typed
+// error.
+func (s *Server) newSessionLabeler(req darwin.CreateOptions) (*sessionEntry, error) {
+	d, ok := s.datasets[req.Dataset]
 	if !ok {
-		return nil, nil, fmt.Errorf("%w: unknown dataset %q (have %v)", darwin.ErrNotFound, dataset, s.DatasetNames())
+		return nil, fmt.Errorf("%w: unknown dataset %q (have %v)", darwin.ErrNotFound, req.Dataset, s.DatasetNames())
 	}
-	if len(seedRules) > s.cfg.MaxSeedRules {
-		return nil, nil, fmt.Errorf("%w: too many seed rules (%d > %d)", darwin.ErrInvalid, len(seedRules), s.cfg.MaxSeedRules)
+	if len(req.SeedRules) > s.cfg.MaxSeedRules {
+		return nil, fmt.Errorf("%w: too many seed rules (%d > %d)", darwin.ErrInvalid, len(req.SeedRules), s.cfg.MaxSeedRules)
 	}
 	// Reject a full store before paying for session construction (classifier
 	// training plus the engine's index write lock); Create re-checks under
 	// its lock.
 	if !s.store.HasCapacity() {
-		return nil, nil, fmt.Errorf("%w: session limit reached", darwin.ErrUnavailable)
+		return nil, fmt.Errorf("%w: session limit reached", darwin.ErrUnavailable)
 	}
 	if err := s.sessJournal.failure(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
+	budget := req.Budget
 	if budget <= 0 {
 		budget = s.cfg.DefaultBudget
 	}
 	lab, err := darwin.NewSession(d.Engine, d.Name, darwin.Options{
-		SeedRules:       seedRules,
-		SeedPositiveIDs: seedIDs,
+		SeedRules:       req.SeedRules,
+		SeedPositiveIDs: req.SeedPositiveIDs,
 		Budget:          budget,
-		Seed:            seed,
+		Seed:            req.Seed,
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	en, err := s.store.Create(d.Name, lab)
+	en, err := s.store.Create(lab, s.sessJournal)
 	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", darwin.ErrUnavailable, err)
+		return nil, fmt.Errorf("%w: %v", darwin.ErrUnavailable, err)
 	}
 	// Journal the resolved options (server defaults applied), so replay
 	// does not depend on the config of the recovering process. A session
 	// whose create is not in the log is not served.
 	if err := s.sessJournal.recordCreate(en.id, d.Name, sessCreateData{
-		SeedRules:       seedRules,
-		SeedPositiveIDs: seedIDs,
+		SeedRules:       req.SeedRules,
+		SeedPositiveIDs: req.SeedPositiveIDs,
 		Budget:          budget,
-		Seed:            seed,
+		Seed:            req.Seed,
 	}); err != nil {
 		s.store.Delete(en.id)
 		_ = lab.Close(context.TODO())
-		return nil, nil, err
+		return nil, err
 	}
-	return lab, en, nil
-}
-
-// --- v1 wire format ---
-
-type errorJSON struct {
-	Error string `json:"error"`
-}
-
-type healthJSON struct {
-	Status     string   `json:"status"`
-	Datasets   []string `json:"datasets"`
-	Sessions   int      `json:"sessions"`
-	Workspaces int      `json:"workspaces"`
-	// Recovered counts workspaces replayed from the journal at startup.
-	Recovered int `json:"recovered,omitempty"`
-	// Step-latency aggregate across every suggest call served (wall-clock of
-	// the suggest step as seen by the handler).
-	Steps          int64   `json:"steps"`
-	LastStepMillis float64 `json:"last_step_ms"`
-	AvgStepMillis  float64 `json:"avg_step_ms"`
-}
-
-type createRequest struct {
-	Dataset         string   `json:"dataset"`
-	SeedRules       []string `json:"seed_rules,omitempty"`
-	SeedPositiveIDs []int    `json:"seed_positive_ids,omitempty"`
-	Budget          int      `json:"budget,omitempty"`
-	Seed            int64    `json:"seed,omitempty"`
-}
-
-type createResponse struct {
-	ID        string           `json:"id"`
-	Dataset   string           `json:"dataset"`
-	Budget    int              `json:"budget"`
-	Positives int              `json:"positives"`
-	SeedRules []ruleRecordJSON `json:"seed_rules,omitempty"`
-}
-
-type ruleRecordJSON struct {
-	Question       int    `json:"question"`
-	Key            string `json:"key"`
-	Rule           string `json:"rule"`
-	Coverage       int    `json:"coverage"`
-	Accepted       bool   `json:"accepted"`
-	AddedIDs       []int  `json:"added_ids,omitempty"`
-	PositivesAfter int    `json:"positives_after"`
-}
-
-type sampleJSON struct {
-	ID   int    `json:"id"`
-	Text string `json:"text"`
-}
-
-// suggestResponse carries the pending suggestion. The numeric fields must
-// not be omitempty: a zero benefit is a meaningful value the annotator (or a
-// driving program) reads.
-type suggestResponse struct {
-	Done        bool         `json:"done"`
-	Question    int          `json:"question"`
-	BudgetLeft  int          `json:"budget_left"`
-	Key         string       `json:"key,omitempty"`
-	Rule        string       `json:"rule,omitempty"`
-	Coverage    int          `json:"coverage"`
-	NewCoverage int          `json:"new_coverage"`
-	Benefit     float64      `json:"benefit"`
-	AvgBenefit  float64      `json:"avg_benefit"`
-	Samples     []sampleJSON `json:"samples,omitempty"`
-}
-
-type answerRequest struct {
-	Key    string `json:"key"`
-	Accept bool   `json:"accept"`
-}
-
-type answerResponse struct {
-	Record     ruleRecordJSON `json:"record"`
-	Done       bool           `json:"done"`
-	BudgetLeft int            `json:"budget_left"`
-	Positives  int            `json:"positives"`
-}
-
-type reportResponse struct {
-	ID        string `json:"id"`
-	Dataset   string `json:"dataset"`
-	Questions int    `json:"questions"`
-	Budget    int    `json:"budget"`
-	Done      bool   `json:"done"`
-	Positives int    `json:"positives"`
-	// Per-session step latency: the last suggest that did real work and the
-	// average across all of them.
-	LastStepMillis float64          `json:"last_step_ms"`
-	AvgStepMillis  float64          `json:"avg_step_ms"`
-	Accepted       []ruleRecordJSON `json:"accepted"`
-	History        []ruleRecordJSON `json:"history"`
-}
-
-// recordJSON renders an SDK rule record in the v1 wire shape (which never
-// carried coverage IDs).
-func recordJSON(rec darwin.RuleRecord) ruleRecordJSON {
-	return ruleRecordJSON{
-		Question:       rec.Question,
-		Key:            rec.Key,
-		Rule:           rec.Rule,
-		Coverage:       rec.Coverage,
-		Accepted:       rec.Accepted,
-		AddedIDs:       rec.AddedIDs,
-		PositivesAfter: rec.PositivesAfter,
-	}
-}
-
-func samplesJSON(samples []darwin.Sample) []sampleJSON {
-	out := make([]sampleJSON, 0, len(samples))
-	for _, s := range samples {
-		out = append(out, sampleJSON{ID: s.ID, Text: s.Text})
-	}
-	return out
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, errorJSON{Error: fmt.Sprintf(format, args...)})
-}
-
-// writeV1Error renders a typed error in the legacy v1 shape {"error": msg},
-// with the HTTP status taken from the shared taxonomy mapping. The sentinel
-// prefix is stripped — v1 clients predate the taxonomy.
-func writeV1Error(w http.ResponseWriter, err error) {
-	writeError(w, darwin.HTTPStatus(err), "%s", darwin.Envelope(err).Message)
-}
-
-// --- v1 handlers (thin adapters over the pkg/darwin core) ---
-
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	steps, last, avg := s.store.StepStats()
-	writeJSON(w, http.StatusOK, healthJSON{
-		Status:         "ok",
-		Datasets:       s.DatasetNames(),
-		Sessions:       s.store.Len(),
-		Workspaces:     s.mgr.Len(),
-		Recovered:      s.recovery.Workspaces,
-		Steps:          steps,
-		LastStepMillis: millis(last),
-		AvgStepMillis:  millis(avg),
-	})
-}
-
-func millis(d time.Duration) float64 {
-	return float64(d) / float64(time.Millisecond)
-}
-
-// handleCreate acks 201 only after the session create is journaled (when
-// session journaling is on, via newSessionLabeler -> recordCreate).
-//
-//darwin:mutating-handler
-func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
-	var req createRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid JSON body: %v", err)
-		return
-	}
-	lab, en, err := s.newSessionLabeler(req.Dataset, req.SeedRules, req.SeedPositiveIDs, req.Budget, req.Seed)
-	if err != nil {
-		writeV1Error(w, err)
-		return
-	}
-	rep, err := lab.Report(r.Context())
-	if err != nil {
-		writeV1Error(w, err)
-		return
-	}
-	resp := createResponse{
-		ID:        en.id,
-		Dataset:   en.dataset,
-		Budget:    rep.Budget,
-		Positives: rep.Positives,
-	}
-	for _, rec := range rep.Accepted {
-		resp.SeedRules = append(resp.SeedRules, recordJSON(rec))
-	}
-	writeJSON(w, http.StatusCreated, resp)
-}
-
-// session resolves the {id} path value to a live session entry, writing a 404
-// when it is unknown or expired.
-func (s *Server) session(w http.ResponseWriter, r *http.Request) (*sessionEntry, bool) {
-	id := r.PathValue("id")
-	en, ok := s.store.Get(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown or expired session %q", id)
-		return nil, false
-	}
-	return en, true
-}
-
-func (s *Server) handleSuggest(w http.ResponseWriter, r *http.Request) {
-	en, ok := s.session(w, r)
-	if !ok {
-		return
-	}
-	sug, st, err := s.suggestStep(r.Context(), en.lab)
-	if err != nil {
-		if errors.Is(err, darwin.ErrBudgetExhausted) {
-			writeJSON(w, http.StatusOK, suggestResponse{Done: true, BudgetLeft: st.Budget - st.Questions})
-			return
-		}
-		writeV1Error(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, suggestResponse{
-		Question:    sug.Question,
-		BudgetLeft:  sug.BudgetLeft,
-		Key:         sug.Key,
-		Rule:        sug.Rule,
-		Coverage:    sug.Coverage,
-		NewCoverage: sug.NewCoverage,
-		Benefit:     sug.Benefit,
-		AvgBenefit:  sug.AvgBenefit,
-		Samples:     samplesJSON(sug.Samples),
-	})
-}
-
-// suggestStep is the one suggest path both API versions use: it runs
-// Suggest, folds the step duration into the healthz aggregate, and returns
-// the labeler status alongside (valid even when Suggest reports done).
-func (s *Server) suggestStep(ctx context.Context, lab *darwin.SessionLabeler) (darwin.Suggestion, darwin.Status, error) {
-	stepStart := time.Now()
-	sug, err := lab.Suggest(ctx)
-	s.store.RecordStep(time.Since(stepStart))
-	var st darwin.Status
-	if err != nil {
-		st, _ = lab.Status(ctx)
-	}
-	return sug, st, err
-}
-
-// handleAnswer acks 200 only after the applied verdicts are journaled.
-//
-//darwin:mutating-handler
-func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
-	en, ok := s.session(w, r)
-	if !ok {
-		return
-	}
-	var req answerRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid JSON body: %v", err)
-		return
-	}
-	if req.Key == "" {
-		// v1 never supported blind answers; an empty key is a protocol error.
-		writeError(w, http.StatusConflict, "answer key is required")
-		return
-	}
-	if err := s.sessJournal.failure(); err != nil {
-		writeV1Error(w, err)
-		return
-	}
-	recs, err := en.lab.AnswerBatch(r.Context(), []darwin.Answer{{Key: req.Key, Accept: req.Accept}})
-	if err == nil {
-		err = s.sessJournal.recordAnswers(en.id, recs)
-	}
-	if err != nil {
-		writeV1Error(w, err)
-		return
-	}
-	// Derive done/budget from the answered record itself (rec.Question is
-	// the question number this answer was committed as) and the immutable
-	// budget, not from a second unsynchronized status read.
-	rec := recs[0]
-	st, err := en.lab.Status(r.Context())
-	if err != nil {
-		writeV1Error(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, answerResponse{
-		Record:     recordJSON(rec),
-		Done:       rec.Question >= st.Budget,
-		BudgetLeft: st.Budget - rec.Question,
-		Positives:  rec.PositivesAfter,
-	})
-}
-
-func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
-	en, ok := s.session(w, r)
-	if !ok {
-		return
-	}
-	rep, err := en.lab.Report(r.Context())
-	if err != nil {
-		writeV1Error(w, err)
-		return
-	}
-	lastStep, avgStep := en.lab.StepLatency()
-	resp := reportResponse{
-		ID:             en.id,
-		Dataset:        en.dataset,
-		Questions:      rep.Questions,
-		Budget:         rep.Budget,
-		Done:           rep.Done,
-		Positives:      rep.Positives,
-		LastStepMillis: millis(lastStep),
-		AvgStepMillis:  millis(avgStep),
-		Accepted:       make([]ruleRecordJSON, 0, len(rep.Accepted)),
-		History:        make([]ruleRecordJSON, 0, len(rep.History)),
-	}
-	for _, rec := range rep.Accepted {
-		resp.Accepted = append(resp.Accepted, recordJSON(rec))
-	}
-	for _, rec := range rep.History {
-		resp.History = append(resp.History, recordJSON(rec))
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
-	en, ok := s.session(w, r)
-	if !ok {
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	// Headers are sent on first write; a mid-stream failure can only
-	// truncate the body.
-	_ = en.lab.Export(r.Context(), w)
-}
-
-// handleDelete acks 204 only after the session delete is journaled.
-//
-//darwin:mutating-handler
-func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	deleted, err := s.deleteSession(r.Context(), id)
-	if err != nil {
-		writeV1Error(w, err)
-		return
-	}
-	if !deleted {
-		writeError(w, http.StatusNotFound, "unknown or expired session %q", id)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-// deleteSession closes and removes a session labeler (shared by v1 and v2
-// delete). It fails without deleting anything when the session journal is
-// broken.
-func (s *Server) deleteSession(ctx context.Context, id string) (bool, error) {
-	en, ok := s.store.Get(id)
-	if !ok {
-		return false, nil
-	}
-	if err := s.sessJournal.failure(); err != nil {
-		return false, err
-	}
-	_ = en.lab.Close(ctx)
-	if !s.store.Delete(id) {
-		return false, nil
-	}
-	return true, s.sessJournal.recordDelete(id)
+	return en, nil
 }

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -405,7 +404,7 @@ func TestNewServerValidation(t *testing.T) {
 
 func TestStoreSweepAndJanitor(t *testing.T) {
 	st := NewStore(time.Millisecond, 10)
-	if _, err := st.Create("d", nil); err != nil {
+	if _, err := st.Create(nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	base := time.Now()
@@ -418,7 +417,7 @@ func TestStoreSweepAndJanitor(t *testing.T) {
 	}
 
 	// The janitor sweeps periodically until stopped.
-	if _, err := st.Create("d", nil); err != nil {
+	if _, err := st.Create(nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	st.now = func() time.Time { return base.Add(2 * time.Second) }
@@ -441,7 +440,7 @@ func TestStoreIDsAreUnique(t *testing.T) {
 	st := NewStore(time.Minute, 100)
 	seen := map[string]bool{}
 	for i := 0; i < 50; i++ {
-		en, err := st.Create(fmt.Sprintf("d%d", i), nil)
+		en, err := st.Create(nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,13 +11,13 @@ import (
 	"repro/pkg/darwin"
 )
 
-// Session journaling (Config.JournalSessions): plain solo sessions get the
-// same log-then-replay durability workspaces have, in a separate
-// "<JournalPath>.sessions" log so workspace compaction never rewrites
-// session history. A session's state is a pure function of (engine, create
-// options, answer sequence) — suggestions are deterministic per seed — so
-// replaying create + answers through the ordinary SDK calls reconstructs the
-// exact pre-crash labeler. Recovered sessions keep their ids but get fresh
+// Session journaling (on whenever Config.JournalPath is set): plain solo
+// sessions get the same log-then-replay durability workspaces have, in a
+// separate "<JournalPath>.sessions" log so workspace compaction never
+// rewrites session history. A session's state is a pure function of
+// (engine, create options, answer sequence) — suggestions are deterministic
+// per seed — so replaying create + answers through the ordinary SDK calls
+// reconstructs the exact pre-crash labeler. Recovered sessions keep their ids but get fresh
 // idle timers; a session whose replay diverges (e.g. the dataset changed
 // under it) is dropped with a log line rather than served in a wrong state.
 // The log is not replicated: sessions are shard-local by design.
@@ -176,7 +176,7 @@ func (sj *sessionJournal) rebuild(ctx context.Context, id, dataset string, data 
 			return false
 		}
 	}
-	sj.srv.store.Restore(id, dataset, lab)
+	sj.srv.store.Restore(id, lab, sj)
 	return true
 }
 

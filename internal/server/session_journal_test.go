@@ -13,7 +13,7 @@ import (
 	"repro/pkg/darwin"
 )
 
-// TestSessionJournalRecovery pins the -journal-sessions satellite: plain solo
+// TestSessionJournalRecovery pins session journaling: plain solo
 // sessions journaled to "<journal>.sessions" survive a server restart with
 // the same id, the same accepted rules, and the same remaining budget, while
 // deleted sessions stay deleted. It runs once with one seed rule and once
@@ -29,7 +29,7 @@ func TestSessionJournalRecovery(t *testing.T) {
 
 func checkSessionJournalRecovery(t *testing.T, seeds []string) {
 	jp := filepath.Join(t.TempDir(), "ws.jsonl")
-	cfg := Config{JournalPath: jp, JournalSessions: true}
+	cfg := Config{JournalPath: jp}
 	srv, _ := newTestServer(t, cfg)
 	ts := httptest.NewServer(srv)
 	client := darwin.NewClient(ts.URL, "")
@@ -107,7 +107,7 @@ func checkSessionJournalRecovery(t *testing.T, seeds []string) {
 // generations of answers.
 func TestSessionJournalTwoRestarts(t *testing.T) {
 	jp := filepath.Join(t.TempDir(), "ws.jsonl")
-	cfg := Config{JournalPath: jp, JournalSessions: true}
+	cfg := Config{JournalPath: jp}
 	srv, _ := newTestServer(t, cfg)
 	ts := httptest.NewServer(srv)
 	client := darwin.NewClient(ts.URL, "")
@@ -170,7 +170,7 @@ func TestSessionJournalTwoRestarts(t *testing.T) {
 // the log does not hold, and a failed create leaves no session behind.
 func TestSessionJournalFailureIsNotAcknowledged(t *testing.T) {
 	jp := filepath.Join(t.TempDir(), "ws.jsonl")
-	srv, _ := newTestServer(t, Config{JournalPath: jp, JournalSessions: true})
+	srv, _ := newTestServer(t, Config{JournalPath: jp})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	client := darwin.NewClient(ts.URL, "")
@@ -231,14 +231,5 @@ func TestSessionJournalFailureIsNotAcknowledged(t *testing.T) {
 	}
 	if _, ok := srv.store.Peek(lab.ID()); !ok {
 		t.Error("an unjournaled delete removed the session")
-	}
-}
-
-func TestJournalSessionsRequiresJournalPath(t *testing.T) {
-	srv, _ := newTestServer(t, Config{})
-	defer srv.Close()
-	eng := srv.datasets["directions"].Engine
-	if _, err := New(Config{JournalSessions: true}, &Dataset{Name: "directions", Engine: eng}); err == nil {
-		t.Fatal("New accepted JournalSessions without JournalPath")
 	}
 }

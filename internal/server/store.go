@@ -23,11 +23,9 @@ var stepHist = obs.Default().Histogram("darwin_suggest_step_duration_seconds",
 // concurrent handlers on the same session lives in the SDK adapter
 // (darwin.SessionLabeler); distinct sessions proceed in parallel.
 type sessionEntry struct {
-	id      string
-	dataset string
-	lab     *darwin.SessionLabeler
-
-	created  time.Time
+	id string
+	// lab is the labeler the session is served as, built once at create.
+	lab      *timedSessionLabeler
 	lastUsed time.Time
 }
 
@@ -78,9 +76,10 @@ func newSessionID() (string, error) {
 	return hex.EncodeToString(b[:]), nil
 }
 
-// Create registers a new session labeler and returns its entry. It fails
-// when the store is at capacity even after evicting expired sessions.
-func (st *Store) Create(dataset string, lab *darwin.SessionLabeler) (*sessionEntry, error) {
+// Create registers a new session labeler, journaled through sj (nil for
+// none), and returns its entry. It fails when the store is at capacity even
+// after evicting expired sessions.
+func (st *Store) Create(lab *darwin.SessionLabeler, sj *sessionJournal) (*sessionEntry, error) {
 	id, err := newSessionID()
 	if err != nil {
 		return nil, err
@@ -92,20 +91,23 @@ func (st *Store) Create(dataset string, lab *darwin.SessionLabeler) (*sessionEnt
 	if len(st.items) >= st.max {
 		return nil, fmt.Errorf("server: session limit reached (%d live sessions)", len(st.items))
 	}
-	en := &sessionEntry{id: id, dataset: dataset, lab: lab, created: now, lastUsed: now}
+	en := newSessionEntry(id, lab, sj, now)
 	st.items[id] = en
 	return en, nil
 }
 
 // Restore re-registers a session under its pre-crash id (session-journal
-// recovery). The entry gets fresh created/idle timers: recovery has no
+// recovery). The entry gets a fresh idle timer: recovery has no
 // record of the original idle clock, and resurrecting a session just to
 // expire it instantly would break clients resuming after a restart.
-func (st *Store) Restore(id, dataset string, lab *darwin.SessionLabeler) {
+func (st *Store) Restore(id string, lab *darwin.SessionLabeler, sj *sessionJournal) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	now := st.now()
-	st.items[id] = &sessionEntry{id: id, dataset: dataset, lab: lab, created: now, lastUsed: now}
+	st.items[id] = newSessionEntry(id, lab, sj, st.now())
+}
+
+func newSessionEntry(id string, lab *darwin.SessionLabeler, sj *sessionJournal, now time.Time) *sessionEntry {
+	return &sessionEntry{id: id, lab: &timedSessionLabeler{SessionLabeler: lab, id: id, sj: sj}, lastUsed: now}
 }
 
 // Get returns the live session with the given ID and refreshes its idle
@@ -176,12 +178,6 @@ func (st *Store) IDs() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// RecordStep folds one suggest-step duration into the process-wide latency
-// histogram surfaced by both healthz and /metrics.
-func (st *Store) RecordStep(d time.Duration) {
-	stepHist.Observe(d.Seconds())
 }
 
 // StepStats returns the number of suggest steps served and their last/average

@@ -424,20 +424,25 @@ func handleV2Export(b Backend) http.HandlerFunc {
 			writeV2Error(w, err)
 			return
 		}
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		// Headers are sent on first body write, so an export that fails
-		// before streaming anything (e.g. its shard is down) can still be
-		// served as the typed envelope instead of an empty 200; a mid-stream
-		// failure can only truncate the body.
-		cw := &countingResponseWriter{w: w}
-		if err := lab.Export(r.Context(), cw); err != nil && cw.n == 0 {
-			writeV2Error(w, err)
-		}
+		serveExport(w, r, lab, writeV2Error)
+	}
+}
+
+// serveExport streams lab's labeled corpus as JSONL, the export of both API
+// versions; writeErr renders an error in the caller's wire shape. Headers
+// are sent on first body write, so an export that fails before streaming
+// anything (e.g. its shard is down) can still be served as a typed error
+// instead of an empty 200; a mid-stream failure can only truncate the body.
+func serveExport(w http.ResponseWriter, r *http.Request, lab darwin.Labeler, writeErr func(http.ResponseWriter, error)) {
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	cw := &countingResponseWriter{w: w}
+	if err := lab.Export(r.Context(), cw); err != nil && cw.n == 0 {
+		writeErr(w, err)
 	}
 }
 
 // countingResponseWriter counts body bytes through to the response so
-// handleV2Export knows whether an error arrived before any output.
+// serveExport knows whether an error arrived before any output.
 type countingResponseWriter struct {
 	w http.ResponseWriter
 	n int64
@@ -521,15 +526,13 @@ func parseLimit(r *http.Request) (int, error) {
 
 // --- *Server as the local Backend ---
 
-// timedSessionLabeler folds session suggest latency into the healthz
-// aggregate on the /v2 path, mirroring what the /v1 handlers do through
-// suggestStep, and journals applied answers when session journaling is on.
-// Embedding keeps every other Labeler/BatchAnswerer/Statuser method on the
-// adapter itself.
+// timedSessionLabeler is the labeler a solo session is served as, on /v1
+// and /v2 alike: it folds suggest latency into the healthz aggregate and
+// journals applied answers when a journal is configured. Embedding keeps
+// every other Labeler/Statuser method on the adapter itself.
 type timedSessionLabeler struct {
 	*darwin.SessionLabeler
-	store *Store
-	// id and sj journal applied answers (sj nil when journaling is off).
+	// id and sj journal applied answers (sj nil without a journal).
 	id string
 	sj *sessionJournal
 }
@@ -537,8 +540,14 @@ type timedSessionLabeler struct {
 func (l *timedSessionLabeler) Suggest(ctx context.Context) (darwin.Suggestion, error) {
 	start := time.Now()
 	sug, err := l.SessionLabeler.Suggest(ctx)
-	l.store.RecordStep(time.Since(start))
+	stepHist.Observe(time.Since(start).Seconds())
 	return sug, err
+}
+
+// Answer goes through AnswerBatch, so a single verdict is journaled too.
+func (l *timedSessionLabeler) Answer(ctx context.Context, ans darwin.Answer) error {
+	_, err := l.AnswerBatch(ctx, []darwin.Answer{ans})
+	return err
 }
 
 // AnswerBatch journals the applied prefix even on a mid-batch error: those
@@ -573,11 +582,11 @@ func (s *Server) CreateLabeler(ctx context.Context, req darwin.CreateOptions) (d
 }
 
 func (s *Server) createSessionLabeler(ctx context.Context, req darwin.CreateOptions) (darwin.Status, error) {
-	lab, en, err := s.newSessionLabeler(req.Dataset, req.SeedRules, req.SeedPositiveIDs, req.Budget, req.Seed)
+	en, err := s.newSessionLabeler(req)
 	if err != nil {
 		return darwin.Status{}, err
 	}
-	st, err := lab.Status(ctx)
+	st, err := en.lab.Status(ctx)
 	if err != nil {
 		return darwin.Status{}, err
 	}
@@ -654,7 +663,7 @@ func (s *Server) createWorkspaceLabeler(ctx context.Context, req darwin.CreateOp
 // createWorkspace validates a fresh-workspace request and creates the
 // workspace, journaled; /v1 and /v2 creation share it. It returns a typed
 // error: a full manager or a dead journal is darwin.ErrUnavailable (retry
-// later), any other refusal is the request's fault.
+// later).
 func (s *Server) createWorkspace(req darwin.CreateOptions) (*workspace.Workspace, error) {
 	if _, ok := s.datasets[req.Dataset]; !ok {
 		return nil, fmt.Errorf("%w: unknown dataset %q (have %v)", darwin.ErrNotFound, req.Dataset, s.DatasetNames())
@@ -672,20 +681,13 @@ func (s *Server) createWorkspace(req darwin.CreateOptions) (*workspace.Workspace
 		Budget:          budget,
 		Seed:            req.Seed,
 	})
-	switch {
-	case err == nil:
-		return ws, nil
-	case errors.Is(err, workspace.ErrLimit), errors.Is(err, workspace.ErrJournal):
-		return nil, fmt.Errorf("%w: %v", darwin.ErrUnavailable, err)
-	default:
-		return nil, fmt.Errorf("%w: %v", darwin.ErrInvalid, err)
-	}
+	return ws, darwin.MapWorkspaceErr(err)
 }
 
 // Labeler implements Backend: it maps a labeler id to its darwin.Labeler.
 func (s *Server) Labeler(id string) (darwin.Labeler, error) {
 	if en, ok := s.store.Get(id); ok {
-		return &timedSessionLabeler{SessionLabeler: en.lab, store: s.store, id: id, sj: s.sessJournal}, nil
+		return en.lab, nil
 	}
 	if en, ok := s.labelers.get(id); ok {
 		// A TTL-evicted workspace leaves its attachment entries behind, and
@@ -820,8 +822,15 @@ func (s *Server) DeleteLabeler(ctx context.Context, id string) error {
 		s.labelers.remove(id)
 		return nil
 	}
-	if deleted, err := s.deleteSession(ctx, id); deleted || err != nil {
-		return err
+	// A broken session journal fails the delete before anything is removed.
+	if en, ok := s.store.Get(id); ok {
+		if err := s.sessJournal.failure(); err != nil {
+			return err
+		}
+		_ = en.lab.Close(ctx)
+		if s.store.Delete(id) {
+			return s.sessJournal.recordDelete(id)
+		}
 	}
 	return fmt.Errorf("%w: unknown or expired labeler %q", darwin.ErrNotFound, id)
 }

@@ -20,8 +20,8 @@ import (
 // labels, and returns the workspace ID.
 func playWorkspace(t *testing.T, ts *httptest.Server, c *corpus.Corpus, budget, steps int) string {
 	t.Helper()
-	var created wsCreateResponse
-	if status := doJSON(t, ts, http.MethodPost, "/v1/workspaces", wsCreateRequest{
+	var created createResponse
+	if status := doJSON(t, ts, http.MethodPost, "/v1/workspaces", createRequest{
 		Dataset:   "directions",
 		SeedRules: []string{"best way to get to"},
 		Budget:    budget,
@@ -42,7 +42,7 @@ func playWorkspace(t *testing.T, ts *httptest.Server, c *corpus.Corpus, budget, 
 	answered := 0
 	for q := 0; answered < steps; q++ {
 		name := annotators[q%2]
-		var sug wsSuggestResponse
+		var sug suggestResponse
 		if status := doJSON(t, ts, http.MethodGet, base+"/suggest?annotator="+name, nil, &sug); status != http.StatusOK {
 			t.Fatalf("suggest for %s: status %d", name, status)
 		}
@@ -56,8 +56,8 @@ func playWorkspace(t *testing.T, ts *httptest.Server, c *corpus.Corpus, budget, 
 			}
 		}
 		accept := len(sug.Samples) > 0 && float64(pos)/float64(len(sug.Samples)) >= 0.8
-		var ans wsAnswerResponse
-		if status := doJSON(t, ts, http.MethodPost, base+"/answer", wsAnswerRequest{
+		var ans answerResponse
+		if status := doJSON(t, ts, http.MethodPost, base+"/answer", answerRequest{
 			Annotator: name, Key: sug.Key, Accept: accept,
 		}, &ans); status != http.StatusOK {
 			t.Fatalf("answer for %s: status %d", name, status)
@@ -159,8 +159,8 @@ func TestWorkspaceConcurrentAnnotatorsHTTP(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	var created wsCreateResponse
-	if status := doJSON(t, ts, http.MethodPost, "/v1/workspaces", wsCreateRequest{
+	var created createResponse
+	if status := doJSON(t, ts, http.MethodPost, "/v1/workspaces", createRequest{
 		Dataset:   "directions",
 		SeedRules: []string{"best way to get to"},
 		Budget:    20,
@@ -180,7 +180,7 @@ func TestWorkspaceConcurrentAnnotatorsHTTP(t *testing.T) {
 		go func(name string, accept bool) {
 			defer wg.Done()
 			for {
-				var sug wsSuggestResponse
+				var sug suggestResponse
 				if status := doJSON(t, ts, http.MethodGet, base+"/suggest?annotator="+name, nil, &sug); status != http.StatusOK {
 					t.Errorf("%s suggest: status %d", name, status)
 					return
@@ -188,8 +188,8 @@ func TestWorkspaceConcurrentAnnotatorsHTTP(t *testing.T) {
 				if sug.Done {
 					return
 				}
-				var ans wsAnswerResponse
-				if status := doJSON(t, ts, http.MethodPost, base+"/answer", wsAnswerRequest{
+				var ans answerResponse
+				if status := doJSON(t, ts, http.MethodPost, base+"/answer", answerRequest{
 					Annotator: name, Key: sug.Key, Accept: accept,
 				}, &ans); status != http.StatusOK {
 					t.Errorf("%s answer: status %d", name, status)
@@ -246,7 +246,7 @@ func TestWorkspaceJournalRecoveryAcrossServers(t *testing.T) {
 
 	// The recovered workspace is live: annotators keep stepping where they
 	// left off.
-	var sug wsSuggestResponse
+	var sug suggestResponse
 	if status := doJSON(t, ts2, http.MethodGet, "/v1/workspaces/"+id+"/suggest?annotator=alice", nil, &sug); status != http.StatusOK {
 		t.Fatalf("suggest after recovery: status %d", status)
 	}
@@ -260,8 +260,8 @@ func TestWorkspaceHTTPErrorPaths(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	var created wsCreateResponse
-	if status := doJSON(t, ts, http.MethodPost, "/v1/workspaces", wsCreateRequest{
+	var created createResponse
+	if status := doJSON(t, ts, http.MethodPost, "/v1/workspaces", createRequest{
 		Dataset:   "directions",
 		SeedRules: []string{"best way to get to"},
 		Budget:    5,
@@ -278,16 +278,16 @@ func TestWorkspaceHTTPErrorPaths(t *testing.T) {
 		body   any
 		want   int
 	}{
-		{"unknown dataset", http.MethodPost, "/v1/workspaces", wsCreateRequest{Dataset: "nope"}, http.StatusNotFound},
+		{"unknown dataset", http.MethodPost, "/v1/workspaces", createRequest{Dataset: "nope"}, http.StatusNotFound},
 		{"bad body", http.MethodPost, "/v1/workspaces", "not-json", http.StatusBadRequest},
-		{"empty seeds", http.MethodPost, "/v1/workspaces", wsCreateRequest{Dataset: "directions"}, http.StatusBadRequest},
+		{"empty seeds", http.MethodPost, "/v1/workspaces", createRequest{Dataset: "directions"}, http.StatusBadRequest},
 		{"unknown workspace suggest", http.MethodGet, "/v1/workspaces/deadbeef/suggest?annotator=x", nil, http.StatusNotFound},
 		{"unknown workspace report", http.MethodGet, "/v1/workspaces/deadbeef/report", nil, http.StatusNotFound},
 		{"unknown workspace delete", http.MethodDelete, "/v1/workspaces/deadbeef", nil, http.StatusNotFound},
 		{"missing annotator param", http.MethodGet, base + "/suggest", nil, http.StatusBadRequest},
 		{"unattached annotator", http.MethodGet, base + "/suggest?annotator=ghost", nil, http.StatusNotFound},
 		{"duplicate attach", http.MethodPost, base + "/annotators", wsAttachRequest{Annotator: "alice"}, http.StatusConflict},
-		{"answer without pending", http.MethodPost, base + "/answer", wsAnswerRequest{Annotator: "alice", Key: "k"}, http.StatusConflict},
+		{"answer without pending", http.MethodPost, base + "/answer", answerRequest{Annotator: "alice", Key: "k"}, http.StatusConflict},
 		{"detach unknown", http.MethodDelete, base + "/annotators/ghost", nil, http.StatusNotFound},
 	}
 	for _, tc := range cases {
@@ -300,14 +300,14 @@ func TestWorkspaceHTTPErrorPaths(t *testing.T) {
 	}
 
 	// Mismatched answer key conflicts and leaves the workspace usable.
-	var sug wsSuggestResponse
+	var sug suggestResponse
 	if status := doJSON(t, ts, http.MethodGet, base+"/suggest?annotator=alice", nil, &sug); status != http.StatusOK || sug.Done {
 		t.Fatalf("suggest: status %d done=%v", status, sug.Done)
 	}
-	if status := doJSON(t, ts, http.MethodPost, base+"/answer", wsAnswerRequest{Annotator: "alice", Key: "wrong"}, nil); status != http.StatusConflict {
+	if status := doJSON(t, ts, http.MethodPost, base+"/answer", answerRequest{Annotator: "alice", Key: "wrong"}, nil); status != http.StatusConflict {
 		t.Fatalf("mismatched key: status %d", status)
 	}
-	if status := doJSON(t, ts, http.MethodPost, base+"/answer", wsAnswerRequest{Annotator: "alice", Key: sug.Key, Accept: true}, nil); status != http.StatusOK {
+	if status := doJSON(t, ts, http.MethodPost, base+"/answer", answerRequest{Annotator: "alice", Key: sug.Key, Accept: true}, nil); status != http.StatusOK {
 		t.Fatalf("valid answer after conflict: status %d", status)
 	}
 }
@@ -399,8 +399,8 @@ func TestWSDeleteRefusesUndurableEviction(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	var created wsCreateResponse
-	if status := doJSON(t, ts, http.MethodPost, "/v1/workspaces", wsCreateRequest{
+	var created createResponse
+	if status := doJSON(t, ts, http.MethodPost, "/v1/workspaces", createRequest{
 		Dataset:   "directions",
 		SeedRules: []string{"best way to get to"},
 		Budget:    10,

@@ -42,7 +42,7 @@ func AttachWorkspace(mgr *workspace.Manager, wsID, annotator string) (*Workspace
 		return nil, err
 	}
 	if err := mgr.Attach(wsID, annotator); err != nil {
-		return nil, mapWorkspaceErr(err)
+		return nil, MapWorkspaceErr(err)
 	}
 	l.detach = true
 	return l, nil
@@ -103,7 +103,7 @@ func (l *WorkspaceLabeler) Suggest(ctx context.Context) (Suggestion, error) {
 	}
 	sug, ok, err := l.mgr.Suggest(l.wsID, l.annotator)
 	if err != nil {
-		return Suggestion{}, mapWorkspaceErr(err)
+		return Suggestion{}, MapWorkspaceErr(err)
 	}
 	if !ok {
 		return Suggestion{}, fmt.Errorf("%w: shared budget spent or no candidates remain", ErrBudgetExhausted)
@@ -144,7 +144,7 @@ func (l *WorkspaceLabeler) AnswerBatch(ctx context.Context, answers []Answer) ([
 			// a client-side suggest sees the same key again.
 			sug, ok, err := l.mgr.Suggest(l.wsID, l.annotator)
 			if err != nil {
-				return recs, batchErr(i, len(answers), mapWorkspaceErr(err))
+				return recs, batchErr(i, len(answers), MapWorkspaceErr(err))
 			}
 			if !ok {
 				return recs, batchErr(i, len(answers),
@@ -156,7 +156,7 @@ func (l *WorkspaceLabeler) AnswerBatch(ctx context.Context, answers []Answer) ([
 		}
 		rec, err := l.mgr.Answer(l.wsID, l.annotator, key, ans.Accept)
 		if err != nil {
-			return recs, batchErr(i, len(answers), mapWorkspaceErr(err))
+			return recs, batchErr(i, len(answers), MapWorkspaceErr(err))
 		}
 		recs = append(recs, coreRecord(rec.RuleRecord, rec.Annotator))
 	}
@@ -189,7 +189,13 @@ func (l *WorkspaceLabeler) Report(ctx context.Context) (Report, error) {
 	if !ok {
 		return Report{}, fmt.Errorf("%w: unknown or expired workspace %q", ErrNotFound, l.wsID)
 	}
-	rep := ws.Report()
+	return WorkspaceReport(ws.Report()), nil
+}
+
+// WorkspaceReport converts a workspace snapshot to the SDK report shape, as
+// WorkspaceLabeler.Report returns it. The serving layer encodes a snapshot's
+// records through it when it also reads the snapshot's other fields.
+func WorkspaceReport(rep *workspace.Report) Report {
 	out := Report{
 		Dataset:     rep.Dataset,
 		Mode:        ModeWorkspace,
@@ -213,7 +219,7 @@ func (l *WorkspaceLabeler) Report(ctx context.Context) (Report, error) {
 	for _, rec := range rep.History {
 		out.History = append(out.History, coreRecord(rec.RuleRecord, rec.Annotator))
 	}
-	return out, nil
+	return out
 }
 
 // Export implements Labeler: the labeled corpus of the shared positive set.
@@ -246,7 +252,7 @@ func (l *WorkspaceLabeler) Close(ctx context.Context) error {
 		if err != nil &&
 			!errors.Is(err, workspace.ErrUnknownWorkspace) &&
 			!errors.Is(err, workspace.ErrUnknownAnnotator) {
-			return mapWorkspaceErr(err)
+			return MapWorkspaceErr(err)
 		}
 	}
 	l.mu.Lock()
@@ -277,9 +283,11 @@ func (l *WorkspaceLabeler) Status(ctx context.Context) (Status, error) {
 	}, nil
 }
 
-// mapWorkspaceErr attaches the matching API sentinel to a workspace-layer
-// error, preserving its message and chain.
-func mapWorkspaceErr(err error) error {
+// MapWorkspaceErr attaches the matching API sentinel to a workspace-layer
+// error, preserving its message and chain. A full manager or a dead journal
+// is ErrUnavailable (retry later); an error no sentinel names is the
+// request's fault (ErrInvalid).
+func MapWorkspaceErr(err error) error {
 	switch {
 	case err == nil:
 		return nil
@@ -287,7 +295,7 @@ func mapWorkspaceErr(err error) error {
 		return wrap(ErrNotFound, err)
 	case errorsIsAny(err, workspace.ErrDuplicateAnnotator, workspace.ErrNoPending, workspace.ErrKeyMismatch):
 		return wrap(ErrConflict, err)
-	case errorsIsAny(err, workspace.ErrJournal):
+	case errorsIsAny(err, workspace.ErrJournal, workspace.ErrLimit):
 		return wrap(ErrUnavailable, err)
 	default:
 		return wrap(ErrInvalid, err)
