@@ -57,23 +57,28 @@ func benchEngine(b *testing.B) *Engine {
 // BenchmarkSessionNext measures one interactive step (Next + Answer) on a
 // reject-heavy session: one suggestion in seven is accepted, so the cached
 // hierarchy is mostly reused. BenchmarkSessionAccepts runs the accept-heavy
-// mix of an interactive annotator.
+// mix of an interactive annotator. All three session benchmarks run
+// sessions of benchQuestions questions, so P stays bounded and the cost per
+// step does not depend on b.N.
 func BenchmarkSessionNext(b *testing.B) {
-	benchSteps(b, 1<<30, func(i int) bool { return i%7 == 0 })
+	benchSteps(b, benchQuestions, func(i int) bool { return i%7 == 0 })
 }
 
 // BenchmarkSessionAccepts measures one interactive step (Next + Answer)
 // when every other suggestion is accepted, close to the ~0.5 accepts per
-// question the perfbench solo workload measures, in sessions of 32
-// questions as there. Each accept retrains the classifier and regenerates
-// the hierarchy, overlapped in Loop.Refit. The bounded sessions keep the
-// cost per step independent of b.N while P grows.
+// question the perfbench solo workload measures. Each accept retrains the
+// classifier and regenerates the hierarchy, overlapped in Loop.Refit.
 func BenchmarkSessionAccepts(b *testing.B) {
-	benchSteps(b, 32, func(i int) bool { return i%2 == 0 })
+	benchSteps(b, benchQuestions, func(i int) bool { return i%2 == 0 })
 }
 
-// benchSteps runs b.N session steps, answering step i with accept(i) and
-// starting a fresh session with the given budget whenever one ends.
+// benchQuestions is the session length of the session benchmarks, the 32
+// questions per labeler of the perfbench solo workload.
+const benchQuestions = 32
+
+// benchSteps runs b.N answered session steps, answering step i with
+// accept(i) and starting a fresh session with the given budget, untimed,
+// whenever one ends.
 func benchSteps(b *testing.B, budget int, accept func(i int) bool) {
 	e := benchEngine(b)
 	newSession := func() *Session {
@@ -85,7 +90,7 @@ func benchSteps(b *testing.B, budget int, accept func(i int) bool) {
 	}
 	s := newSession()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for i := 0; i < b.N; {
 		sug, ok := s.Next()
 		if !ok {
 			b.StopTimer()
@@ -96,6 +101,7 @@ func benchSteps(b *testing.B, budget int, accept func(i int) bool) {
 		if _, err := s.Answer(sug.Key, accept(i)); err != nil {
 			b.Fatal(err)
 		}
+		i++
 	}
 }
 
@@ -103,5 +109,5 @@ func benchSteps(b *testing.B, budget int, accept func(i int) bool) {
 // suggestion, every answer is NO, so the positive set never changes. This is
 // the path incremental hierarchy reuse targets.
 func BenchmarkSessionNextRejects(b *testing.B) {
-	benchSteps(b, 1<<30, func(int) bool { return false })
+	benchSteps(b, benchQuestions, func(int) bool { return false })
 }
