@@ -102,6 +102,43 @@ func checkSessionJournalRecovery(t *testing.T, seeds []string) {
 	}
 }
 
+// TestServedSessionAnswerIsJournaled pins that every answer verb of the
+// labeler a session is served as journals: a verdict given through
+// Labeler.Answer survives a restart like one given in a batch.
+func TestServedSessionAnswerIsJournaled(t *testing.T) {
+	cfg := Config{JournalPath: filepath.Join(t.TempDir(), "ws.jsonl")}
+	srv, _ := newTestServer(t, cfg)
+	ctx := t.Context()
+	st, err := srv.CreateLabeler(ctx, darwin.CreateOptions{Dataset: "directions", SeedRules: []string{"best way to get to"}, Budget: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lab, err := srv.Labeler(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sug, err := lab.Suggest(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lab.Answer(ctx, darwin.Answer{Key: sug.Key, Accept: true}); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	srv2, _ := newTestServer(t, cfg)
+	defer srv2.Close()
+	got, err := srv2.LabelerStatus(ctx, st.ID)
+	if err != nil {
+		t.Fatalf("recovered session status: %v", err)
+	}
+	if got.Questions != 1 {
+		t.Errorf("recovered session answered %d questions, want 1", got.Questions)
+	}
+}
+
 // TestSessionJournalAnswersAfterRecovery makes sure a recovered session's
 // post-restart answers are journaled too: a second restart replays both
 // generations of answers.
