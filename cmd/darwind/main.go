@@ -81,8 +81,8 @@ func main() {
 		accessLog  = flag.Bool("access-log", true, "emit one structured (JSON) log line per request, carrying the request id")
 		pprofOn    = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (unauthenticated; bind accordingly)")
 	)
-	// Solo sessions are journaled whenever -journal is set; the flag that
-	// once opted them in is still accepted so existing command lines start.
+	// Accepted and ignored, so command lines that still pass it (perfbench's
+	// solo workload does) keep starting.
 	flag.Bool("journal-sessions", false, "ignored: solo sessions are journaled to \"<-journal path>.sessions\" whenever -journal is set")
 	flag.Parse()
 
