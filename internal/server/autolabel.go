@@ -5,7 +5,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -50,7 +49,7 @@ func mapAutolabelErr(err error) error {
 func handleV2JobCreate(b Backend) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var spec autolabel.Spec
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+		if err := decodeBody(r, &spec); err != nil {
 			writeV2Error(w, fmt.Errorf("%w: invalid JSON body: %v", darwin.ErrInvalid, err))
 			return
 		}
@@ -100,7 +99,7 @@ func handleV2JobOutput(b Backend) http.HandlerFunc {
 func handleV2Snuba(b Backend) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req autolabel.SnubaRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		if err := decodeBody(r, &req); err != nil {
 			writeV2Error(w, fmt.Errorf("%w: invalid JSON body: %v", darwin.ErrInvalid, err))
 			return
 		}

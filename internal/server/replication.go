@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"log"
 	"net/http"
 
@@ -56,7 +55,7 @@ func (s *Server) handleReplRole(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var doc replicate.RoleDoc
-	if err := json.NewDecoder(r.Body).Decode(&doc); err != nil {
+	if err := decodeBody(r, &doc); err != nil {
 		writeJSON(w, http.StatusBadRequest, replicate.WireError{Error: "invalid", Message: "invalid JSON body: " + err.Error()})
 		return
 	}
@@ -73,7 +72,7 @@ func (s *Server) handleReplEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var b replicate.Batch
-	if err := json.NewDecoder(r.Body).Decode(&b); err != nil {
+	if err := decodeBody(r, &b); err != nil {
 		writeJSON(w, http.StatusBadRequest, replicate.WireError{Error: "invalid", Message: "invalid JSON body: " + err.Error()})
 		return
 	}
@@ -91,7 +90,7 @@ func (s *Server) handleReplPromote(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req replicate.PromoteRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeBody(r, &req); err != nil {
 		writeJSON(w, http.StatusBadRequest, replicate.WireError{Error: "invalid", Message: "invalid JSON body: " + err.Error()})
 		return
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strings"
 	"time"
 
 	"repro/pkg/darwin"
@@ -204,10 +205,28 @@ func writeV1Error(w http.ResponseWriter, err error) {
 	writeError(w, darwin.HTTPStatus(err), "%s", darwin.Envelope(err).Message)
 }
 
+// decodeBody decodes a JSON request body into v; every handler that reads
+// a JSON body goes through it. Syntax errors keep encoding/json's message.
+// A value of the wrong JSON type is reported by the JSON field and the JSON
+// kind received, never by the Go type it was to be decoded into, so that
+// renaming a Go type cannot change a wire message.
+func decodeBody(r *http.Request, v any) error {
+	err := json.NewDecoder(r.Body).Decode(v)
+	var te *json.UnmarshalTypeError
+	if !errors.As(err, &te) {
+		return err
+	}
+	kind, _, _ := strings.Cut(te.Value, " ") // "number 1.5" -> "number"
+	if te.Field == "" {
+		return fmt.Errorf("json: cannot unmarshal %s into the request body", kind)
+	}
+	return fmt.Errorf("json: cannot unmarshal %s into field %q", kind, te.Field)
+}
+
 // decodeV1 reads a JSON request body into v, writing the v1 400 when it is
 // malformed.
 func decodeV1(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+	if err := decodeBody(r, v); err != nil {
 		writeError(w, http.StatusBadRequest, "invalid JSON body: %v", err)
 		return false
 	}
@@ -449,21 +468,36 @@ func (s *Server) handleWSAttach(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "annotator name is required")
 		return
 	}
-	if err := s.mgr.Attach(r.PathValue("id"), req.Annotator); err != nil {
+	wsID := r.PathValue("id")
+	if err := s.mgr.Attach(wsID, req.Annotator); err != nil {
 		writeV1Error(w, darwin.MapWorkspaceErr(err))
+		return
+	}
+	// The attachment is a /v2 labeler too, registered as rebuildLabelers
+	// registers it after a restart. Attaching before adopting keeps the
+	// manager's error messages on the v1 wire.
+	lab, err := darwin.AdoptWorkspace(s.mgr, wsID, req.Annotator)
+	if err == nil {
+		_, err = s.registerAttachment(r.Context(), lab)
+	}
+	if err != nil {
+		writeV1Error(w, err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, map[string]string{"annotator": req.Annotator})
 }
 
-// handleWSDetach acks 204 only after the detach event is journaled.
+// handleWSDetach acks 204 only after the detach event is journaled, and
+// drops the attachment's /v2 labeler.
 //
 //darwin:mutating-handler
 func (s *Server) handleWSDetach(w http.ResponseWriter, r *http.Request) {
-	if err := s.mgr.Detach(r.PathValue("id"), r.PathValue("name")); err != nil {
+	wsID, name := r.PathValue("id"), r.PathValue("name")
+	if err := s.mgr.Detach(wsID, name); err != nil {
 		writeV1Error(w, darwin.MapWorkspaceErr(err))
 		return
 	}
+	s.labelers.remove(wsLabelerID(wsID, name))
 	w.WriteHeader(http.StatusNoContent)
 }
 

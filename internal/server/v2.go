@@ -8,7 +8,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -238,7 +237,7 @@ func writeV2Error(w http.ResponseWriter, err error) {
 func handleV2Create(b Backend) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req darwin.CreateOptions
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		if err := decodeBody(r, &req); err != nil {
 			writeV2Error(w, fmt.Errorf("%w: invalid JSON body: %v", darwin.ErrInvalid, err))
 			return
 		}
@@ -327,7 +326,7 @@ func handleV2Answers(b Backend) http.HandlerFunc {
 		var req struct {
 			Answers []darwin.Answer `json:"answers"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		if err := decodeBody(r, &req); err != nil {
 			writeV2Error(w, fmt.Errorf("%w: invalid JSON body: %v", darwin.ErrInvalid, err))
 			return
 		}
@@ -639,18 +638,9 @@ func (s *Server) createWorkspaceLabeler(ctx context.Context, req darwin.CreateOp
 	if err != nil {
 		return fail(err)
 	}
-	// The labeler id is a pure function of (workspace, annotator), so the
-	// same attachment resolves under the same id after a restart.
-	id := wsLabelerID(wsID, req.Annotator)
-	en := &wsLabeler{id: id, lab: lab}
-	if err := s.labelers.add(en); err != nil {
-		// At capacity: evict entries orphaned by workspace TTL eviction and
-		// retry once before refusing.
-		s.pruneDeadLabelers()
-		if err := s.labelers.add(en); err != nil {
-			_ = lab.Close(ctx)
-			return fail(err)
-		}
+	id, err := s.registerAttachment(ctx, lab)
+	if err != nil {
+		return fail(err)
 	}
 	st, err := lab.Status(ctx)
 	if err != nil {
@@ -658,6 +648,23 @@ func (s *Server) createWorkspaceLabeler(ctx context.Context, req darwin.CreateOp
 	}
 	st.ID = id
 	return st, nil
+}
+
+// registerAttachment registers a workspace attachment's labeler under its
+// id, a pure function of (workspace, annotator), so the same attachment
+// resolves under the same id after a restart (rebuildLabelers). At capacity
+// it evicts entries orphaned by workspace TTL eviction and retries once
+// before refusing; a refused attachment is closed, which detaches it.
+func (s *Server) registerAttachment(ctx context.Context, lab *darwin.WorkspaceLabeler) (string, error) {
+	en := &wsLabeler{id: wsLabelerID(lab.Workspace(), lab.Annotator()), lab: lab}
+	if err := s.labelers.add(en); err != nil {
+		s.pruneDeadLabelers()
+		if err := s.labelers.add(en); err != nil {
+			_ = lab.Close(ctx)
+			return "", err
+		}
+	}
+	return en.id, nil
 }
 
 // createWorkspace validates a fresh-workspace request and creates the
