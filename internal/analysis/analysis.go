@@ -20,7 +20,7 @@
 //	    On (or immediately above) an offending line: suppress replaypure.
 //	//darwin:lockrank <rank>
 //	    On a mutex struct field or package var. Ranks, outermost first:
-//	    store > gate > manager > job > workspace > index > mat > journal.
+//	    store > gate > manager > job > workspace > index > mat > journal > heads.
 //	//darwin:lockrank-callback <rank>
 //	    On a function that invokes its func-typed argument while holding
 //	    a lock of <rank>.

@@ -4,7 +4,7 @@
 // Mutexes opt in via //darwin:lockrank <rank> on the struct field or package
 // var. The documented order, outermost first:
 //
-//	store > gate > manager > job > workspace > index > mat > journal
+//	store > gate > manager > job > workspace > index > mat > journal > heads
 //
 // While holding a lock of rank R, only locks of strictly lower rank may be
 // acquired. The analyzer tracks acquisitions in source order within each
@@ -47,9 +47,10 @@ var rankLevel = map[string]int{
 	"index":     30,
 	"mat":       20,
 	"journal":   10,
+	"heads":     5,
 }
 
-const rankOrderDoc = "store > gate > manager > job > workspace > index > mat > journal"
+const rankOrderDoc = "store > gate > manager > job > workspace > index > mat > journal > heads"
 
 type funcFact struct {
 	Acquires []string `json:"acquires,omitempty"`

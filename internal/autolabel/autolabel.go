@@ -23,12 +23,11 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"strconv"
 	"strings"
-	"unicode/utf8"
 
 	"repro/internal/bitset"
 	"repro/internal/core"
+	"repro/internal/corpus"
 	"repro/internal/ingest"
 	"repro/internal/labelmodel"
 )
@@ -200,15 +199,13 @@ type Result struct {
 // nil.
 type Progress func(stage string, done, total int)
 
-// labeledRecord is one output line: the corpus export shape
-// ({"id","text","label"}) extended with the aggregated probability when the
-// spec asks for it. appendRecord writes it exactly as encoding/json would.
-type labeledRecord struct {
-	ID    int      `json:"id"`
-	Text  string   `json:"text"`
-	Label int      `json:"label"`
-	Prob  *float64 `json:"prob,omitempty"`
-}
+// tailMemoCap bounds the per-run memo of record tails (see Run). A
+// committee's probabilities take few distinct values (a five-rule generative
+// committee gives 6-10 over 15,300 sentences), so the memo formats each tail
+// once. Past the cap, tails are formatted per record, so a committee with
+// mostly distinct probabilities costs what formatting every record costs
+// instead of growing memory.
+const tailMemoCap = 1024
 
 // Run applies the spec to the engine's corpus and streams the labeled JSONL
 // to w. Memory stays bounded by (corpus bitsets + vote matrix + one write
@@ -301,13 +298,17 @@ func Run(ctx context.Context, eng *core.Engine, spec Spec, w io.Writer, progress
 	}
 	progress(StageAggregate, n, n)
 
-	// Stage 4: stream the labeled corpus in bounded chunks. appendRecord
-	// fills one reused line buffer with the bytes encoding/json would write,
-	// without its reflection or a per-record allocation.
+	// Stage 4: stream the labeled corpus in bounded chunks. A record is
+	// its sentence's head {"id":N,"text":"…", escaped once per engine
+	// (Engine.RecordHeads), and a tail ,"label":L[,"prob":P]}\n that
+	// depends only on the probability's bits given the spec, formatted once
+	// per distinct probability. Together they are the bytes encoding/json
+	// would write for the record.
 	progress(StageWrite, 0, n)
+	heads, ends := eng.RecordHeads(corp)
+	tails := tailMemo{includeProb: sp.IncludeProb, byKey: make(map[uint64][]byte)}
 	cw := &countingWriter{w: w}
 	bw := bufio.NewWriterSize(cw, 1<<16)
-	var line []byte
 	threshold := *sp.PosThreshold
 	res := Result{Sentences: n, Rules: numRules, Covered: covered}
 	for start := 0; start < n; start += sp.ChunkSize {
@@ -319,22 +320,23 @@ func Run(ctx context.Context, eng *core.Engine, spec Spec, w io.Writer, progress
 			end = n
 		}
 		for i := start; i < end; i++ {
-			s := corp.Sentences[i]
-			rec := labeledRecord{ID: s.ID, Text: s.Text}
-			p := probs[i]
-			if p > threshold {
-				rec.Label = 1
+			label := 0
+			if probs[i] > threshold {
+				label = 1
 				res.Positives++
 			}
-			if sp.IncludeProb {
-				rec.Prob = &p
-			}
-			var err error
-			if line, err = appendRecord(line[:0], rec); err == nil {
-				_, err = bw.Write(line)
+			tail, err := tails.tail(label, probs[i])
+			if err == nil {
+				headStart := 0
+				if i > 0 {
+					headStart = ends[i-1]
+				}
+				if _, err = bw.Write(heads[headStart:ends[i]]); err == nil {
+					_, err = bw.Write(tail)
+				}
 			}
 			if err != nil {
-				return res, fmt.Errorf("autolabel: write sentence %d: %w", s.ID, err)
+				return res, fmt.Errorf("autolabel: write sentence %d: %w", i, err)
 			}
 		}
 		if err := bw.Flush(); err != nil {
@@ -346,99 +348,48 @@ func Run(ctx context.Context, eng *core.Engine, spec Spec, w io.Writer, progress
 	return res, nil
 }
 
-// appendRecord appends rec as one JSONL line to dst: the bytes
-// json.NewEncoder(w).Encode(rec) writes, newline included. A non-finite
-// probability is an error, as it is for encoding/json.
-func appendRecord(dst []byte, rec labeledRecord) ([]byte, error) {
-	dst = append(dst, `{"id":`...)
-	dst = strconv.AppendInt(dst, int64(rec.ID), 10)
-	dst = append(dst, `,"text":`...)
-	dst = appendJSONString(dst, rec.Text)
-	dst = append(dst, `,"label":`...)
-	dst = strconv.AppendInt(dst, int64(rec.Label), 10)
-	if rec.Prob != nil {
-		p := *rec.Prob
-		if math.IsNaN(p) || math.IsInf(p, 0) {
-			return dst, fmt.Errorf("unsupported probability %v", p)
-		}
-		dst = append(dst, `,"prob":`...)
-		dst = appendJSONFloat(dst, p)
-	}
-	return append(dst, '}', '\n'), nil
+// tailMemo formats record tails (corpus.AppendRecordTail) for one run. A
+// tail depends only on the label and, with probabilities, on the
+// probability's bits, and the label is a function of the probability given
+// the spec, so the key is the probability's bits (the label alone without
+// probabilities). Up to tailMemoCap tails are kept; the last one served is
+// checked first, since runs of uncovered sentences share one probability.
+type tailMemo struct {
+	includeProb bool
+	byKey       map[uint64][]byte
+	lastKey     uint64
+	last        []byte // the memoized tail of lastKey, nil before the first
+	scratch     []byte // tails formatted past the cap
 }
 
-// appendJSONString appends s as a JSON string the way encoding/json's
-// Encoder does with its default HTML escaping: quote and backslash get a
-// backslash; \b, \f, \n, \r and \t their short forms; other control bytes
-// and <, > and & a \u00XX escape; invalid UTF-8 becomes \ufffd, and U+2028
-// and U+2029 are escaped.
-func appendJSONString(dst []byte, s string) []byte {
-	const hex = "0123456789abcdef"
-	dst = append(dst, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		if b := s[i]; b < utf8.RuneSelf {
-			if b >= 0x20 && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
-				i++
-				continue
-			}
-			dst = append(dst, s[start:i]...)
-			switch b {
-			case '"', '\\':
-				dst = append(dst, '\\', b)
-			case '\b':
-				dst = append(dst, '\\', 'b')
-			case '\f':
-				dst = append(dst, '\\', 'f')
-			case '\n':
-				dst = append(dst, '\\', 'n')
-			case '\r':
-				dst = append(dst, '\\', 'r')
-			case '\t':
-				dst = append(dst, '\\', 't')
-			default:
-				dst = append(dst, '\\', 'u', '0', '0', hex[b>>4], hex[b&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		c, size := utf8.DecodeRuneInString(s[i:])
-		switch {
-		case c == utf8.RuneError && size == 1:
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, `\ufffd`...)
-		case c == '\u2028' || c == '\u2029':
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, '\\', 'u', '2', '0', '2', hex[c&0xF])
-		default:
-			i += size
-			continue
-		}
-		i += size
-		start = i
+// tail returns the tail of a record with the given label and probability.
+// The result is valid until the next call. A non-finite probability is an
+// error when probabilities are written.
+func (tm *tailMemo) tail(label int, p float64) ([]byte, error) {
+	key := uint64(label)
+	if tm.includeProb {
+		key = math.Float64bits(p)
 	}
-	dst = append(dst, s[start:]...)
-	return append(dst, '"')
-}
-
-// appendJSONFloat appends the finite f the way encoding/json does: the
-// shortest decimal that round-trips, in 'f' form unless 0 < |f| < 1e-6 or
-// |f| >= 1e21, which use 'e' form with a one-digit negative exponent
-// unpadded (1e-7, not 1e-07).
-func appendJSONFloat(dst []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
+	if tm.last != nil && key == tm.lastKey {
+		return tm.last, nil
 	}
-	dst = strconv.AppendFloat(dst, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
-			dst[n-2] = dst[n-1]
-			dst = dst[:n-1]
-		}
+	if t, ok := tm.byKey[key]; ok {
+		tm.lastKey, tm.last = key, t
+		return t, nil
 	}
-	return dst
+	var prob *float64
+	if tm.includeProb {
+		prob = &p
+	}
+	t, err := corpus.AppendRecordTail(tm.scratch[:0], label, prob)
+	tm.scratch = t
+	if err != nil || len(tm.byKey) >= tailMemoCap {
+		return t, err
+	}
+	t = append([]byte(nil), t...)
+	tm.byKey[key] = t
+	tm.lastKey, tm.last = key, t
+	return t, nil
 }
 
 // countingWriter tracks bytes written through to w.

@@ -9,13 +9,26 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/corpus"
 	"repro/internal/datagen"
 )
 
-// FuzzAppendRecord holds appendRecord to encoding/json: for any text bytes,
-// id, label and probability it must write exactly what
-// json.NewEncoder(w).Encode writes for the same labeledRecord, and fail
-// exactly when the encoder does.
+// outputRecord is the shape of a labeling job's output line, for encoding/json
+// to hold the job's writer to.
+type outputRecord struct {
+	ID    int      `json:"id"`
+	Text  string   `json:"text"`
+	Label int      `json:"label"`
+	Prob  *float64 `json:"prob,omitempty"`
+}
+
+// FuzzAppendRecord holds a labeling job's output records to encoding/json:
+// for any text bytes, id, label and probability, the sentence's record head
+// followed by the tail the job's memo serves must be exactly what
+// json.NewEncoder(w).Encode writes for the same record, and fail exactly
+// when the encoder does. The memo is asked again after serving a different
+// probability, so a tail served from memory must match too. The encoder
+// itself is fuzzed in internal/corpus.
 func FuzzAppendRecord(f *testing.F) {
 	texts := []string{
 		"", "plain text", `quote " and backslash \`, "<b>&amp;</b>",
@@ -35,18 +48,25 @@ func FuzzAppendRecord(f *testing.F) {
 	f.Add([]byte("inf"), int64(1<<40), int64(1), math.Inf(-1), true)
 
 	f.Fuzz(func(t *testing.T, text []byte, id, label int64, prob float64, includeProb bool) {
-		rec := labeledRecord{ID: int(id), Text: string(text), Label: int(label)}
+		rec := outputRecord{ID: int(id), Text: string(text), Label: int(label)}
 		if includeProb {
 			rec.Prob = &prob
 		}
 		var want bytes.Buffer
 		wantErr := json.NewEncoder(&want).Encode(rec)
-		got, err := appendRecord([]byte("prefix"), rec)
-		if (err != nil) != (wantErr != nil) {
-			t.Fatalf("appendRecord error %v, encoding/json error %v", err, wantErr)
-		}
-		if err == nil && !bytes.Equal(got, append([]byte("prefix"), want.Bytes()...)) {
-			t.Fatalf("appendRecord wrote %q, encoding/json %q", got, want.Bytes())
+		tm := tailMemo{includeProb: includeProb, byKey: make(map[uint64][]byte)}
+		for i, p := range []float64{prob, 0.5, prob} {
+			tail, err := tm.tail(rec.Label, p)
+			if i == 1 {
+				continue // only moves the memo off prob
+			}
+			if (err != nil) != (wantErr != nil) {
+				t.Fatalf("tail error %v, encoding/json error %v", err, wantErr)
+			}
+			got := append(corpus.AppendRecordHead(nil, rec.ID, rec.Text), tail...)
+			if err == nil && !bytes.Equal(got, want.Bytes()) {
+				t.Fatalf("job record %q, encoding/json %q", got, want.Bytes())
+			}
 		}
 	})
 }
@@ -75,3 +95,32 @@ func BenchmarkAutolabelRun(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkAutolabelRunWide is the worst case for the vote-pattern and tail
+// memos: a 30-rule generative committee of frequent words, whose covered
+// sentences mostly carry vote vectors, and probabilities, of their own.
+func BenchmarkAutolabelRunWide(b *testing.B) {
+	c, err := datagen.ByName("directions", 1.0, 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng, err := core.New(c, core.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec := Spec{Rules: wideCommittee, Aggregator: AggregatorGenerative, IncludeProb: true}
+	b.ReportAllocs()
+	var res Result
+	for b.Loop() {
+		if res, err = Run(context.Background(), eng, spec, io.Discard, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(res.Covered), "covered")
+}
+
+// wideCommittee is thirty single-word rules, common enough on directions
+// that most sentences draw several votes.
+var wideCommittee = []string{"the", "to", "a", "i", "is", "what", "how", "get", "from", "way",
+	"best", "in", "of", "for", "and", "can", "you", "my", "do", "it",
+	"there", "on", "go", "bus", "train", "airport", "take", "where", "station", "time"}

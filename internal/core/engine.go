@@ -105,6 +105,9 @@ type Engine struct {
 	// session's classifier (features depend only on the immutable corpus and
 	// embedding model, and the cache is safe for concurrent use).
 	featCache *classifier.FeatureCache
+	// heads caches the labeled-record heads labeling jobs write, built on
+	// the first job (see RecordHeads).
+	heads recordHeads
 
 	// ixMu guards the index and the corpus against their post-build
 	// mutations (seed-rule materialization, ingest) racing hierarchy

@@ -51,28 +51,22 @@ func (c *Corpus) SaveJSONL(path string) error {
 	return f.Close()
 }
 
-// labeledRecord is the on-disk representation of one sentence labeled by a
-// discovery run: the sentence and whether it landed in the discovered
-// positive set P.
-type labeledRecord struct {
-	ID    int    `json:"id"`
-	Text  string `json:"text"`
-	Label int    `json:"label"`
-}
-
 // WriteLabeledJSONL writes the corpus to w as JSON lines labeled by the given
 // positive set: one {"id","text","label"} record per sentence, label 1 iff
 // the sentence ID is in positives. This is the export format of a discovery
-// session — the weakly labeled training set the accepted rules produce.
+// session — the weakly labeled training set the accepted rules produce —
+// and the record shape of a labeling job without probabilities.
 func (c *Corpus) WriteLabeledJSONL(w io.Writer, positives map[int]bool) error {
 	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
+	var line []byte
 	for _, s := range c.Sentences {
-		rec := labeledRecord{ID: s.ID, Text: s.Text}
+		label := 0
 		if positives[s.ID] {
-			rec.Label = 1
+			label = 1
 		}
-		if err := enc.Encode(rec); err != nil {
+		line = AppendRecordHead(line[:0], s.ID, s.Text)
+		line, _ = AppendRecordTail(line, label, nil) // no probability, no error
+		if _, err := bw.Write(line); err != nil {
 			return fmt.Errorf("write sentence %d: %w", s.ID, err)
 		}
 	}

@@ -172,7 +172,7 @@ func DefaultGenerativeConfig() GenerativeConfig {
 type GenerativeModel struct {
 	Accuracies []float64
 	Prior      float64
-	matrix     *Matrix
+	patterns   *votePatterns
 }
 
 // FitGenerative trains the one-coin generative model with EM.
@@ -180,9 +180,12 @@ type GenerativeModel struct {
 // Accuracies only change between iterations, so each iteration takes the
 // prior's logs and log(a_j), log(1-a_j) once per rule rather than once per
 // vote, and each rule's M-step walks only the sentences that rule votes on
-// (its ascending covered ids, built once) rather than the whole corpus.
-// Every sum still adds the same terms in the same order, so the accuracies
-// are bit-identical to the per-vote-log textbook form.
+// (its ascending covered ids, built once) rather than the whole corpus. A
+// posterior depends on a sentence only through its vote vector, so the
+// leave-one-out posterior is computed once per (vote pattern, excluded rule)
+// per iteration and reused for every sentence sharing the pattern. Every sum
+// still adds the same terms in the same order, so the accuracies are
+// bit-identical to the per-vote-log, per-sentence textbook form.
 func FitGenerative(m *Matrix, cfg GenerativeConfig) *GenerativeModel {
 	if cfg.Iterations <= 0 {
 		cfg.Iterations = 20
@@ -198,7 +201,6 @@ func FitGenerative(m *Matrix, cfg GenerativeConfig) *GenerativeModel {
 	for j := range acc {
 		acc[j] = cfg.InitialAccuracy
 	}
-	model := &GenerativeModel{Accuracies: acc, Prior: cfg.PriorPositive, matrix: m}
 	covered := make([][]int32, k)
 	for j, row := range m.rows {
 		for id, v := range row {
@@ -207,7 +209,15 @@ func FitGenerative(m *Matrix, cfg GenerativeConfig) *GenerativeModel {
 			}
 		}
 	}
+	pats := newVotePatterns(m, covered)
+	model := &GenerativeModel{Accuracies: acc, Prior: cfg.PriorPositive, patterns: pats}
 
+	// memo[p] holds rule j's agreement with pattern p's leave-j-out
+	// posterior; it is valid for the (iteration, rule) whose tick is in
+	// stamp[p].
+	memo := make([]float64, pats.len())
+	stamp := make([]int, pats.len())
+	tick := 0
 	for it := 0; it < cfg.Iterations; it++ {
 		// M-step with leave-one-out E-step: rule j's accuracy is re-estimated
 		// against the posterior computed from the OTHER rules' votes only
@@ -219,14 +229,20 @@ func FitGenerative(m *Matrix, cfg GenerativeConfig) *GenerativeModel {
 		next := make([]float64, k)
 		copy(next, acc)
 		for j, row := range m.rows {
+			tick++
 			var agree, total float64
 			for _, id := range covered[j] {
-				p := model.posteriorExcluding(&logs, int(id), j)
-				if row[id] == VotePositive {
-					agree += p
-				} else {
-					agree += 1 - p
+				p := pats.of[id]
+				if stamp[p] != tick {
+					post := logs.posterior(pats.votes(p), j)
+					if row[id] == VotePositive {
+						memo[p] = post
+					} else {
+						memo[p] = 1 - post
+					}
+					stamp[p] = tick
 				}
+				agree += memo[p]
 				total++
 			}
 			if total > 0 {
@@ -244,6 +260,98 @@ func FitGenerative(m *Matrix, cfg GenerativeConfig) *GenerativeModel {
 		copy(acc, next)
 	}
 	return model
+}
+
+// votePatterns groups sentences by vote vector. Pattern 0 is the
+// all-abstain vector, shared by every sentence no rule votes on; the other
+// patterns are numbered in order of their first sentence. A pattern keeps
+// only its non-abstain votes, in ascending rule order, so a posterior over
+// it adds the same terms in the same order as one over the full vector.
+type votePatterns struct {
+	// of maps a sentence id to its pattern.
+	of []int32
+	// ends delimits the patterns' votes: pattern p's are
+	// list[ends[p-1]:ends[p]], and pattern 0 has none.
+	ends []int32
+	list []patternVote
+}
+
+// patternVote is one non-abstain vote of a pattern.
+type patternVote struct {
+	rule int32
+	vote Vote
+}
+
+// newVotePatterns assigns patterns from the rules' ascending covered ids.
+// Rule by rule, each covered sentence moves from its pattern-so-far to that
+// pattern's child for (rule, vote), so two sentences share a pattern iff
+// their vote vectors are equal. Building touches each vote once.
+func newVotePatterns(m *Matrix, covered [][]int32) *votePatterns {
+	// The pattern trie: node 0 is the empty prefix; node x extends
+	// parent[x] with the vote last[x]. child[2x+b] is x's child for a
+	// positive (b=1) or negative (b=0) vote of the rule whose tick is in
+	// childTick[2x+b]. Each vote adds at most one node.
+	votes := 0
+	for _, ids := range covered {
+		votes += len(ids)
+	}
+	parent := make([]int32, 1, votes+1)
+	last := make([]patternVote, 1, votes+1)
+	child := make([]int32, 2*(votes+1))
+	childTick := make([]int32, 2*(votes+1))
+	node := make([]int32, m.numSentences)
+	for j, ids := range covered {
+		row := m.rows[j]
+		for _, id := range ids {
+			slot := 2 * int(node[id])
+			if row[id] == VotePositive {
+				slot++
+			}
+			if childTick[slot] != int32(j+1) {
+				child[slot] = int32(len(parent))
+				childTick[slot] = int32(j + 1)
+				parent = append(parent, node[id])
+				last = append(last, patternVote{rule: int32(j), vote: row[id]})
+			}
+			node[id] = child[slot]
+		}
+	}
+	// Number the final patterns densely and spell out their votes.
+	// A pattern's votes are those of its first sentence, so the lists
+	// together hold at most every vote.
+	pats := &votePatterns{of: node, ends: []int32{0}, list: make([]patternVote, 0, votes)}
+	dense := make([]int32, len(parent))
+	for x := range dense {
+		dense[x] = -1
+	}
+	dense[0] = 0
+	var path []patternVote
+	for id, x := range node {
+		if dense[x] < 0 {
+			dense[x] = int32(len(pats.ends))
+			path = path[:0]
+			for y := x; y > 0; y = parent[y] {
+				path = append(path, last[y])
+			}
+			for i := len(path) - 1; i >= 0; i-- {
+				pats.list = append(pats.list, path[i])
+			}
+			pats.ends = append(pats.ends, int32(len(pats.list)))
+		}
+		pats.of[id] = dense[x]
+	}
+	return pats
+}
+
+// len returns the number of patterns.
+func (vp *votePatterns) len() int { return len(vp.ends) }
+
+// votes returns pattern p's non-abstain votes in ascending rule order.
+func (vp *votePatterns) votes(p int32) []patternVote {
+	if p == 0 {
+		return nil
+	}
+	return vp.list[vp.ends[p-1]:vp.ends[p]]
 }
 
 // accuracyLogs holds log(a) and log(1-a) for an accuracy a: the terms a
@@ -270,23 +378,22 @@ func (g *GenerativeModel) logs() posteriorLogs {
 	return l
 }
 
-// posteriorExcluding computes P(y=1 | votes on sentence id) under the
-// one-coin model, ignoring rule `exclude`'s vote (pass -1 to use every
-// vote). logs must hold the current model's logs.
-func (g *GenerativeModel) posteriorExcluding(logs *posteriorLogs, id, exclude int) float64 {
-	logPos := logs.prior.right
-	logNeg := logs.prior.wrong
-	for j, row := range g.matrix.rows {
-		if j == exclude {
+// posterior computes P(y=1 | votes) under the one-coin model, ignoring rule
+// `exclude`'s vote (pass -1 to use every vote).
+func (l *posteriorLogs) posterior(votes []patternVote, exclude int) float64 {
+	logPos := l.prior.right
+	logNeg := l.prior.wrong
+	for _, v := range votes {
+		if int(v.rule) == exclude {
 			continue
 		}
-		switch row[id] {
-		case VotePositive:
-			logPos += logs.rules[j].right
-			logNeg += logs.rules[j].wrong
-		case VoteNegative:
-			logPos += logs.rules[j].wrong
-			logNeg += logs.rules[j].right
+		r := l.rules[v.rule]
+		if v.vote == VotePositive {
+			logPos += r.right
+			logNeg += r.wrong
+		} else {
+			logPos += r.wrong
+			logNeg += r.right
 		}
 	}
 	// Normalize in log space.
@@ -299,12 +406,18 @@ func (g *GenerativeModel) posteriorExcluding(logs *posteriorLogs, id, exclude in
 	return p / (p + n)
 }
 
-// Probabilities returns the posterior positive probability of every sentence.
+// Probabilities returns the posterior positive probability of every
+// sentence, computed once per vote pattern: every sentence no rule votes on
+// shares the all-abstain posterior.
 func (g *GenerativeModel) Probabilities() []float64 {
 	logs := g.logs()
-	out := make([]float64, g.matrix.numSentences)
-	for id := range out {
-		out[id] = g.posteriorExcluding(&logs, id, -1)
+	post := make([]float64, g.patterns.len())
+	for p := range post {
+		post[p] = logs.posterior(g.patterns.votes(int32(p)), -1)
+	}
+	out := make([]float64, len(g.patterns.of))
+	for id, p := range g.patterns.of {
+		out[id] = post[p]
 	}
 	return out
 }
