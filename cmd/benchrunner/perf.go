@@ -38,8 +38,8 @@ type PerfReport struct {
 
 // AutolabelPerf tracks the batch labeling pipeline: whole-pipeline
 // throughput (resolve + vote matrix + aggregate + JSONL write) on the
-// full-scale directions corpus, and the end-to-end latency of one job
-// through the async Manager.
+// full-scale directions corpus, and the median end-to-end latency of
+// E2EJobs warm jobs through the async Manager.
 type AutolabelPerf struct {
 	Dataset   string `json:"dataset"`
 	Sentences int    `json:"sentences"`
@@ -50,6 +50,7 @@ type AutolabelPerf struct {
 	SentencesPerSec   float64 `json:"sentences_per_sec"`
 	FloorPerSec       float64 `json:"floor_per_sec"`
 	E2EJobMillis      float64 `json:"e2e_job_ms"`
+	E2EJobs           int     `json:"e2e_jobs"`
 	OutputBytesPerRun int64   `json:"output_bytes_per_run"`
 }
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"os"
@@ -607,6 +608,66 @@ func TestManagerTTLSweep(t *testing.T) {
 	}
 	if _, err := os.Stat(outPath); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("expired output still on disk: %v", err)
+	}
+}
+
+// TestManagerSweepExpiresManyJobsAtOnce expires a few hundred finished jobs
+// in one TTL sweep (journaled with one write and one fsync) and reopens the
+// manager: none of them may come back, and none may be re-run for its
+// deleted output.
+func TestManagerSweepExpiresManyJobsAtOnce(t *testing.T) {
+	eng := testEngine(t)
+	dir := t.TempDir()
+	const jobs = 300
+	spec := testSpec()
+	now := time.Now().Unix()
+	var journal bytes.Buffer
+	for i := 0; i < jobs; i++ {
+		id := fmt.Sprintf("j%04d", i)
+		for _, rec := range []jobRecord{
+			{Type: "create", ID: id, Dataset: "directions", Spec: &spec, Unix: now},
+			{Type: "done", ID: id, Result: &Result{Sentences: 1}, Unix: now},
+		} {
+			line, err := json.Marshal(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			journal.Write(append(line, '\n'))
+		}
+		if err := os.WriteFile(filepath.Join(dir, id+".jsonl"), []byte("{}\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(dir, "jobs.log"), journal.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	m := newTestManager(t, dir, eng)
+	if got := len(m.Jobs()); got != jobs {
+		t.Fatalf("manager restored %d jobs, want %d", got, jobs)
+	}
+	m.now = func() time.Time { return time.Now().Add(2 * time.Hour) }
+	if _, err := m.Status("j0000"); !errors.Is(err, ErrUnknownJob) {
+		t.Fatalf("expired job status: %v", err)
+	}
+	if got := len(m.Jobs()); got != 0 {
+		t.Fatalf("%d jobs left after one sweep, want 0", got)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "jobs.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := bytes.Count(data, []byte(`"type":"expire"`)); got != jobs {
+		t.Fatalf("journal holds %d expire records, want %d", got, jobs)
+	}
+
+	m2 := newTestManager(t, dir, eng)
+	defer m2.Close()
+	if got := m2.Jobs(); len(got) != 0 {
+		t.Fatalf("%d expired jobs came back after reopen (first %s, %s)", len(got), got[0].ID, got[0].State)
 	}
 }
 

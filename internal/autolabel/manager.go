@@ -411,22 +411,25 @@ func (m *Manager) compactJournal(order []string) error {
 	return nil
 }
 
-// appendRecord durably journals one job record: the line is written,
-// flushed, and fsynced before appendRecord returns.
+// appendRecord durably journals job records: the lines are written,
+// flushed, and fsynced together — one fsync however many records — before
+// appendRecord returns.
 //
 //darwin:journals
-func (m *Manager) appendRecord(rec jobRecord) error {
+func (m *Manager) appendRecord(recs ...jobRecord) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
 		return ErrDisabled
 	}
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	if _, err := m.jw.Write(append(line, '\n')); err != nil {
-		return fmt.Errorf("autolabel: append job record: %w", err)
+	for _, rec := range recs {
+		line, err := json.Marshal(rec)
+		if err != nil {
+			return err
+		}
+		if _, err := m.jw.Write(append(line, '\n')); err != nil {
+			return fmt.Errorf("autolabel: append job record: %w", err)
+		}
 	}
 	if err := m.jw.Flush(); err != nil {
 		return fmt.Errorf("autolabel: flush job journal: %w", err)
@@ -595,7 +598,8 @@ func (m *Manager) Jobs() []JobStatus {
 }
 
 // sweep drops terminal jobs older than the TTL, deletes their outputs, and
-// journals an "expire" record per job so replay does not resurrect them.
+// journals an "expire" record per job, all with one fsync, so replay does
+// not resurrect them.
 func (m *Manager) sweep() {
 	cutoff := m.now().Add(-m.cfg.TTL).Unix()
 	var expired []string
@@ -611,16 +615,20 @@ func (m *Manager) sweep() {
 		}
 	}
 	m.mu.Unlock()
-	for _, id := range expired {
+	if len(expired) == 0 {
+		return
+	}
+	now := m.now().Unix()
+	recs := make([]jobRecord, len(expired))
+	for i, id := range expired {
 		os.Remove(m.OutputPath(id))
-		if err := m.appendRecord(jobRecord{Type: "expire", ID: id, Unix: m.now().Unix()}); err != nil {
-			m.cfg.Logf("autolabel: journal expiry of %s: %v", id, err)
-		}
+		recs[i] = jobRecord{Type: "expire", ID: id, Unix: now}
 		m.cfg.Logf("autolabel: expired job %s", id)
 	}
-	if len(expired) > 0 {
-		m.updateStateGauges()
+	if err := m.appendRecord(recs...); err != nil {
+		m.cfg.Logf("autolabel: journal expiry of %d jobs: %v", len(expired), err)
 	}
+	m.updateStateGauges()
 }
 
 // worker executes jobs from the queue until the manager closes.

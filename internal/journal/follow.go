@@ -19,10 +19,15 @@ import (
 type Follower struct {
 	w   *Writer
 	f   *os.File
-	off int64
-	rem []byte // partial trailing line carried between reads
+	off int64  // file offset of the next byte to read
+	buf []byte // the one read buffer, allocated on first read
+	n   int    // buf[:n] is a partial trailing line carried between reads
 	gen uint64 // generation of the file f reads from (0 before first Next)
 }
+
+// followBufSize is the Follower's initial read buffer. It grows only when a
+// single journal line does not fit.
+const followBufSize = 256 << 10
 
 // Follow returns a new Follower positioned at the start of the journal.
 func (w *Writer) Follow() *Follower {
@@ -85,14 +90,18 @@ func (fl *Follower) reopen(gen uint64) {
 		fl.f = nil
 	}
 	fl.off = 0
-	fl.rem = nil
+	fl.n = 0
 	fl.gen = gen
 }
 
 // read drains everything currently appended past the follower's offset and
-// returns the complete events found. A trailing partial line (an append's
-// write observed mid-flight) is carried over to the next call; a complete
-// line that fails to parse is real corruption and an error.
+// returns the complete events found. Lines are parsed straight out of the
+// follower's one buffer; only a trailing partial line (an append's write
+// observed mid-flight) is moved to its front and carried over to the next
+// call, so a read costs in proportion to the bytes appended since the last
+// one. Unmarshal copies what it keeps (strings, RawMessage), so returned
+// events never alias the buffer the next read overwrites. A complete line
+// that fails to parse is real corruption and an error.
 func (fl *Follower) read() ([]Event, error) {
 	if fl.f == nil {
 		f, err := os.Open(fl.w.path)
@@ -104,31 +113,35 @@ func (fl *Follower) read() ([]Event, error) {
 		}
 		fl.f = f
 	}
+	if fl.buf == nil {
+		fl.buf = make([]byte, followBufSize)
+	}
 	var events []Event
-	buf := make([]byte, 256<<10)
 	for {
-		n, rerr := fl.f.ReadAt(buf, fl.off)
-		if n > 0 {
-			fl.off += int64(n)
-			data := append(fl.rem, buf[:n]...)
-			for {
-				i := bytes.IndexByte(data, '\n')
-				if i < 0 {
-					break
-				}
-				line := bytes.TrimRight(data[:i], "\r")
-				data = data[i+1:]
-				if len(line) == 0 {
-					continue
-				}
-				var ev Event
-				if err := json.Unmarshal(line, &ev); err != nil {
-					return nil, fmt.Errorf("journal: follow %s: corrupt line: %w", fl.w.path, err)
-				}
-				events = append(events, ev)
-			}
-			fl.rem = append(fl.rem[:0], data...)
+		if fl.n == len(fl.buf) {
+			// One line fills the whole buffer: grow it to fit.
+			fl.buf = append(fl.buf, make([]byte, len(fl.buf))...)
 		}
+		n, rerr := fl.f.ReadAt(fl.buf[fl.n:], fl.off)
+		fl.off += int64(n)
+		data := fl.buf[:fl.n+n]
+		for {
+			i := bytes.IndexByte(data, '\n')
+			if i < 0 {
+				break
+			}
+			line := bytes.TrimRight(data[:i], "\r")
+			data = data[i+1:]
+			if len(line) == 0 {
+				continue
+			}
+			var ev Event
+			if err := json.Unmarshal(line, &ev); err != nil {
+				return nil, fmt.Errorf("journal: follow %s: corrupt line: %w", fl.w.path, err)
+			}
+			events = append(events, ev)
+		}
+		fl.n = copy(fl.buf, data)
 		if rerr == io.EOF {
 			return events, nil
 		}

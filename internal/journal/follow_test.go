@@ -2,8 +2,11 @@ package journal
 
 import (
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -182,5 +185,109 @@ func TestOpenRepairsMissingNewline(t *testing.T) {
 	}
 	if len(events) != 3 || events[2].Type != "evict" {
 		t.Fatalf("post-repair log = %+v, want 3 events ending in evict", events)
+	}
+}
+
+// appendAndNext appends one small event and reads it back through fl.
+func appendAndNext(tb testing.TB, w *Writer, fl *Follower, i int) {
+	tb.Helper()
+	if _, err := w.Append("answer", "ws1", "", map[string]int{"i": i}); err != nil {
+		tb.Fatal(err)
+	}
+	evs, reset, err := fl.Next(context.Background())
+	if err != nil || reset || len(evs) != 1 {
+		tb.Fatalf("Next = (%d events, reset=%v, %v), want 1 event", len(evs), reset, err)
+	}
+}
+
+// TestFollowerNextAllocatesPerAppend bounds what tailing one small append
+// allocates: the follower keeps its read buffer for life, so a Next costs
+// the parsed event, not a fresh buffer.
+func TestFollowerNextAllocatesPerAppend(t *testing.T) {
+	w, _, err := Open(filepath.Join(t.TempDir(), "j.jsonl"), Options{SyncInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	fl := w.Follow()
+	defer fl.Close()
+	appendAndNext(t, w, fl, 0) // opens the file and allocates the buffer
+
+	const rounds = 50
+	var before, after runtime.MemStats
+	var total uint64
+	for i := 1; i <= rounds; i++ {
+		if _, err := w.Append("answer", "ws1", "", map[string]int{"i": i}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&before)
+		evs, _, err := fl.Next(context.Background())
+		runtime.ReadMemStats(&after)
+		if err != nil || len(evs) != 1 || evs[0].Seq != uint64(i+1) {
+			t.Fatalf("round %d: Next = (%v, %v), want seq %d", i, evs, err, i+1)
+		}
+		total += after.TotalAlloc - before.TotalAlloc
+	}
+	const bound = 4 << 10 // the old per-read buffer alone was 256 KiB
+	if perNext := total / rounds; perNext > bound {
+		t.Fatalf("Next of a one-event append allocated %d bytes, want <= %d", perNext, bound)
+	}
+}
+
+// TestFollowerEventsOutliveBufferReuse pins that events handed out by Next
+// own their bytes: the follower's buffer is overwritten by the next read.
+func TestFollowerEventsOutliveBufferReuse(t *testing.T) {
+	w, _, err := Open(filepath.Join(t.TempDir(), "j.jsonl"), Options{SyncInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	fl := w.Follow()
+	defer fl.Close()
+	w.Append("create", "first", "", map[string]string{"v": "aaaa"})
+	first := drain(t, fl, 1)
+	w.Append("create", "other", "", map[string]string{"v": "bbbb"})
+	drain(t, fl, 1)
+	if first[0].WS != "first" || string(first[0].Data) != `{"v":"aaaa"}` {
+		t.Fatalf("first event changed after the next read: %+v (data %s)", first[0], first[0].Data)
+	}
+}
+
+// TestFollowerLineLongerThanBuffer covers the one case the buffer grows: a
+// single event whose line exceeds it, written alongside small ones.
+func TestFollowerLineLongerThanBuffer(t *testing.T) {
+	w, _, err := Open(filepath.Join(t.TempDir(), "j.jsonl"), Options{SyncInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	fl := w.Follow()
+	defer fl.Close()
+	big := strings.Repeat("x", 3*followBufSize)
+	w.Append("create", "a", "", nil)
+	w.Append("snapshot", "a", "", map[string]string{"v": big})
+	w.Append("answer", "a", "", nil)
+	got := drain(t, fl, 3)
+	var d struct{ V string }
+	if err := json.Unmarshal(got[1].Data, &d); err != nil || d.V != big || got[2].Seq != 3 {
+		t.Fatalf("long line read back wrong: err %v, len %d, last seq %d", err, len(d.V), got[2].Seq)
+	}
+}
+
+// BenchmarkFollowerNext is the replication tail's per-batch cost: append one
+// small event and read it back.
+func BenchmarkFollowerNext(b *testing.B) {
+	w, _, err := Open(filepath.Join(b.TempDir(), "j.jsonl"), Options{SyncInterval: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer w.Close()
+	fl := w.Follow()
+	defer fl.Close()
+	appendAndNext(b, w, fl, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		appendAndNext(b, w, fl, i)
 	}
 }

@@ -14,13 +14,24 @@ import (
 )
 
 // markType is the standby journal's progress record: appended after every
-// applied batch, it pins the (epoch, generation, upto) watermark the standby
-// state on disk is consistent with. Events after the last mark were applied
-// but not yet marked when the process died, so recovery discards them — the
-// primary resends from the marked watermark (or resets). The workspace
-// Replayer ignores the type, so a standby journal also replays cleanly
-// through the ordinary recovery path.
+// received batch, it pins the (epoch, generation, upto) watermark the
+// standby journal on disk is complete up to. A mark means "received", not
+// "applied": recovery replays every event up to the last mark, acked but
+// not yet applied ones included. Events after the last mark were never
+// acked, so recovery discards them — the primary resends from the marked
+// watermark (or resets). The workspace Replayer ignores the type, so a
+// standby journal also replays cleanly through the ordinary recovery path.
 const markType = "repl_mark"
+
+// applyQueueLen bounds how many received batches a standby holds journaled
+// but not yet applied. When the queue is full, Apply blocks until the
+// applier catches up, so a slow follower pushes back on the primary through
+// its sync-replication timeout instead of growing without bound.
+const applyQueueLen = 64
+
+// beforeApply, when set (tests only), runs in the applier before it applies
+// each queued batch.
+var beforeApply func(dataset string)
 
 type markData struct {
 	Epoch uint64 `json:"epoch"`
@@ -33,6 +44,11 @@ type markData struct {
 // recovery Replayer — plus an on-disk standby journal so the warmth
 // survives follower restarts (the double-failure case: the primary is dead
 // AND the follower restarted before promotion).
+//
+// A batch is acked once it is appended to the standby journal. One applier
+// goroutine per standby applies the acked events behind the ack, in journal
+// order, so the primary's sync barrier never waits on the follower
+// re-executing a suggest, refit or ingest.
 //
 // The standby manager shares the process's engines; index materializations
 // it replays land in the shared, append-only index, which is exactly where
@@ -48,17 +64,71 @@ type Receiver struct {
 	standby map[string]*standbyState
 }
 
-// standbyState is one dataset's warm standby. The fields after mu are
-// guarded by it; Receiver.mu only guards the map.
+// standbyState is one dataset's warm standby. The applier goroutine owns rep
+// (and, through it, mgr) until done is closed; the fields after mu are
+// guarded by it. Receiver.mu only guards the map.
 type standbyState struct {
-	mu     sync.Mutex
-	mgr    *workspace.Manager
-	rep    *workspace.Replayer
-	jw     *journal.Writer
-	epoch  uint64
-	gen    uint64
-	upto   uint64
+	dataset string
+	mgr     *workspace.Manager
+	rep     *workspace.Replayer
+	jw      *journal.Writer
+	done    chan struct{} // closed when the applier exits
+
+	mu    sync.Mutex
+	cond  *sync.Cond        // signals queue pushes and pops, and closing
+	queue [][]journal.Event // journaled, acked, not yet applied; FIFO
+	epoch uint64
+	gen   uint64
+	upto  uint64
+	// workspaces is the standby's size after the last applied batch.
+	workspaces int
+	// closed refuses further batches; the applier exits once the queue is
+	// empty.
 	closed bool
+}
+
+// newStandbyState wraps a standby manager and journal and starts its applier.
+func newStandbyState(dataset string, mgr *workspace.Manager, rep *workspace.Replayer, jw *journal.Writer) *standbyState {
+	st := &standbyState{dataset: dataset, mgr: mgr, rep: rep, jw: jw, done: make(chan struct{})}
+	st.cond = sync.NewCond(&st.mu)
+	st.workspaces = rep.Stats().Workspaces
+	go st.applyLoop()
+	return st
+}
+
+// applyLoop applies queued batches through the Replayer, one at a time and
+// in the order they were journaled, until the standby is closed and its
+// queue is empty.
+func (st *standbyState) applyLoop() {
+	defer close(st.done)
+	st.mu.Lock()
+	for {
+		for len(st.queue) == 0 && !st.closed {
+			st.cond.Wait()
+		}
+		if len(st.queue) == 0 {
+			st.mu.Unlock()
+			return
+		}
+		events := st.queue[0]
+		st.queue[0] = nil
+		st.queue = st.queue[1:]
+		st.mu.Unlock()
+
+		if beforeApply != nil {
+			beforeApply(st.dataset)
+		}
+		for _, ev := range events {
+			st.rep.Apply(ev)
+		}
+		n := st.rep.Stats().Workspaces
+		replApplied.With(st.dataset).Add(uint64(len(events)))
+		replStandbyWS.With(st.dataset).Set(float64(n))
+
+		st.mu.Lock()
+		st.workspaces = n
+		st.cond.Broadcast()
+	}
 }
 
 // standbyConfig builds the manager config for a warm standby: nothing in it
@@ -137,18 +207,20 @@ func (r *Receiver) recoverStandby(dataset string) {
 			return
 		}
 	}
-	st := &standbyState{mgr: mgr, rep: rep, jw: jw, epoch: mk.Epoch, gen: mk.Gen, upto: mk.Upto}
+	st := newStandbyState(dataset, mgr, rep, jw)
+	st.epoch, st.gen, st.upto = mk.Epoch, mk.Gen, mk.Upto
 	r.standby[dataset] = st
-	stats := rep.Stats()
-	replStandbyWS.With(dataset).Set(float64(stats.Workspaces))
+	replStandbyWS.With(dataset).Set(float64(st.workspaces))
 	r.logf("replicate: recovered warm standby for %s: %d workspaces at epoch %d, upto %d",
-		dataset, stats.Workspaces, mk.Epoch, mk.Upto)
+		dataset, st.workspaces, mk.Epoch, mk.Upto)
 }
 
-// Apply applies one replicated batch. minEpoch is the dataset's durable
+// Apply receives one replicated batch: it appends the events and a mark to
+// the standby journal, queues the events for the applier and acks. It
+// blocks while the apply queue is full. minEpoch is the dataset's durable
 // fence: batches below it are from a zombie ex-primary and rejected with
 // ErrFenced. Non-reset batches must extend the standby contiguously (same
-// epoch, same journal generation, From equal to the applied watermark);
+// epoch, same journal generation, From equal to the received watermark);
 // anything else returns ErrResync and the sender restarts its session.
 func (r *Receiver) Apply(dataset string, b Batch, minEpoch uint64) (BatchAck, error) {
 	if b.Epoch < minEpoch {
@@ -180,6 +252,11 @@ func (r *Receiver) Apply(dataset string, b Batch, minEpoch uint64) (BatchAck, er
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	// Wait for room before checking contiguity: everything from here on
+	// runs under st.mu, so batches are journaled and queued in one order.
+	for len(st.queue) >= applyQueueLen && !st.closed {
+		st.cond.Wait()
+	}
 	if st.closed {
 		return BatchAck{}, fmt.Errorf("%w: standby for %q was consumed", ErrResync, dataset)
 	}
@@ -190,18 +267,17 @@ func (r *Receiver) Apply(dataset string, b Batch, minEpoch uint64) (BatchAck, er
 			ErrResync, b.Epoch, b.Gen, b.From, st.epoch, st.gen, st.upto)
 	}
 	for _, ev := range b.Events {
-		st.rep.Apply(ev)
 		if _, err := st.jw.Append(ev.Type, ev.WS, ev.Dataset, ev.Data); err != nil {
 			return BatchAck{}, fmt.Errorf("replicate: standby journal append: %w", err)
 		}
 	}
-	st.upto = b.Upto
-	if _, err := st.jw.Append(markType, "", dataset, markData{Epoch: st.epoch, Gen: st.gen, Upto: st.upto}); err != nil {
+	if _, err := st.jw.Append(markType, "", dataset, markData{Epoch: st.epoch, Gen: st.gen, Upto: b.Upto}); err != nil {
 		return BatchAck{}, fmt.Errorf("replicate: standby journal mark: %w", err)
 	}
-	if n := len(b.Events); n > 0 {
-		replApplied.With(dataset).Add(uint64(n))
-		replStandbyWS.With(dataset).Set(float64(st.rep.Stats().Workspaces))
+	st.upto = b.Upto
+	if len(b.Events) > 0 {
+		st.queue = append(st.queue, b.Events)
+		st.cond.Broadcast()
 	}
 	return BatchAck{Upto: st.upto}, nil
 }
@@ -224,20 +300,29 @@ func (r *Receiver) newStandbyLocked(dataset string) *standbyState {
 		return nil
 	}
 	mgr := workspace.NewManager(r.engines, nil, standbyConfig())
-	return &standbyState{mgr: mgr, rep: mgr.NewReplayer(), jw: jw}
+	return newStandbyState(dataset, mgr, mgr.NewReplayer(), jw)
 }
 
-// discard closes a standby's replayer and journal. With truncate the
-// on-disk standby journal is emptied first — used after promotion, when the
-// state has moved into the live journal and a stale warm copy must not be
-// recovered again.
-func (st *standbyState) discard(truncate bool) {
+// close refuses further batches and waits for the applier to exit. With
+// drop the queued batches are abandoned instead of applied: they are in the
+// standby journal, which either recovery replays or the caller truncates.
+func (st *standbyState) close(drop bool) {
 	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.closed {
-		return
-	}
 	st.closed = true
+	if drop {
+		st.queue = nil
+	}
+	st.cond.Broadcast()
+	st.mu.Unlock()
+	<-st.done
+}
+
+// discard stops the applier and closes the standby's replayer and journal.
+// With truncate the on-disk standby journal is emptied first — used after
+// promotion, when the state has moved into the live journal and a stale warm
+// copy must not be recovered again.
+func (st *standbyState) discard(truncate bool) {
+	st.close(true)
 	st.rep.Close()
 	if truncate {
 		st.jw.Rewrite(nil)
@@ -249,7 +334,9 @@ func (st *standbyState) discard(truncate bool) {
 // contents for promotion: the materialized rule specs and a snapshot of
 // every standby workspace, plus a cleanup function the caller must invoke
 // once the state is safely adopted (truncate=true) or the adoption failed
-// (truncate=false, keeping the on-disk standby recoverable).
+// (truncate=false, keeping the on-disk standby recoverable). It first
+// applies every queued batch, so the snapshots are exactly the replay of
+// every acked event.
 func (r *Receiver) TakeStandby(dataset string) (specs []string, snaps []*workspace.Snapshot, upto uint64, cleanup func(truncate bool), ok bool) {
 	r.mu.Lock()
 	st := r.standby[dataset]
@@ -258,13 +345,14 @@ func (r *Receiver) TakeStandby(dataset string) (specs []string, snaps []*workspa
 	if st == nil {
 		return nil, nil, 0, nil, false
 	}
-	st.mu.Lock()
+	st.close(false)
 	specs = st.mgr.MaterializedSpecs(dataset)
 	for _, id := range st.mgr.IDsByDataset(dataset) {
 		if ws, live := st.mgr.Peek(id); live {
 			snaps = append(snaps, ws.Snapshot())
 		}
 	}
+	st.mu.Lock()
 	upto = st.upto
 	st.mu.Unlock()
 	replStandbyWS.With(dataset).Set(0)
@@ -294,7 +382,7 @@ func (r *Receiver) StatusFor(dataset string) (epoch, upto uint64, workspaces int
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.epoch, st.upto, st.rep.Stats().Workspaces, true
+	return st.epoch, st.upto, st.workspaces, true
 }
 
 // Datasets lists the datasets with a live standby.

@@ -16,7 +16,8 @@
 //   - The follower runs a Receiver: per dataset it keeps a warm standby —
 //     a volatile workspace.Manager fed through the same Replayer recovery
 //     path used at startup — plus a standby journal on disk so the warmth
-//     survives follower restarts.
+//     survives follower restarts. It acks a batch once the batch is in the
+//     standby journal and applies it behind the ack.
 //   - On promotion the standby's workspaces are adopted into the live
 //     manager (journaled as snapshot events) and served immediately; the
 //     dataset's fence is ratcheted to the new epoch so a zombie
@@ -29,9 +30,9 @@
 // catch-up resync after a partition heals is the same code path as a fresh
 // assignment.
 //
-// With synchronous replication enabled (Options.Sync), the primary's
+// With synchronous replication enabled (NodeOptions.Sync), the primary's
 // manager barrier blocks each acknowledged state change until the follower
-// has acked the event's journal sequence (or the sync timeout degrades the
+// has journaled the event's sequence (or the sync timeout degrades the
 // wait), which upgrades "acknowledged" to "survives primary loss".
 package replicate
 
@@ -57,7 +58,7 @@ var (
 	replShipped = obs.Default().CounterVec("darwin_replication_shipped_events_total",
 		"Journal events shipped to the follower, by dataset.", "dataset")
 	replApplied = obs.Default().CounterVec("darwin_replication_applied_events_total",
-		"Replicated events applied to the warm standby, by dataset.", "dataset")
+		"Replicated events applied to the warm standby, by dataset; counted when applied, which follows the ack.", "dataset")
 	replStreamErrors = obs.Default().CounterVec("darwin_replication_stream_errors_total",
 		"Replication stream send failures (the stream restarts with a resync), by dataset.", "dataset")
 	replFenced = obs.Default().Counter("darwin_replication_fenced_batches_total",
@@ -69,7 +70,7 @@ var (
 	replStandbyWS = obs.Default().GaugeVec("darwin_replication_standby_workspaces",
 		"Workspaces held warm in the replication standby, by dataset.", "dataset")
 	replSyncWait = obs.Default().Histogram("darwin_replication_sync_wait_seconds",
-		"Time acknowledged state changes waited on the follower ack (sync replication).",
+		"Time acknowledged state changes waited for the follower to journal their events (sync replication).",
 		obs.LatencyBuckets)
 	replSyncTimeouts = obs.Default().Counter("darwin_replication_sync_timeouts_total",
 		"Sync-replication barrier waits that hit the timeout and degraded to async.")
@@ -127,8 +128,8 @@ type Batch struct {
 	Events []journal.Event `json:"events,omitempty"`
 }
 
-// BatchAck acknowledges a batch: everything up to Upto is applied to the
-// warm standby and appended to the follower's standby journal.
+// BatchAck acknowledges a batch: everything up to Upto is appended to the
+// follower's standby journal. The standby applies it behind the ack.
 type BatchAck struct {
 	Upto uint64 `json:"upto"`
 }
