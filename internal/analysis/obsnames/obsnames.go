@@ -45,8 +45,8 @@ var registerMethods = map[string]int{
 var allowedLabels = map[string]bool{
 	"daemon": true, "dataset": true, "endpoint": true, "kind": true,
 	"method": true, "result": true, "route": true, "shard": true,
-	"stage": true, "state": true, "status": true, "type": true,
-	"verb": true,
+	"source": true, "stage": true, "state": true, "status": true,
+	"type": true, "verb": true,
 }
 
 var namePattern = regexp.MustCompile(`^darwin_[a-z0-9]+(_[a-z0-9]+)*$`)

@@ -16,8 +16,9 @@ import (
 
 // Loop is the mutable state of one run of Algorithm 1 over an engine's
 // shared corpus and index: the positive set P, the p_s score vector, the
-// classifier and its retrain count, the rules already queried, and the
-// candidate hierarchy cached against (|P|, index version). A solo Session
+// classifier and its retrain count, the rules already queried, the
+// candidate hierarchy cached against (|P|, index version), and each
+// candidate's benefit cached against (hierarchy, P, scores). A solo Session
 // and a multi-annotator workspace (internal/workspace) each hold one; they
 // keep only what differs between them — how randomness is drawn, how the
 // next rule is picked and assigned, and how answers are recorded. Loop is
@@ -46,6 +47,14 @@ type Loop struct {
 	hierPos   int
 	hierIxVer uint64
 	hierGens  int
+
+	// memo caches (benefit, |C_r \ P|) per node of hier, so the pick after
+	// a rejected answer scans cached values instead of re-scoring every
+	// candidate. View stamps it with hier and with pVer and sVer, versions
+	// of P and the scores: AddPositives bumps pVer when it adds an id, and
+	// a successful Refit or a grow bumps sVer. Nothing else invalidates it.
+	memo       traversal.Memo
+	pVer, sVer uint64
 }
 
 // Suggestion is one candidate rule proposed to an annotator, with the
@@ -234,6 +243,9 @@ func (l *Loop) AddPositives(ids []int) []int {
 		}
 	}
 	l.npos += len(added)
+	if len(added) > 0 {
+		l.pVer++
+	}
 	sort.Ints(added)
 	return added
 }
@@ -251,6 +263,7 @@ func (l *Loop) grow() {
 	for len(l.scores) < n {
 		l.scores = append(l.scores, 0.5)
 	}
+	l.sVer++
 	l.positives = l.positives.Grow(n)
 }
 
@@ -260,8 +273,10 @@ func (l *Loop) grow() {
 // changed since the cached one was built — so rejected answers and repeated
 // views reuse it. After an accept, Refit has usually rebuilt it already, and
 // View regenerates only when the index grew in between or the holder did
-// not expect a View to follow the refit. f picks a rule (line 7) and Takes
-// it; it must not retain the index.
+// not expect a View to follow the refit. The state carries the loop's
+// benefit memo, stamped for this hierarchy, P and scores, so after a
+// rejected answer the pick reads cached benefits. f picks a rule (line 7)
+// and Takes it; it must not retain the index.
 //
 //darwin:lockrank-callback index
 //darwin:replaypure
@@ -273,17 +288,20 @@ func (l *Loop) View(f func(st *traversal.State)) {
 	if ver := e.ix.Version(); l.hierStale(ver) {
 		l.cacheHierarchy(l.generate(), ver)
 	}
+	l.memo.Stamp(l.hier, l.pVer, l.sVer)
 	f(&traversal.State{
 		Hierarchy: l.hier,
 		Index:     e.ix,
 		Positives: l.positives,
 		Scores:    l.scores,
 		Queried:   l.queried,
+		Memo:      &l.memo,
 	})
 }
 
 // Take marks key queried and returns its suggestion against st (the state
-// View passed): coverage, new coverage, benefit, average benefit, display
+// View passed): coverage, new coverage, benefit (read from the memo the
+// pick just filled), average benefit, display
 // string, and presentation samples drawn from rng. It also returns the
 // rule's full coverage set and its heuristic.
 //
@@ -370,6 +388,9 @@ func (l *Loop) Refit(viewNext bool) error {
 		go func() { regen <- l.generate() }()
 	}
 	err := l.clf.Refit(l.positives, l.scores, &l.retrains, e.cfg.LazyScoring, e.cfg.LazyScoreThreshold)
+	if err == nil {
+		l.sVer++
+	}
 	if regen != nil {
 		l.cacheHierarchy(<-regen, ver)
 	}

@@ -54,7 +54,13 @@ type Node struct {
 	// Parents and Children are hierarchy edges (superset / subset).
 	Parents  []string
 	Children []string
+	// pos is the node's position in its hierarchy's insertion order.
+	pos int
 }
+
+// Pos returns the node's position in its hierarchy, root first: a dense
+// index in [0, Len()) for per-node caches (see traversal.Memo).
+func (n *Node) Pos() int { return n.pos }
 
 // Hierarchy is the arrangement of candidate heuristics produced each
 // iteration of the Darwin pipeline.
@@ -113,6 +119,7 @@ func (h *Hierarchy) Add(heur grammar.Heuristic, coverage []int) *Node {
 
 // insert records a node whose key is not yet present.
 func (h *Hierarchy) insert(n *Node) {
+	n.pos = len(h.list)
 	h.nodes[n.Key] = n
 	h.list = append(h.list, n)
 	if n.Key != grammar.RootKey {

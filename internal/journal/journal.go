@@ -37,7 +37,7 @@ import (
 // counter.
 var (
 	appendDurations = obs.Default().Histogram("darwin_journal_append_duration_seconds",
-		"Latency of one journal append (marshal + kernel write; excludes fsync batching).",
+		"Latency of one journal append call: one event, or one replicated batch (marshal + kernel write; excludes fsync batching).",
 		obs.LatencyBuckets)
 	fsyncDurations = obs.Default().Histogram("darwin_journal_fsync_duration_seconds",
 		"Latency of one journal fsync (batched per Options.SyncEvery / SyncInterval).",
@@ -221,49 +221,84 @@ func readAll(path string) (events []Event, validEnd int64, needNL bool, err erro
 	return events, validEnd, needNL, nil
 }
 
+// Record is one event to append: Append's arguments, for AppendBatch.
+type Record struct {
+	Type    string
+	WS      string
+	Dataset string
+	// Data is the payload, marshaled to JSON. A non-nil json.RawMessage is
+	// already JSON and is written as it is (compacted).
+	Data any
+}
+
 // Append marshals data, assigns the next sequence number and writes the
 // event as one JSON line, flushing it to the kernel before returning. The
 // event is fsync-durable within the configured batch window.
 //
 //darwin:journals
 func (w *Writer) Append(typ, ws, dataset string, data any) (Event, error) {
-	var raw json.RawMessage
-	if data != nil {
-		b, err := json.Marshal(data)
-		if err != nil {
-			return Event{}, fmt.Errorf("journal: marshal %s event: %w", typ, err)
+	evs, err := w.AppendBatch(Record{Type: typ, WS: ws, Dataset: dataset, Data: data})
+	if err != nil {
+		return Event{}, err
+	}
+	return evs[0], nil
+}
+
+// AppendBatch appends the records as consecutive events, in order, with one
+// marshal pass, one write and one fsync decision: each line is the one
+// Append would write, and the batch counts toward the SyncEvery window as a
+// whole, so it is fsynced at most once. Nothing is written when a record
+// fails to marshal.
+//
+//darwin:journals
+func (w *Writer) AppendBatch(recs ...Record) ([]Event, error) {
+	raws := make([]json.RawMessage, len(recs))
+	for i, r := range recs {
+		if d, ok := r.Data.(json.RawMessage); ok && d != nil {
+			raws[i] = d
+		} else if r.Data != nil {
+			b, err := json.Marshal(r.Data)
+			if err != nil {
+				return nil, fmt.Errorf("journal: marshal %s event: %w", r.Type, err)
+			}
+			raws[i] = b
 		}
-		raw = b
 	}
 	start := time.Now()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err != nil {
-		return Event{}, w.err
+		return nil, w.err
 	}
-	ev := Event{Seq: w.seq + 1, Type: typ, WS: ws, Dataset: dataset, Data: raw}
-	line, err := json.Marshal(ev)
-	if err != nil {
-		return Event{}, fmt.Errorf("journal: marshal event: %w", err)
+	evs := make([]Event, len(recs))
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	for i, r := range recs {
+		evs[i] = Event{Seq: w.seq + uint64(i) + 1, Type: r.Type, WS: r.WS, Dataset: r.Dataset, Data: raws[i]}
+		// Encode writes what json.Marshal returns, plus the newline.
+		if err := enc.Encode(evs[i]); err != nil {
+			return nil, fmt.Errorf("journal: marshal event: %w", err)
+		}
 	}
-	if _, err := w.f.Write(append(line, '\n')); err != nil {
+	if _, err := w.f.Write(buf.Bytes()); err != nil {
 		w.err = fmt.Errorf("journal: append: %w", err)
-		return Event{}, w.err
+		return nil, w.err
 	}
-	w.seq = ev.Seq
-	w.since++
-	w.pending++
+	n := len(recs)
+	w.seq += uint64(n)
+	w.since += n
+	w.pending += n
 	w.dirty = true
 	// Observed before a batch-boundary fsync so the append histogram
 	// measures marshal + lock wait + kernel write only; fsync cost has its
 	// own series.
-	appendTotal.Inc()
+	appendTotal.Add(uint64(n))
 	appendDurations.ObserveSince(start)
 	w.broadcastLocked()
 	if w.pending >= w.opts.SyncEvery {
 		w.syncLocked()
 	}
-	return ev, nil
+	return evs, nil
 }
 
 // broadcastLocked wakes every follower blocked in Next by closing the

@@ -2,8 +2,10 @@ package journal
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -171,5 +173,75 @@ func TestCloseFlushesAndSticks(t *testing.T) {
 	events, err := ReadAll(path)
 	if err != nil || len(events) != 1 {
 		t.Fatalf("after close: %d events, err=%v", len(events), err)
+	}
+}
+
+// TestAppendBatchWritesAppendsLines appends the same records one by one to
+// one journal and as one batch to another: the files must be byte-identical
+// (a json.RawMessage payload, a nil one and a struct one included), the
+// batch's events must carry consecutive sequence numbers, and the batch
+// must cost one fsync decision however many SyncEvery windows it spans.
+func TestAppendBatchWritesAppendsLines(t *testing.T) {
+	dir := t.TempDir()
+	recs := []Record{
+		{Type: "suggest", WS: "w1", Data: json.RawMessage(`{"annotator": "a", "key":"k<1>"}`)},
+		{Type: "evict", WS: "w1", Data: json.RawMessage(nil)},
+		{Type: "detach", WS: "w2"},
+		{Type: "repl_mark", Dataset: "directions", Data: struct {
+			Upto uint64 `json:"upto"`
+		}{7}},
+		{Type: "answer", WS: "w2", Data: map[string]any{"accept": true}},
+	}
+	one, two := filepath.Join(dir, "one.jsonl"), filepath.Join(dir, "batch.jsonl")
+	w1, _ := openT(t, one)
+	for _, r := range recs {
+		if _, err := w1.Append(r.Type, r.WS, r.Dataset, r.Data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w2, _, err := Open(two, Options{SyncEvery: 2, SyncInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w2.Close()
+	if _, err := w2.Append("create", "w0", "", nil); err != nil {
+		t.Fatal(err)
+	}
+	syncs := fsyncTotal.Value()
+	evs, err := w2.AppendBatch(recs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fsyncTotal.Value() - syncs; got != 1 {
+		t.Errorf("batch of %d issued %d fsyncs, want 1", len(recs), got)
+	}
+	for i, ev := range evs {
+		if ev.Seq != uint64(i+2) {
+			t.Fatalf("batch event %d has seq %d, want %d", i, ev.Seq, i+2)
+		}
+	}
+	if _, err := w2.AppendBatch(Record{Type: "bad", Data: func() {}}); err == nil {
+		t.Fatal("a batch with an unmarshalable record was accepted")
+	}
+	a, err := os.ReadFile(one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(two)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The batch journal starts with one extra line; after it, every line
+	// differs from Append's only in its seq.
+	lines := func(data []byte) []string { return strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") }
+	la, lb := lines(a), lines(b)
+	if len(lb) != len(la)+1 {
+		t.Fatalf("batch journal has %d lines, want %d", len(lb), len(la)+1)
+	}
+	for i := range la {
+		want := strings.Replace(la[i], fmt.Sprintf(`{"seq":%d,`, i+1), fmt.Sprintf(`{"seq":%d,`, i+2), 1)
+		if lb[i+1] != want {
+			t.Errorf("line %d:\nbatch  %s\nappend %s", i, lb[i+1], want)
+		}
 	}
 }

@@ -266,13 +266,14 @@ func (r *Receiver) Apply(dataset string, b Batch, minEpoch uint64) (BatchAck, er
 		return BatchAck{}, fmt.Errorf("%w: batch (epoch %d gen %d from %d) does not extend standby (epoch %d gen %d upto %d)",
 			ErrResync, b.Epoch, b.Gen, b.From, st.epoch, st.gen, st.upto)
 	}
+	// The events and their mark go to the standby journal in one write.
+	recs := make([]journal.Record, 0, len(b.Events)+1)
 	for _, ev := range b.Events {
-		if _, err := st.jw.Append(ev.Type, ev.WS, ev.Dataset, ev.Data); err != nil {
-			return BatchAck{}, fmt.Errorf("replicate: standby journal append: %w", err)
-		}
+		recs = append(recs, journal.Record{Type: ev.Type, WS: ev.WS, Dataset: ev.Dataset, Data: ev.Data})
 	}
-	if _, err := st.jw.Append(markType, "", dataset, markData{Epoch: st.epoch, Gen: st.gen, Upto: b.Upto}); err != nil {
-		return BatchAck{}, fmt.Errorf("replicate: standby journal mark: %w", err)
+	recs = append(recs, journal.Record{Type: markType, Dataset: dataset, Data: markData{Epoch: st.epoch, Gen: st.gen, Upto: b.Upto}})
+	if _, err := st.jw.AppendBatch(recs...); err != nil {
+		return BatchAck{}, fmt.Errorf("replicate: standby journal append: %w", err)
 	}
 	st.upto = b.Upto
 	if len(b.Events) > 0 {

@@ -75,15 +75,17 @@ func (ls *LocalSearch) bestByOverlap(st *State) (string, bool) {
 	bestRatio := -1.0
 	bestOverlap := -1
 	bestBenefit := -1.0
+	var ev evals
+	defer ev.publish()
 	for _, key := range st.Hierarchy.NonRootKeys() {
 		if st.Queried[key] || key == grammar.RootKey {
 			continue
 		}
-		cov, n := st.lookup(key)
+		_, n := st.lookup(key)
 		if n == 0 {
 			continue
 		}
-		b, newCov := st.score(cov)
+		b, newCov := st.eval(key, &ev)
 		overlap := n - newCov
 		if newCov == 0 || overlap == 0 {
 			continue

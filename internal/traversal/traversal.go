@@ -9,7 +9,9 @@
 //
 // P is a dense bitset and every candidate's coverage is a published
 // compressed set, so scoring is one fused and-not-sum pass that accumulates
-// in ascending sentence-ID order.
+// in ascending sentence-ID order. A state may carry a Memo of those passes
+// for its hierarchy, so picks after a rejected answer (P and scores
+// unchanged) read cached benefits instead of re-running the kernel.
 package traversal
 
 import (
@@ -33,6 +35,10 @@ type State struct {
 	Scores []float64
 	// Queried marks rule keys already submitted to the oracle.
 	Queried map[string]bool
+	// Memo, when set, caches the benefits of Hierarchy's nodes for this P
+	// and these scores; its holder stamps it before handing out the state.
+	// A memo stamped for another hierarchy is ignored.
+	Memo *Memo
 }
 
 // lookup resolves a rule key to its coverage set and |C_r| with one node
@@ -49,20 +55,11 @@ func (st *State) lookup(key string) (*bitset.Adaptive, int) {
 	return nil, 0
 }
 
-// score returns (benefit, |C_r \ P|) for a resolved coverage set in one
-// kernel pass; a nil set scores (0, 0).
-func (st *State) score(cov *bitset.Adaptive) (float64, int) {
-	if cov == nil {
-		return 0, 0
-	}
-	return cov.AndNotSum(st.Positives, st.Scores)
-}
-
-// BenefitNewOf returns (benefit, |C_r \ P|) for a rule key in one kernel
-// pass.
+// BenefitNewOf returns (benefit, |C_r \ P|) for a rule key: from the memo
+// when it holds the key, else in one kernel pass.
 func (st *State) BenefitNewOf(key string) (float64, int) {
-	cov, _ := st.lookup(key)
-	return st.score(cov)
+	var ev evals
+	return st.eval(key, &ev)
 }
 
 // BenefitOf scores a rule key against the state.
@@ -101,11 +98,14 @@ type Traversal interface {
 // keys whose average benefit exceeds minAvgBenefit (when positive). The
 // boolean reports whether any eligible candidate exists. It is the one
 // max-benefit ranking every consumer shares: the traversals and the
-// multi-annotator workspace. Each candidate costs one node lookup and one
-// kernel pass (benefit and new coverage together).
+// multi-annotator workspace. Each candidate costs one node lookup and a
+// memo read, or one kernel pass (benefit and new coverage together) when the
+// state's memo does not hold it yet.
 //
 //darwin:replaypure
 func PickBest(st *State, keys []string, minAvgBenefit float64) (string, bool) {
+	var ev evals
+	defer ev.publish()
 	bestKey := ""
 	bestBenefit := -1.0
 	bestNew := -1
@@ -113,11 +113,7 @@ func PickBest(st *State, keys []string, minAvgBenefit float64) (string, bool) {
 		if st.Queried[key] || key == grammar.RootKey {
 			continue
 		}
-		cov, n := st.lookup(key)
-		if n == 0 {
-			continue
-		}
-		b, newCov := st.score(cov)
+		b, newCov := st.eval(key, &ev)
 		if newCov == 0 {
 			continue
 		}

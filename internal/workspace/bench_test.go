@@ -1,0 +1,89 @@
+package workspace
+
+import (
+	"fmt"
+	"sync"
+	"testing"
+
+	"repro/internal/classifier"
+	"repro/internal/core"
+	"repro/internal/datagen"
+	"repro/internal/embedding"
+	"repro/internal/grammar"
+	"repro/internal/tokensregex"
+)
+
+var (
+	benchOnce   sync.Once
+	benchEng    *core.Engine
+	benchEngErr error
+)
+
+// benchEngine builds (once) an engine with darwind's default configuration
+// (core.DefaultConfig with a TokensRegex grammar, 2,000 candidates, sketch
+// depth 5, and darwind's classifier and embedding settings at seed 1) over
+// the datagen directions corpus at half scale (~7.6K sentences).
+func benchEngine(b *testing.B) *core.Engine {
+	b.Helper()
+	benchOnce.Do(func() {
+		c, err := datagen.ByName("directions", 0.5, 1)
+		if err != nil {
+			benchEngErr = err
+			return
+		}
+		cfg := core.DefaultConfig()
+		cfg.Grammars = []grammar.Grammar{tokensregex.New()}
+		cfg.Budget = 100
+		cfg.NumCandidates = 2000
+		cfg.SketchDepth = 5
+		cfg.Seed = 1
+		cfg.Classifier = classifier.Config{Epochs: 10, LearningRate: 0.3, L2: 1e-4, Seed: 1}
+		cfg.Embedding = embedding.Config{Dim: 32, Window: 4, MinCount: 2, Seed: 1}
+		benchEng, benchEngErr = core.New(c, cfg)
+	})
+	if benchEngErr != nil {
+		b.Fatal(benchEngErr)
+	}
+	return benchEng
+}
+
+// BenchmarkWorkspaceSuggestRejects measures one workspace question (Suggest
+// + a rejecting Answer) for a single annotator in workspaces of 32
+// questions, the perfbench labeler's length. P never changes after the
+// seed, so after the first suggestion every pick reuses the cached
+// hierarchy and the loop's benefit memo. A fresh workspace is created,
+// untimed, whenever one runs out of budget.
+func BenchmarkWorkspaceSuggestRejects(b *testing.B) {
+	eng := benchEngine(b)
+	n := 0
+	newWorkspace := func() *Workspace {
+		n++
+		ws, err := New(eng, fmt.Sprintf("bench%d", n), "directions",
+			Options{SeedRules: []string{seedRule}, Budget: 32, Seed: 1}, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := ws.Attach("a"); err != nil {
+			b.Fatal(err)
+		}
+		return ws
+	}
+	ws := newWorkspace()
+	b.ResetTimer()
+	for i := 0; i < b.N; {
+		sug, ok, err := ws.Suggest("a")
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !ok {
+			b.StopTimer()
+			ws = newWorkspace()
+			b.StartTimer()
+			continue
+		}
+		if _, err := ws.Answer("a", sug.Key, false); err != nil {
+			b.Fatal(err)
+		}
+		i++
+	}
+}

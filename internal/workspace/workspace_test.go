@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -24,6 +25,13 @@ import (
 // directions corpus. Two calls with the same arguments produce equivalent
 // engines — the property journal replay relies on across restarts.
 func newTestEngine(t testing.TB) *core.Engine {
+	t.Helper()
+	return newTestEngineWith(t, func(*core.Config) {})
+}
+
+// newTestEngineWith builds newTestEngine's engine with its configuration
+// changed by edit first.
+func newTestEngineWith(t testing.TB, edit func(*core.Config)) *core.Engine {
 	t.Helper()
 	c, err := datagen.ByName("directions", 0.05, 7)
 	if err != nil {
@@ -44,6 +52,7 @@ func newTestEngine(t testing.TB) *core.Engine {
 		LazyScoreThreshold: 0.3,
 		Seed:               1,
 	}
+	edit(&ecfg)
 	engine, err := core.New(c, ecfg)
 	if err != nil {
 		t.Fatal(err)
@@ -884,5 +893,56 @@ func TestOutstandingAssignmentDefersRegen(t *testing.T) {
 	}
 	if got := ws.HierarchyGenerations(); got != 2 {
 		t.Fatalf("suggest after the accept: %d generations, want 2", got)
+	}
+}
+
+// TestReplayOntoDifferentEngineFailsWorkspace replays a journal onto an
+// engine built with another candidate count, over the same corpus. The
+// create event's corpus-length check passes, so only the replayed suggest's
+// key comparison can tell that the engine differs: recovery must mark the
+// workspace failed and drop it rather than resume a diverged state. The
+// same journal replayed onto an identically built engine recovers.
+func TestReplayOntoDifferentEngineFailsWorkspace(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	live := newTestManager(t, path, ManagerConfig{})
+	ws, err := live.Create("directions", Options{SeedRules: []string{seedRule}, Budget: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := live.Attach(ws.ID(), "alice"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		sug, ok, err := live.Suggest(ws.ID(), "alice")
+		if err != nil || !ok {
+			t.Fatalf("suggest %d: ok=%v err=%v", i, ok, err)
+		}
+		if _, err := live.Answer(ws.ID(), "alice", sug.Key, i == 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := live.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	events, err := journal.ReadAll(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	same := newTestManager(t, "", ManagerConfig{})
+	if stats := same.Recover(events); len(stats.Skipped) != 0 {
+		t.Fatalf("identical engine: replay skipped %v", stats.Skipped)
+	}
+
+	other := NewManager(map[string]*core.Engine{"directions": newTestEngineWith(t, func(cfg *core.Config) {
+		cfg.NumCandidates = 25
+	})}, nil, ManagerConfig{})
+	stats := other.Recover(events)
+	reason, skipped := stats.Skipped[ws.ID()]
+	if !skipped || !strings.Contains(reason, "replay diverged") {
+		t.Fatalf("different engine: skipped = %v, want %s marked diverged", stats.Skipped, ws.ID())
+	}
+	if _, ok := other.Get(ws.ID()); ok {
+		t.Fatal("a workspace whose replay diverged is still served")
 	}
 }
