@@ -448,7 +448,8 @@ func TestManagerReplayDuplicateTerminalRecords(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "jobs.log"), journal, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "jdup0000000000000.jsonl"), []byte("x\n"), 0o644); err != nil {
+	// An output as long as the done record says, so replay keeps it.
+	if err := os.WriteFile(filepath.Join(dir, "jdup0000000000000.jsonl"), bytes.Repeat([]byte("x"), int(res.OutputBytes)), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	m := newTestManager(t, dir, eng)

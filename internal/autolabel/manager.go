@@ -1,7 +1,7 @@
 package autolabel
 
 import (
-	"bufio"
+	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/journal"
 	"repro/internal/obs"
 )
 
@@ -81,14 +82,18 @@ type ManagerConfig struct {
 	Logf func(format string, args ...any)
 }
 
-// jobRecord is one line of the jobs journal. "create" records the resolved
+// jobRecord is one event of the jobs journal. "create" records the resolved
 // spec; "done"/"failed" mark terminal states; "expire" records a TTL sweep
 // that deleted the job and its output, so replay does not resurrect it. A
 // create without a terminal record is an interrupted job: reopening the
 // manager re-enqueues it, and because Run is deterministic the re-run
 // reproduces the exact output the crashed run would have produced.
+//
+// Type is the event's type; the rest of the record is its data. A log
+// written before jobs.log was a journal log holds one whole record, type
+// included, per line.
 type jobRecord struct {
-	Type    string  `json:"type"` // create | done | failed | expire
+	Type    string  `json:"type,omitempty"` // create | done | failed | expire
 	ID      string  `json:"id"`
 	Dataset string  `json:"dataset,omitempty"`
 	Spec    *Spec   `json:"spec,omitempty"`
@@ -97,6 +102,13 @@ type jobRecord struct {
 	// Unix is the wall-clock seconds of the record, used only for TTL
 	// expiry of terminal jobs (never for output content).
 	Unix int64 `json:"unix,omitempty"`
+}
+
+// event is the journal record of rec: its type, and the rest as data.
+func (rec jobRecord) event() journal.Record {
+	typ := rec.Type
+	rec.Type = ""
+	return journal.Record{Type: typ, Data: rec}
 }
 
 // job is the manager's in-memory view of one labeling job.
@@ -154,11 +166,10 @@ type Manager struct {
 	cfg     ManagerConfig
 	engines func(dataset string) (*core.Engine, bool)
 
-	mu      sync.Mutex //darwin:lockrank job
-	jobs    map[string]*job
-	journal *os.File
-	jw      *bufio.Writer
-	closed  bool
+	mu     sync.Mutex //darwin:lockrank job
+	jobs   map[string]*job
+	log    *journal.Writer
+	closed bool
 
 	queue  chan *job
 	wg     sync.WaitGroup
@@ -189,32 +200,34 @@ func NewManager(cfg ManagerConfig, engines func(dataset string) (*core.Engine, b
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("autolabel: create jobs dir: %w", err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{
 		cfg:     cfg,
 		engines: engines,
 		jobs:    make(map[string]*job),
 		queue:   make(chan *job, 128),
-		ctx:     ctx,
-		cancel:  cancel,
 		now:     time.Now,
 	}
-	pending, order, err := m.replay()
+	// One fsync per append, before appendRecord returns.
+	w, events, err := journal.Open(m.journalPath(), journal.Options{SyncEvery: 1, SyncInterval: -1})
 	if err != nil {
-		cancel()
-		return nil, err
-	}
-	if err := m.compactJournal(order); err != nil {
-		cancel()
-		return nil, err
-	}
-	f, err := os.OpenFile(m.journalPath(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		cancel()
 		return nil, fmt.Errorf("autolabel: open job journal: %w", err)
 	}
-	m.journal = f
-	m.jw = bufio.NewWriter(f)
+	m.log = w
+	recs, legacy, err := readRecords(m.journalPath(), events)
+	if err != nil {
+		w.Close()
+		return nil, err
+	}
+	pending, kept := m.replay(recs)
+	// Compact only when that drops a record or upgrades an old log, so an
+	// open with nothing to compact writes (and fsyncs) nothing.
+	if legacy || len(kept) < len(recs) {
+		if err := m.compact(kept); err != nil {
+			w.Close()
+			return nil, err
+		}
+	}
+	m.ctx, m.cancel = context.WithCancel(context.Background())
 	for i := 0; i < cfg.Workers; i++ {
 		m.wg.Add(1)
 		go m.worker()
@@ -236,44 +249,50 @@ func (m *Manager) OutputPath(id string) string {
 	return filepath.Join(m.cfg.Dir, id+".jsonl")
 }
 
-// replay reads the journal and rebuilds the job table. It returns the jobs
-// that must re-run — creates without a terminal record, plus unexpired done
-// jobs whose output file has gone missing — and the journal order of the
-// surviving jobs (for deterministic re-enqueueing and compaction). A torn
-// final line (crash mid-append) is tolerated and dropped, as are duplicate
-// terminal records for an id already in a terminal state (a rebuilt output
-// appends a second "done" for the same job). An unparsable line followed by
-// any other line is corruption, not a crash: replay fails naming the file
-// and line, so NewManager never compacts acknowledged jobs away.
-func (m *Manager) replay() (pending []*job, order []string, err error) {
-	f, err := os.Open(m.journalPath())
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil, nil
+// readRecords decodes the job log's events. A log written before jobs.log
+// was a journal log holds bare records, which journal.Open reads as events
+// with sequence number 0 and no data; their fields are re-read whole from
+// the file, which Open has already cut to its last complete line.
+func readRecords(path string, events []journal.Event) (recs []jobRecord, legacy bool, err error) {
+	if len(events) > 0 && events[0].Seq == 0 {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			return nil, false, fmt.Errorf("autolabel: read job journal: %w", err)
+		}
+		for i, line := range bytes.Split(raw, []byte("\n")) {
+			if len(bytes.TrimSpace(line)) == 0 {
+				continue
+			}
+			var rec jobRecord
+			if err := json.Unmarshal(line, &rec); err != nil {
+				return nil, false, fmt.Errorf("autolabel: job journal %s line %d: %v", path, i+1, err)
+			}
+			recs = append(recs, rec)
+		}
+		return recs, true, nil
 	}
-	if err != nil {
-		return nil, nil, fmt.Errorf("autolabel: open job journal: %w", err)
+	recs = make([]jobRecord, len(events))
+	for i, ev := range events {
+		if err := json.Unmarshal(ev.Data, &recs[i]); err != nil {
+			return nil, false, fmt.Errorf("autolabel: job journal %s event %d: %v", path, ev.Seq, err)
+		}
+		recs[i].Type = ev.Type
 	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
+	return recs, false, nil
+}
+
+// replay rebuilds the job table from the journaled records. It returns the
+// jobs that must re-run — creates without a terminal record, plus unexpired
+// done jobs whose output file is missing or shorter than the done record
+// says — and the minimal record set of the surviving jobs in journal order:
+// one create per job plus at most one terminal record. Expire records,
+// duplicate terminal records for an id already in a terminal state (a
+// rebuilt output appends a second "done" for the same job) and records of
+// expired or unknown-dataset jobs are left out.
+func (m *Manager) replay(recs []jobRecord) (pending []*job, kept []jobRecord) {
 	terminal := func(j *job) bool { return j.state == StateDone || j.state == StateFailed }
-	line, badLine := 0, 0
-	var badErr error
-	for sc.Scan() {
-		line++
-		b := sc.Bytes()
-		if len(b) == 0 {
-			continue
-		}
-		if badLine > 0 {
-			return nil, nil, fmt.Errorf("autolabel: job journal %s line %d: %v", m.journalPath(), badLine, badErr)
-		}
-		var rec jobRecord
-		if err := json.Unmarshal(b, &rec); err != nil {
-			// A torn tail from a crash mid-append, unless a line follows.
-			badLine, badErr = line, err
-			continue
-		}
+	var order []string
+	for _, rec := range recs {
 		switch rec.Type {
 		case "create":
 			if rec.Spec == nil {
@@ -310,11 +329,7 @@ func (m *Manager) replay() (pending []*job, order []string, err error) {
 			delete(m.jobs, rec.ID)
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, nil, fmt.Errorf("autolabel: read job journal: %w", err)
-	}
 	cutoff := m.now().Add(-m.cfg.TTL).Unix()
-	kept := order[:0]
 	for _, id := range order {
 		j, ok := m.jobs[id]
 		if !ok {
@@ -329,112 +344,75 @@ func (m *Manager) replay() (pending []*job, order []string, err error) {
 		case StateQueued:
 			pending = append(pending, j)
 		case StateDone:
-			if _, err := os.Stat(m.OutputPath(id)); err != nil {
+			// The output is renamed into place unsynced, so a machine crash
+			// can leave it shorter than the fsynced done record says.
+			if fi, err := os.Stat(m.OutputPath(id)); err != nil || fi.Size() < j.result.OutputBytes {
 				if j.doneUnix > 0 && j.doneUnix < cutoff {
 					// Past the TTL anyway (e.g. a sweep whose expire record
 					// was lost): drop instead of re-running work only a
 					// sweep would immediately delete.
-					m.cfg.Logf("autolabel: dropping expired job %s with missing output", id)
+					m.cfg.Logf("autolabel: dropping expired job %s with missing or short output", id)
 					delete(m.jobs, id)
 					continue
 				}
-				// Output lost (crash between rename and journal sync, or
-				// manual deletion): determinism lets us rebuild it.
-				m.cfg.Logf("autolabel: output of done job %s missing, re-running", id)
+				// Output lost or cut short (crash, or manual deletion):
+				// determinism lets us rebuild it.
+				m.cfg.Logf("autolabel: output of done job %s missing or short, re-running", id)
 				j.state = StateQueued
 				j.done = make(chan struct{})
 				pending = append(pending, j)
 			}
 		}
-		kept = append(kept, id)
-	}
-	return pending, kept, nil
-}
-
-// compactJournal rewrites jobs.log down to the minimal record set for the
-// jobs that survived replay — one create per job plus at most one terminal
-// record — dropping expire records, duplicate terminal records, and records
-// of expired or unknown-dataset jobs. Called on every open (before the
-// append handle exists), it bounds journal growth across restarts.
-func (m *Manager) compactJournal(order []string) error {
-	if _, err := os.Stat(m.journalPath()); errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	tmp := m.journalPath() + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("autolabel: compact job journal: %w", err)
-	}
-	fail := func(err error) error {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("autolabel: compact job journal: %w", err)
-	}
-	w := bufio.NewWriter(f)
-	for _, id := range order {
-		j, ok := m.jobs[id]
-		if !ok {
-			continue
-		}
-		recs := []jobRecord{{Type: "create", ID: j.id, Dataset: j.dataset, Spec: &j.spec, Unix: j.createUnix}}
+		kept = append(kept, jobRecord{Type: "create", ID: j.id, Dataset: j.dataset, Spec: &j.spec, Unix: j.createUnix})
 		switch j.state {
 		case StateDone:
 			res := j.result
-			recs = append(recs, jobRecord{Type: "done", ID: j.id, Result: &res, Unix: j.doneUnix})
+			kept = append(kept, jobRecord{Type: "done", ID: j.id, Result: &res, Unix: j.doneUnix})
 		case StateFailed:
-			recs = append(recs, jobRecord{Type: "failed", ID: j.id, Error: j.err.Error(), Unix: j.doneUnix})
-		}
-		for _, rec := range recs {
-			line, err := json.Marshal(rec)
-			if err != nil {
-				return fail(err)
-			}
-			if _, err := w.Write(append(line, '\n')); err != nil {
-				return fail(err)
-			}
+			kept = append(kept, jobRecord{Type: "failed", ID: j.id, Error: j.err.Error(), Unix: j.doneUnix})
 		}
 	}
-	if err := w.Flush(); err != nil {
-		return fail(err)
+	return pending, kept
+}
+
+// compact rewrites jobs.log as recs, which bounds its growth across
+// restarts and turns an old log into journal events.
+func (m *Manager) compact(recs []jobRecord) error {
+	events := make([]journal.Event, len(recs))
+	for i, rec := range recs {
+		ev := rec.event()
+		data, err := json.Marshal(ev.Data)
+		if err != nil {
+			return fmt.Errorf("autolabel: compact job journal: %w", err)
+		}
+		events[i] = journal.Event{Type: ev.Type, Data: data}
 	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("autolabel: compact job journal: %w", err)
-	}
-	if err := os.Rename(tmp, m.journalPath()); err != nil {
-		os.Remove(tmp)
+	if err := m.log.Rewrite(events); err != nil {
 		return fmt.Errorf("autolabel: compact job journal: %w", err)
 	}
 	return nil
 }
 
-// appendRecord durably journals job records: the lines are written,
-// flushed, and fsynced together — one fsync however many records — before
-// appendRecord returns.
+// appendRecord durably journals job records: one write and one fsync
+// however many records, before appendRecord returns.
 //
 //darwin:journals
 func (m *Manager) appendRecord(recs ...jobRecord) error {
+	batch := make([]journal.Record, len(recs))
+	for i, rec := range recs {
+		batch[i] = rec.event()
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
 		return ErrDisabled
 	}
-	for _, rec := range recs {
-		line, err := json.Marshal(rec)
-		if err != nil {
-			return err
-		}
-		if _, err := m.jw.Write(append(line, '\n')); err != nil {
-			return fmt.Errorf("autolabel: append job record: %w", err)
-		}
+	if _, err := m.log.AppendBatch(batch...); err != nil {
+		return fmt.Errorf("autolabel: append job record: %w", err)
 	}
-	if err := m.jw.Flush(); err != nil {
-		return fmt.Errorf("autolabel: flush job journal: %w", err)
-	}
-	return m.journal.Sync()
+	// AppendBatch keeps a failed fsync as the writer's error and still
+	// returns nil; Sync returns it.
+	return m.log.Sync()
 }
 
 func (m *Manager) updateStateGauges() {
@@ -775,9 +753,5 @@ func (m *Manager) Close() error {
 		return nil
 	}
 	m.closed = true
-	if err := m.jw.Flush(); err != nil {
-		m.journal.Close()
-		return err
-	}
-	return m.journal.Close()
+	return m.log.Close()
 }

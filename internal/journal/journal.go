@@ -1,9 +1,11 @@
-// Package journal implements a tiny append-only JSONL write-ahead log for
-// workspace events. The serving layer's state evolution is fully determined
-// by (engine, event sequence) — see internal/workspace — so durability
-// reduces to the classic log-then-replay pattern: every state-changing event
-// is appended as one JSON line, and recovery replays the log through the same
-// apply functions that served live traffic.
+// Package journal implements a tiny append-only JSONL write-ahead log. Every
+// durable log in Darwin is one: the workspace journal, the solo-session
+// journal, each replication standby and the labeling jobs' jobs.log. The
+// owner's state evolution is fully determined by its event sequence (for
+// workspaces, by (engine, event sequence) — see internal/workspace), so
+// durability reduces to the classic log-then-replay pattern: every
+// state-changing event is appended as one JSON line, and recovery replays
+// the log through the same apply functions that served live traffic.
 //
 // Durability contract: Append writes the line straight to the file descriptor
 // (no userspace buffering), so every acknowledged event survives a process
@@ -13,9 +15,10 @@
 // immediate fsync.
 //
 // Compaction: Rewrite atomically replaces the log with a caller-provided
-// event list (per-dataset materializations plus one snapshot per live
-// workspace) via write-temp + fsync + rename, truncating unbounded growth
-// while preserving recoverability at every instant.
+// event list (for workspaces, per-dataset materializations plus one snapshot
+// per live workspace; for jobs, each live job's records) via write-temp +
+// fsync + rename, truncating unbounded growth while preserving
+// recoverability at every instant.
 package journal
 
 import (
@@ -37,27 +40,29 @@ import (
 // counter.
 var (
 	appendDurations = obs.Default().Histogram("darwin_journal_append_duration_seconds",
-		"Latency of one journal append call: one event, or one replicated batch (marshal + kernel write; excludes fsync batching).",
+		"Latency of one journal append call, summed over every journal log (workspaces, sessions, standbys, labeling jobs): one event, or one batch (marshal + kernel write; excludes fsync batching).",
 		obs.LatencyBuckets)
 	fsyncDurations = obs.Default().Histogram("darwin_journal_fsync_duration_seconds",
-		"Latency of one journal fsync (batched per Options.SyncEvery / SyncInterval).",
+		"Latency of one journal fsync on any journal log (batched per Options.SyncEvery / SyncInterval).",
 		obs.LatencyBuckets)
 	appendTotal = obs.Default().Counter("darwin_journal_appends_total",
-		"Events appended to the journal.")
+		"Events appended to any journal log (workspaces, sessions, standbys, labeling jobs).")
 	fsyncTotal = obs.Default().Counter("darwin_journal_fsyncs_total",
-		"fsync calls issued by the journal writer.")
+		"fsync calls issued by the journal writers of every log.")
 	compactionsTotal = obs.Default().Counter("darwin_journal_compactions_total",
-		"Snapshot+truncate compactions of the journal.")
+		"Snapshot+truncate compactions of any journal log.")
 )
 
-// Event is one journaled record. Exactly one of WS / Dataset scopes it:
-// workspace lifecycle events carry the workspace ID, engine-level events
-// (rule materializations) carry the dataset name.
+// Event is one journaled record. In the workspace journal exactly one of
+// WS / Dataset scopes it: workspace lifecycle events carry the workspace ID,
+// engine-level events (rule materializations) carry the dataset name.
+// Labeling-job events set neither; their Data names the job.
 type Event struct {
 	// Seq is the file-order sequence number assigned by the Writer.
 	Seq uint64 `json:"seq"`
-	// Type is the event kind (create, attach, suggest, answer, detach,
-	// evict, materialize, snapshot).
+	// Type is the event kind (for workspaces create, attach, suggest,
+	// answer, detach, evict, materialize, snapshot; for labeling jobs
+	// create, done, failed, expire).
 	Type string `json:"type"`
 	// WS is the workspace ID for workspace-scoped events.
 	WS string `json:"ws,omitempty"`
