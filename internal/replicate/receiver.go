@@ -283,21 +283,18 @@ func (r *Receiver) Apply(dataset string, b Batch, minEpoch uint64) (BatchAck, er
 	return BatchAck{Upto: st.upto}, nil
 }
 
-// newStandbyLocked creates a fresh, empty standby (truncating the on-disk
-// standby journal). Callers hold r.mu.
+// newStandbyLocked creates a fresh, empty standby. The old standby journal
+// is removed, not read: a writer still appending to it writes to the
+// unlinked file, never to the new one. Callers hold r.mu.
 func (r *Receiver) newStandbyLocked(dataset string) *standbyState {
 	path := r.pathFor(dataset)
+	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+		r.logf("replicate: remove standby journal %s: %v", path, err)
+		return nil
+	}
 	jw, _, err := journal.Open(path, journal.Options{})
 	if err != nil {
-		os.Remove(path)
-		if jw, _, err = journal.Open(path, journal.Options{}); err != nil {
-			r.logf("replicate: open standby journal %s: %v", path, err)
-			return nil
-		}
-	}
-	if err := jw.Rewrite(nil); err != nil {
-		r.logf("replicate: reset standby journal %s: %v", path, err)
-		jw.Close()
+		r.logf("replicate: open standby journal %s: %v", path, err)
 		return nil
 	}
 	mgr := workspace.NewManager(r.engines, nil, standbyConfig())
