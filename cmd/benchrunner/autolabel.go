@@ -23,6 +23,24 @@ const autolabelFloorPerSec = 1_000_000.0 / 60
 // after one warm-up job that also builds the engine's record-head arena.
 const e2eJobs = 9
 
+// AutolabelPerf tracks the batch labeling pipeline: whole-pipeline
+// throughput (resolve + vote matrix + aggregate + JSONL write) on the
+// full-scale directions corpus, and the median end-to-end latency of
+// E2EJobs warm jobs through the async Manager.
+type AutolabelPerf struct {
+	Dataset   string `json:"dataset"`
+	Sentences int    `json:"sentences"`
+	Rules     int    `json:"rules"`
+	Rounds    int    `json:"rounds"`
+	// SentencesPerSec is labeled sentences per second across the measured
+	// rounds; FloorPerSec is the CI guard it must clear (1M/minute).
+	SentencesPerSec   float64 `json:"sentences_per_sec"`
+	FloorPerSec       float64 `json:"floor_per_sec"`
+	E2EJobMillis      float64 `json:"e2e_job_ms"`
+	E2EJobs           int     `json:"e2e_jobs"`
+	OutputBytesPerRun int64   `json:"output_bytes_per_run"`
+}
+
 // runAutolabel measures the corpus-scale auto-labeling pipeline and merges
 // the numbers into BENCH_perf.json. Two quantities are tracked: raw pipeline
 // throughput (repeated in-process autolabel.Run rounds over the full-scale

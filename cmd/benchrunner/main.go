@@ -24,12 +24,12 @@ import (
 func main() {
 	var (
 		preset     = flag.String("preset", "default", "options preset: quick | default | paper")
-		experiment = flag.String("experiment", "all", "which experiment to run: all | perf | overhead | autolabel | scale | table1 | figure7 | figure8 | figure9 | figure10 | figure11 | table2 | efficiency | human | figure12 | figure13 | figure14")
+		experiment = flag.String("experiment", "all", "which experiment to run: all | overhead | autolabel | scale | table1 | figure7 | figure8 | figure9 | figure10 | figure11 | table2 | efficiency | human | figure12 | figure13 | figure14")
 		scale      = flag.Float64("scale", 0, "override dataset scale")
 		budget     = flag.Int("budget", 0, "override oracle budget")
 		seed       = flag.Int64("seed", 0, "override random seed")
 		treematch  = flag.Bool("treematch", false, "enable the TreeMatch grammar")
-		perfOut    = flag.String("perf-out", "BENCH_perf.json", "output path for the perf experiment's JSON report")
+		perfOut    = flag.String("perf-out", "BENCH_perf.json", "path of the JSON report the autolabel and scale experiments update")
 	)
 	flag.Parse()
 
@@ -48,8 +48,7 @@ func main() {
 	}
 
 	runners := map[string]func(experiments.Options) error{
-		"perf":       func(experiments.Options) error { return runPerf(*perfOut) },
-		"overhead":   func(experiments.Options) error { return runOverhead(*perfOut) },
+		"overhead":   func(experiments.Options) error { return runOverhead() },
 		"autolabel":  func(experiments.Options) error { return runAutolabel(*perfOut) },
 		"scale":      func(experiments.Options) error { return runScale(*perfOut) },
 		"table1":     runTable1,

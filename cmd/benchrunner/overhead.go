@@ -1,15 +1,17 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
+	"math"
 	"sort"
 	"time"
 
+	"repro/internal/classifier"
 	"repro/internal/core"
 	"repro/internal/datagen"
+	"repro/internal/grammar"
 	"repro/internal/obs"
+	"repro/internal/tokensregex"
 )
 
 // overheadBudget is the instrumentation-cost guard: with telemetry enabled
@@ -20,11 +22,11 @@ const (
 	overheadAbsFloorMillis = 0.25
 )
 
-// runOverhead measures the telemetry tax on the interactive hot path: the
-// same scripted session as runPerf, A/B'd with the obs registry disabled and
-// enabled on the same engine in the same process. Fails (non-zero exit in
-// CI) when the enabled mean exceeds the budget above.
-func runOverhead(perfPath string) error {
+// runOverhead measures the telemetry tax on the interactive hot path: a
+// scripted session A/B'd with the obs registry disabled and enabled on the
+// same engine in the same process. Fails (non-zero exit in CI) when the
+// enabled mean exceeds the budget above.
+func runOverhead() error {
 	header("Overhead: telemetry A/B on the suggest step")
 	const (
 		dataset = "directions"
@@ -61,10 +63,6 @@ func runOverhead(perfPath string) error {
 	budget := offMean*(1+overheadRelBudget) + overheadAbsFloorMillis
 	fmt.Printf("step mean: disabled=%.3fms enabled=%.3fms (budget %.3fms)  p95: disabled=%.3fms enabled=%.3fms\n",
 		offMean, onMean, budget, offP95, onP95)
-	if rep, err := readPerfReport(perfPath); err == nil {
-		fmt.Printf("committed %s: step mean=%.3fms p95=%.3fms (informational)\n",
-			perfPath, rep.Current.StepMeanMillis, rep.Current.StepP95Millis)
-	}
 	if onMean > budget {
 		return fmt.Errorf("overhead: instrumented step mean %.3fms exceeds %.3fms (disabled %.3fms + %.0f%% + %.2fms)",
 			onMean, budget, offMean, overheadRelBudget*100, overheadAbsFloorMillis)
@@ -102,13 +100,35 @@ func scriptedSession(engine *core.Engine, steps int) (mean, p95 float64, err err
 	return mean, percentile(lat, 0.95), nil
 }
 
-// readPerfReport loads the committed BENCH_perf.json for the informational
-// comparison line.
-func readPerfReport(path string) (PerfReport, error) {
-	var rep PerfReport
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return rep, err
+// perfConfig mirrors the interactive serving configuration used by the root
+// benchmarks (BenchmarkSessionNext).
+func perfConfig() core.Config {
+	return core.Config{
+		Grammars:        []grammar.Grammar{tokensregex.New()},
+		SketchDepth:     4,
+		MaxRuleDepth:    8,
+		NumCandidates:   10000,
+		MinRuleCoverage: 2,
+		Budget:          1 << 30,
+		Traversal:       "hybrid",
+		Tau:             5,
+		Classifier:      classifier.Config{Epochs: 6, LearningRate: 0.3, Seed: 1},
+		Seed:            1,
 	}
-	return rep, json.Unmarshal(raw, &rep)
+}
+
+// percentile returns the p-quantile of an ascending slice (nearest-rank:
+// the ceil(p*n)-th smallest value).
+func percentile(sorted []float64, p float64) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
+	i := int(math.Ceil(p*float64(len(sorted)))) - 1
+	if i < 0 {
+		i = 0
+	}
+	if i >= len(sorted) {
+		i = len(sorted) - 1
+	}
+	return sorted[i]
 }
