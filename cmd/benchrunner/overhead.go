@@ -70,7 +70,7 @@ func runOverhead() error {
 	return nil
 }
 
-// scriptedSession runs runPerf's reject-heavy scripted session (one accept
+// scriptedSession runs a reject-heavy scripted session (one accept
 // per seven questions) and returns the step mean and p95 in milliseconds.
 func scriptedSession(engine *core.Engine, steps int) (mean, p95 float64, err error) {
 	sess, err := engine.NewSession(core.SessionOptions{SeedRules: []string{"best way to get to"}, Budget: 1 << 30})
