@@ -34,16 +34,6 @@ type NodeOptions struct {
 	// HTTPClient is used for the outbound replication stream.
 	HTTPClient *http.Client
 	Logf       func(format string, args ...any)
-	// LabelersFor maps live workspace IDs to the labeler IDs the serving
-	// layer derives for their attachments (status + promote responses, so
-	// the router can re-home handles).
-	LabelersFor func(wsIDs []string) []string
-	// AdoptLabelers registers serving-layer labelers for freshly adopted
-	// workspaces after a promotion and returns their IDs.
-	AdoptLabelers func(wsIDs []string) []string
-	// DropLabelers unregisters the labelers of evicted workspaces after a
-	// demotion.
-	DropLabelers func(wsIDs []string)
 }
 
 // Node is one shard's replication endpoint state: the tap (when primary for
@@ -143,9 +133,6 @@ func (n *Node) SetRole(doc RoleDoc) error {
 		// nothing to evict.
 		if evicted := n.opts.Manager.EvictDataset(doc.Dataset, "demoted to replication follower"); len(evicted) > 0 {
 			n.opts.Logf("replicate: demoted for %s at epoch %d; evicted %d live workspaces", doc.Dataset, doc.Epoch, len(evicted))
-			if n.opts.DropLabelers != nil {
-				n.opts.DropLabelers(evicted)
-			}
 		}
 	case RoleNone:
 		n.tap.Unassign(doc.Dataset)
@@ -168,9 +155,9 @@ func (n *Node) ReceiveBatch(dataset string, b Batch) (BatchAck, error) {
 
 // Promote makes this shard the dataset's primary at the given epoch: fence
 // first (durably, so the old primary's late batches are rejected even after
-// a restart), then adopt the warm standby into the live manager and
-// re-register its labelers. Returns what came live so the router can
-// re-home existing handles.
+// a restart), then adopt the warm standby into the live manager. Returns
+// what came live, workspaces and their attachments' labeler ids, so the
+// router can re-home existing handles.
 func (n *Node) Promote(req PromoteRequest) (PromoteResponse, error) {
 	if req.Dataset == "" || req.Epoch == 0 {
 		return PromoteResponse{}, fmt.Errorf("replicate: promote needs a dataset and an epoch")
@@ -198,9 +185,7 @@ func (n *Node) Promote(req PromoteRequest) (PromoteResponse, error) {
 		}
 		cleanup(true)
 		resp.Workspaces = adopted
-		if n.opts.AdoptLabelers != nil {
-			resp.Labelers = n.opts.AdoptLabelers(adopted)
-		}
+		resp.Labelers = n.opts.Manager.LabelerIDs(adopted)
 		n.opts.Logf("replicate: promoted %s at epoch %d: %d workspaces adopted (standby upto %d)",
 			req.Dataset, req.Epoch, len(adopted), upto)
 	}
@@ -219,9 +204,6 @@ func (n *Node) adoptStandby(dataset string, specs []string, snaps []*workspace.S
 	m := n.opts.Manager
 	if evicted := m.EvictDataset(dataset, "superseded by promoted standby"); len(evicted) > 0 {
 		n.opts.Logf("replicate: promote %s: evicted %d stale live workspaces", dataset, len(evicted))
-		if n.opts.DropLabelers != nil {
-			n.opts.DropLabelers(evicted)
-		}
 	}
 	if err := m.AdoptMaterialized(dataset, specs); err != nil {
 		return nil, err
@@ -309,9 +291,7 @@ func (n *Node) Status() Status {
 		}
 		if d.Role == RolePrimary {
 			d.Workspaces = n.opts.Manager.IDsByDataset(ds)
-			if n.opts.LabelersFor != nil {
-				d.Labelers = n.opts.LabelersFor(d.Workspaces)
-			}
+			d.Labelers = n.opts.Manager.LabelerIDs(d.Workspaces)
 		}
 		out.Datasets = append(out.Datasets, d)
 	}

@@ -1,11 +1,9 @@
 package server
 
 import (
-	"log"
 	"net/http"
 
 	"repro/internal/replicate"
-	"repro/pkg/darwin"
 )
 
 // registerReplication wires the replication control surface. The routes are
@@ -100,59 +98,4 @@ func (s *Server) handleReplPromote(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// --- registry bridges the replication node calls into ---
-
-// labelersFor derives the registered labeler ids for the given live
-// workspaces (status reporting: the router re-homes these after a failover).
-func (s *Server) labelersFor(wsIDs []string) []string {
-	var out []string
-	for _, wsID := range wsIDs {
-		ws, ok := s.mgr.Peek(wsID)
-		if !ok {
-			continue
-		}
-		for _, name := range ws.Annotators() {
-			out = append(out, wsLabelerID(wsID, name))
-		}
-	}
-	return out
-}
-
-// adoptLabelers registers one labeler per attachment of freshly adopted
-// workspaces (the promotion analogue of rebuildLabelers) and returns the
-// labeler ids now served here.
-func (s *Server) adoptLabelers(wsIDs []string) []string {
-	var out []string
-	for _, wsID := range wsIDs {
-		ws, ok := s.mgr.Peek(wsID)
-		if !ok {
-			continue
-		}
-		for _, name := range ws.Annotators() {
-			lab, err := darwin.AdoptWorkspace(s.mgr, wsID, name)
-			if err != nil {
-				log.Printf("server: promote: attachment %s/%s not re-adopted: %v", wsID, name, err)
-				continue
-			}
-			id := wsLabelerID(wsID, name)
-			if err := s.labelers.add(&wsLabeler{id: id, lab: lab}); err != nil {
-				log.Printf("server: promote: attachment %s/%s not registered: %v", wsID, name, err)
-				continue
-			}
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// dropLabelers removes the registry entries of evicted workspaces (the
-// demotion path: their state now lives on the promoted primary).
-func (s *Server) dropLabelers(wsIDs []string) {
-	gone := make(map[string]bool, len(wsIDs))
-	for _, id := range wsIDs {
-		gone[id] = true
-	}
-	s.labelers.prune(func(en *wsLabeler) bool { return !gone[en.lab.Workspace()] })
 }

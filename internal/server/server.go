@@ -154,7 +154,6 @@ type Server struct {
 	datasets map[string]*Dataset
 	store    *Store
 	mgr      *workspace.Manager
-	labelers *labelerRegistry
 	recovery workspace.RecoveryStats
 	// repl is the journal-replication node (nil without a journal; the
 	// replication endpoints then answer 503).
@@ -181,7 +180,6 @@ func New(cfg Config, datasets ...*Dataset) (*Server, error) {
 		mux:      http.NewServeMux(),
 		datasets: make(map[string]*Dataset, len(datasets)),
 		store:    NewStore(cfg.SessionTTL, cfg.MaxSessions),
-		labelers: newLabelerRegistry(),
 	}
 	engines := make(map[string]*core.Engine, len(datasets))
 	for _, d := range datasets {
@@ -211,26 +209,19 @@ func New(cfg Config, datasets ...*Dataset) (*Server, error) {
 	})
 	if len(events) > 0 {
 		s.recovery = s.mgr.Recover(events)
-		// Re-derive the /v2 labeler registry from the recovered workspaces:
-		// attachment labeler ids are a pure function of (workspace,
-		// annotator), so clients resume the ids they held before the restart.
-		s.rebuildLabelers()
 	}
 	if jw != nil {
 		// Replication rides the journal: stream it out when the router names
 		// this shard a primary, keep warm standbys when it names it a
 		// follower. Recovers on-disk standbys from a previous process.
 		s.repl = replicate.NewNode(replicate.NodeOptions{
-			Manager:       s.mgr,
-			Journal:       jw,
-			Engines:       engines,
-			JournalPath:   cfg.JournalPath,
-			Sync:          cfg.ReplicationSync,
-			SyncTimeout:   cfg.ReplicationSyncTimeout,
-			Logf:          log.Printf,
-			LabelersFor:   s.labelersFor,
-			AdoptLabelers: s.adoptLabelers,
-			DropLabelers:  s.dropLabelers,
+			Manager:     s.mgr,
+			Journal:     jw,
+			Engines:     engines,
+			JournalPath: cfg.JournalPath,
+			Sync:        cfg.ReplicationSync,
+			SyncTimeout: cfg.ReplicationSyncTimeout,
+			Logf:        log.Printf,
 		})
 	}
 	if jw != nil {

@@ -473,22 +473,10 @@ func (s *Server) handleWSAttach(w http.ResponseWriter, r *http.Request) {
 		writeV1Error(w, darwin.MapWorkspaceErr(err))
 		return
 	}
-	// The attachment is a /v2 labeler too, registered as rebuildLabelers
-	// registers it after a restart. Attaching before adopting keeps the
-	// manager's error messages on the v1 wire.
-	lab, err := darwin.AdoptWorkspace(s.mgr, wsID, req.Annotator)
-	if err == nil {
-		_, err = s.registerAttachment(r.Context(), lab)
-	}
-	if err != nil {
-		writeV1Error(w, err)
-		return
-	}
 	writeJSON(w, http.StatusCreated, map[string]string{"annotator": req.Annotator})
 }
 
-// handleWSDetach acks 204 only after the detach event is journaled, and
-// drops the attachment's /v2 labeler.
+// handleWSDetach acks 204 only after the detach event is journaled.
 //
 //darwin:mutating-handler
 func (s *Server) handleWSDetach(w http.ResponseWriter, r *http.Request) {
@@ -497,7 +485,6 @@ func (s *Server) handleWSDetach(w http.ResponseWriter, r *http.Request) {
 		writeV1Error(w, darwin.MapWorkspaceErr(err))
 		return
 	}
-	s.labelers.remove(wsLabelerID(wsID, name))
 	w.WriteHeader(http.StatusNoContent)
 }
 

@@ -6,16 +6,12 @@ package server
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
-	"log"
 	"net/http"
 	"sort"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/autolabel"
@@ -125,97 +121,6 @@ const (
 	defaultPageLimit = 100
 	maxPageLimit     = 1000
 )
-
-// maxLabelers bounds the workspace-attachment registry (sessions are
-// bounded by the store's own MaxSessions).
-const maxLabelers = 4096
-
-// wsLabelerID derives the public labeler id of a workspace attachment
-// deterministically from (workspace, annotator). The registry entry itself
-// is in-memory, but because the id is a pure function of durable state it
-// survives a restart: server.New re-derives the same ids for every
-// journaled attachment (rebuildLabelers), so a remote client can keep
-// driving the labeler id it was handed before the crash.
-func wsLabelerID(wsID, annotator string) string {
-	sum := sha256.Sum256([]byte("darwin/ws-labeler\x00" + wsID + "\x00" + annotator))
-	return "w" + hex.EncodeToString(sum[:])[:31]
-}
-
-// wsLabeler is one registered workspace attachment: the labeler id names
-// the (workspace, annotator) pair and holds the bound SDK adapter.
-type wsLabeler struct {
-	id  string
-	lab *darwin.WorkspaceLabeler
-}
-
-// labelerRegistry tracks the workspace-backed labelers created via /v2.
-// Session-backed labelers live in the session store (shared with /v1);
-// workspace lifetime is governed by the workspace manager's TTL. Entries
-// are dropped on delete, on access once their workspace turns out to be
-// gone (Labeler), and by pruneDeadLabelers sweeps (listing, and before
-// refusing a create at the capacity cap).
-type labelerRegistry struct {
-	mu    sync.Mutex //darwin:lockrank store
-	items map[string]*wsLabeler
-}
-
-func newLabelerRegistry() *labelerRegistry {
-	return &labelerRegistry{items: make(map[string]*wsLabeler)}
-}
-
-func (reg *labelerRegistry) add(en *wsLabeler) error {
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	if _, replacing := reg.items[en.id]; !replacing && len(reg.items) >= maxLabelers {
-		return fmt.Errorf("%w: labeler limit reached (%d live labelers)", darwin.ErrUnavailable, len(reg.items))
-	}
-	reg.items[en.id] = en
-	return nil
-}
-
-func (reg *labelerRegistry) get(id string) (*wsLabeler, bool) {
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	en, ok := reg.items[id]
-	return en, ok
-}
-
-func (reg *labelerRegistry) remove(id string) (*wsLabeler, bool) {
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	en, ok := reg.items[id]
-	delete(reg.items, id)
-	return en, ok
-}
-
-// prune drops every entry alive rejects and reports how many were removed.
-// The alive callback runs under reg.mu, so it may only acquire locks ranked
-// below store.
-//
-//darwin:lockrank-callback store
-func (reg *labelerRegistry) prune(alive func(*wsLabeler) bool) int {
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	n := 0
-	for id, en := range reg.items {
-		if !alive(en) {
-			delete(reg.items, id)
-			n++
-		}
-	}
-	return n
-}
-
-func (reg *labelerRegistry) ids() []string {
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	out := make([]string, 0, len(reg.items))
-	for id := range reg.items {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
 
 // registerV2 wires the /v2 routes onto the server's own mux, with *Server
 // itself as the backend.
@@ -638,33 +543,12 @@ func (s *Server) createWorkspaceLabeler(ctx context.Context, req darwin.CreateOp
 	if err != nil {
 		return fail(err)
 	}
-	id, err := s.registerAttachment(ctx, lab)
-	if err != nil {
-		return fail(err)
-	}
 	st, err := lab.Status(ctx)
 	if err != nil {
 		return darwin.Status{}, err
 	}
-	st.ID = id
+	st.ID = workspace.LabelerID(wsID, req.Annotator)
 	return st, nil
-}
-
-// registerAttachment registers a workspace attachment's labeler under its
-// id, a pure function of (workspace, annotator), so the same attachment
-// resolves under the same id after a restart (rebuildLabelers). At capacity
-// it evicts entries orphaned by workspace TTL eviction and retries once
-// before refusing; a refused attachment is closed, which detaches it.
-func (s *Server) registerAttachment(ctx context.Context, lab *darwin.WorkspaceLabeler) (string, error) {
-	en := &wsLabeler{id: wsLabelerID(lab.Workspace(), lab.Annotator()), lab: lab}
-	if err := s.labelers.add(en); err != nil {
-		s.pruneDeadLabelers()
-		if err := s.labelers.add(en); err != nil {
-			_ = lab.Close(ctx)
-			return "", err
-		}
-	}
-	return en.id, nil
 }
 
 // createWorkspace validates a fresh-workspace request and creates the
@@ -692,77 +576,23 @@ func (s *Server) createWorkspace(req darwin.CreateOptions) (*workspace.Workspace
 }
 
 // Labeler implements Backend: it maps a labeler id to its darwin.Labeler.
+// A workspace labeler id resolves through the workspace manager, which
+// tracks every live attachment, recovered and adopted ones included.
 func (s *Server) Labeler(id string) (darwin.Labeler, error) {
 	if en, ok := s.store.Get(id); ok {
 		return en.lab, nil
 	}
-	if en, ok := s.labelers.get(id); ok {
-		// A TTL-evicted workspace leaves its attachment entries behind, and
-		// an attachment-TTL sweep can detach a single annotator from a live
-		// workspace; drop such entries on access instead of serving a dead
-		// labeler.
-		ws, live := s.mgr.Get(en.lab.Workspace())
-		if !live || !ws.HasAnnotator(en.lab.Annotator()) {
-			s.labelers.remove(id)
-			return nil, fmt.Errorf("%w: unknown or expired labeler %q", darwin.ErrNotFound, id)
-		}
-		return en.lab, nil
+	if a, ok := s.mgr.Attachment(id); ok {
+		return darwin.AdoptWorkspace(s.mgr, a.Workspace, a.Annotator)
 	}
 	return nil, fmt.Errorf("%w: unknown or expired labeler %q", darwin.ErrNotFound, id)
 }
 
-// pruneDeadLabelers sweeps expired workspaces and drops every registry
-// entry whose workspace is gone, so abandoned attachments cannot pin the
-// registry at its capacity cap.
-func (s *Server) pruneDeadLabelers() int {
-	s.mgr.Sweep()
-	live := make(map[string]bool)
-	for _, id := range s.mgr.IDs() {
-		live[id] = true
-	}
-	return s.labelers.prune(func(en *wsLabeler) bool {
-		if !live[en.lab.Workspace()] {
-			return false
-		}
-		// The workspace survived but the attachment itself may have been
-		// reclaimed by the attachment-TTL sweep.
-		ws, ok := s.mgr.Peek(en.lab.Workspace())
-		return ok && ws.HasAnnotator(en.lab.Annotator())
-	})
-}
-
-// rebuildLabelers re-registers one labeler per journaled workspace
-// attachment after recovery. Together with the deterministic id derivation
-// this is what lets a remote client resume its labeler across a darwind
-// restart: the registry itself is volatile, but its content is a pure
-// function of the recovered workspaces.
-func (s *Server) rebuildLabelers() {
-	for _, wsID := range s.mgr.IDs() {
-		ws, ok := s.mgr.Peek(wsID)
-		if !ok {
-			continue
-		}
-		for _, name := range ws.Annotators() {
-			lab, err := darwin.AdoptWorkspace(s.mgr, wsID, name)
-			if err != nil {
-				// The workspace recovered but its attachment cannot be
-				// served; the client holding this id will 404, so leave an
-				// operator-visible trace.
-				log.Printf("server: recovery: attachment %s/%s not re-adopted: %v", wsID, name, err)
-				continue
-			}
-			if err := s.labelers.add(&wsLabeler{id: wsLabelerID(wsID, name), lab: lab}); err != nil {
-				log.Printf("server: recovery: attachment %s/%s not registered: %v", wsID, name, err)
-			}
-		}
-	}
-}
-
 // LabelerStatus implements Backend: a status peek that never refreshes idle
 // timers, so periodic monitoring cannot keep abandoned labelers alive
-// forever. Workspace statuses read the workspace's cached counters snapshot
-// and therefore do not wait on a workspace lock held by an in-flight
-// suggest.
+// forever. A workspace status reads the manager's attachment index and the
+// workspace's published counters, so it takes no workspace lock and never
+// waits on an in-flight suggest.
 func (s *Server) LabelerStatus(ctx context.Context, id string) (darwin.Status, error) {
 	if en, ok := s.store.Peek(id); ok {
 		st, err := en.lab.Status(ctx)
@@ -772,32 +602,28 @@ func (s *Server) LabelerStatus(ctx context.Context, id string) (darwin.Status, e
 		st.ID = id
 		return st, nil
 	}
-	if en, ok := s.labelers.get(id); ok {
-		ws, live := s.mgr.Peek(en.lab.Workspace())
-		if !live || !ws.HasAnnotator(en.lab.Annotator()) {
-			s.labelers.remove(id)
-			return darwin.Status{}, fmt.Errorf("%w: unknown or expired labeler %q", darwin.ErrNotFound, id)
+	if a, ok := s.mgr.Attachment(id); ok {
+		if ws, live := s.mgr.Peek(a.Workspace); live {
+			questions, positives, done := ws.Stats()
+			return darwin.Status{
+				ID:        id,
+				Dataset:   ws.Dataset(),
+				Mode:      darwin.ModeWorkspace,
+				Workspace: a.Workspace,
+				Annotator: a.Annotator,
+				Budget:    ws.Budget(),
+				Questions: questions,
+				Positives: positives,
+				Done:      done,
+			}, nil
 		}
-		questions, positives, done := ws.Stats()
-		return darwin.Status{
-			ID:        id,
-			Dataset:   ws.Dataset(),
-			Mode:      darwin.ModeWorkspace,
-			Workspace: en.lab.Workspace(),
-			Annotator: en.lab.Annotator(),
-			Budget:    ws.Budget(),
-			Questions: questions,
-			Positives: positives,
-			Done:      done,
-		}, nil
 	}
 	return darwin.Status{}, fmt.Errorf("%w: unknown or expired labeler %q", darwin.ErrNotFound, id)
 }
 
 // ListLabelers implements Backend.
 func (s *Server) ListLabelers(ctx context.Context, cursor string, limit int) (darwin.LabelerPage, error) {
-	s.pruneDeadLabelers()
-	ids := append(s.store.IDs(), s.labelers.ids()...)
+	ids := append(s.store.IDs(), s.mgr.LabelerIDs(s.mgr.IDs())...)
 	sort.Strings(ids)
 	pageIDs, next := Page(ids, cursor, limit)
 	page := darwin.LabelerPage{Labelers: make([]darwin.Status, 0, len(pageIDs)), NextCursor: next}
@@ -819,14 +645,13 @@ func (s *Server) ListDatasets(ctx context.Context, cursor string, limit int) (da
 
 // DeleteLabeler implements Backend.
 func (s *Server) DeleteLabeler(ctx context.Context, id string) error {
-	if en, ok := s.labelers.get(id); ok {
-		// Close (detach) first, and drop the registry entry only once it
-		// succeeded — a failed detach (broken journal) must stay
-		// addressable so the DELETE can be retried.
-		if err := en.lab.Close(ctx); err != nil && !errors.Is(err, darwin.ErrNotFound) {
-			return err
+	if a, ok := s.mgr.Attachment(id); ok {
+		// A detach that fails (broken journal) leaves the attachment, and so
+		// its id, in place, so the DELETE can be retried.
+		err := s.mgr.Detach(a.Workspace, a.Annotator)
+		if err != nil && !errors.Is(err, workspace.ErrUnknownWorkspace) && !errors.Is(err, workspace.ErrUnknownAnnotator) {
+			return darwin.MapWorkspaceErr(err)
 		}
-		s.labelers.remove(id)
 		return nil
 	}
 	// A broken session journal fails the delete before anything is removed.

@@ -2,9 +2,11 @@ package workspace
 
 import (
 	"crypto/rand"
+	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -64,9 +66,33 @@ func (c ManagerConfig) withDefaults() ManagerConfig {
 	return c
 }
 
+// maxLabelers bounds the live attachments across all workspaces; each is a
+// labeler the serving layer resolves through Attachment.
+const maxLabelers = 4096
+
 type entry struct {
 	ws       *Workspace
 	lastUsed time.Time
+	// labelers holds the ids this workspace's attachments have in
+	// Manager.labelers, so dropping the workspace needs no workspace lock.
+	labelers map[string]bool
+}
+
+// Attachment is one annotator attached to one workspace: what a workspace
+// labeler id resolves to.
+type Attachment struct {
+	Workspace string
+	Annotator string
+}
+
+// LabelerID derives the public labeler id of a workspace attachment
+// deterministically from (workspace, annotator). Because the id is a pure
+// function of journaled state, it survives a restart and a promotion: the
+// manager re-derives the same id for every recovered or adopted attachment,
+// so a remote client can keep driving the labeler id it was handed.
+func LabelerID(wsID, annotator string) string {
+	sum := sha256.Sum256([]byte("darwin/ws-labeler\x00" + wsID + "\x00" + annotator))
+	return "w" + hex.EncodeToString(sum[:])[:31]
 }
 
 // Manager owns the live workspaces of a server, their journal, and the
@@ -88,6 +114,11 @@ type Manager struct {
 	mu    sync.Mutex //darwin:lockrank manager
 	items map[string]*entry
 	now   func() time.Time
+	// labelers maps the labeler id of every attachment to a live workspace
+	// to that attachment; attaching counts attaches admitted under
+	// maxLabelers whose index update is still to come.
+	labelers  map[string]Attachment
+	attaching int
 
 	// matMu serializes materialize-hook appends (which run under the
 	// engines' index write locks, outside the gate) with compaction, and
@@ -125,6 +156,7 @@ func NewManager(engines map[string]*core.Engine, jw *journal.Writer, cfg Manager
 		jw:       jw,
 		items:    make(map[string]*entry),
 		now:      time.Now,
+		labelers: make(map[string]Attachment),
 		matSpecs: make(map[string][]string),
 		matSeen:  make(map[string]map[string]bool),
 		fences:   make(map[string]uint64),
@@ -353,14 +385,108 @@ func (m *Manager) get(id string) (*Workspace, bool) {
 func (m *Manager) Peek(id string) (*Workspace, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	en, ok := m.items[id]
-	if !ok || m.now().Sub(en.lastUsed) > m.cfg.TTL {
+	en, ok := m.peekLocked(id)
+	if !ok {
 		return nil, false
 	}
 	return en.ws, true
 }
 
-// Attach adds an annotator to a workspace.
+// peekLocked is Peek for callers that hold m.mu.
+func (m *Manager) peekLocked(id string) (*entry, bool) {
+	en, ok := m.items[id]
+	if !ok || m.now().Sub(en.lastUsed) > m.cfg.TTL {
+		return nil, false
+	}
+	return en, true
+}
+
+// Attachment resolves a labeler id (LabelerID) to the attachment it names.
+// Like Peek it refreshes no idle timer and treats an expired workspace as
+// absent, and it takes no workspace lock.
+func (m *Manager) Attachment(id string) (Attachment, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	a, ok := m.labelers[id]
+	if !ok {
+		return Attachment{}, false
+	}
+	if _, live := m.peekLocked(a.Workspace); !live {
+		return Attachment{}, false
+	}
+	return a, true
+}
+
+// LabelerIDs returns the labeler ids of the attachments to the given live
+// workspaces, sorted. An empty list yields none.
+func (m *Manager) LabelerIDs(wsIDs []string) []string {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var out []string
+	for _, id := range wsIDs {
+		if en, ok := m.peekLocked(id); ok {
+			for lid := range en.labelers {
+				out = append(out, lid)
+			}
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// indexLocked records the named attachments of workspace id. Callers hold
+// m.mu.
+func (m *Manager) indexLocked(en *entry, id string, names []string) {
+	for _, name := range names {
+		lid := LabelerID(id, name)
+		m.labelers[lid] = Attachment{Workspace: id, Annotator: name}
+		if en.labelers == nil {
+			en.labelers = make(map[string]bool)
+		}
+		en.labelers[lid] = true
+	}
+}
+
+// unindexNamesLocked forgets the named attachments of workspace id; no names
+// forgets none. Callers hold m.mu.
+func (m *Manager) unindexNamesLocked(en *entry, id string, names []string) {
+	for _, name := range names {
+		lid := LabelerID(id, name)
+		delete(m.labelers, lid)
+		delete(en.labelers, lid)
+	}
+}
+
+// unindexWorkspaceLocked forgets every attachment of workspace id from the
+// index's own record, without asking the workspace, whose lock an in-flight
+// suggest may hold. Callers hold m.mu.
+func (m *Manager) unindexWorkspaceLocked(id string) {
+	if en, ok := m.items[id]; ok {
+		for lid := range en.labelers {
+			delete(m.labelers, lid)
+		}
+	}
+}
+
+// syncAttachmentLocked brings the index entry of (id, name) in line with
+// the workspace's published attachments after an attach or detach. Reading
+// what the workspace published rather than the call's outcome means a racing
+// attach and detach of one name cannot leave the index behind: whichever
+// sync runs last sees both. Callers hold m.mu.
+func (m *Manager) syncAttachmentLocked(id string, ws *Workspace, name string) {
+	en, ok := m.items[id]
+	if !ok || en.ws != ws {
+		return // evicted or replaced meanwhile, which updated the index
+	}
+	if slices.Contains(ws.Annotators(), name) {
+		m.indexLocked(en, id, []string{name})
+	} else {
+		m.unindexNamesLocked(en, id, []string{name})
+	}
+}
+
+// Attach adds an annotator to a workspace. It refuses with ErrLimit, before
+// anything is journaled, once maxLabelers attachments are live.
 func (m *Manager) Attach(id, name string) error {
 	m.gate.RLock()
 	ws, ok := m.get(id)
@@ -368,7 +494,24 @@ func (m *Manager) Attach(id, name string) error {
 		m.gate.RUnlock()
 		return errUnknown(id)
 	}
+	m.mu.Lock()
+	if len(m.labelers)+m.attaching >= maxLabelers {
+		m.sweepLocked(m.now())
+	}
+	full := len(m.labelers)+m.attaching >= maxLabelers
+	if !full {
+		m.attaching++
+	}
+	m.mu.Unlock()
+	if full {
+		m.gate.RUnlock()
+		return fmt.Errorf("workspace: labeler %w (%d live labelers)", ErrLimit, maxLabelers)
+	}
 	err := ws.Attach(name)
+	m.mu.Lock()
+	m.attaching--
+	m.syncAttachmentLocked(id, ws, name)
+	m.mu.Unlock()
 	m.gate.RUnlock()
 	if err == nil {
 		m.awaitReplication(ws.Dataset())
@@ -385,6 +528,9 @@ func (m *Manager) Detach(id, name string) error {
 		return errUnknown(id)
 	}
 	err := ws.Detach(name)
+	m.mu.Lock()
+	m.syncAttachmentLocked(id, ws, name)
+	m.mu.Unlock()
 	m.gate.RUnlock()
 	if err == nil {
 		m.awaitReplication(ws.Dataset())
@@ -458,6 +604,7 @@ func (m *Manager) Evict(id, reason string) (bool, error) {
 // return — the next journaling operation surfaces it. Callers hold m.mu
 // (and the gate read lock).
 func (m *Manager) evictLocked(id, reason string) error {
+	m.unindexWorkspaceLocked(id)
 	delete(m.items, id)
 	if m.jw != nil && !m.recovering.Load() {
 		if _, err := m.jw.Append(evEvict, id, "", evictData{Reason: reason}); err != nil {
@@ -489,7 +636,7 @@ func (m *Manager) sweepLocked(now time.Time) int {
 			// Reclaim individual abandoned attachments long before the
 			// workspace itself expires; each detach journals (and
 			// replicates) like a client-issued one.
-			en.ws.DetachIdle(now.Add(-m.cfg.AttachmentTTL))
+			m.unindexNamesLocked(en, id, en.ws.DetachIdle(now.Add(-m.cfg.AttachmentTTL)))
 		}
 	}
 	return n
@@ -721,7 +868,10 @@ func (m *Manager) AdoptSnapshot(snap *Snapshot) error {
 		}
 	}
 	m.mu.Lock()
-	m.items[snap.ID] = &entry{ws: ws, lastUsed: m.now()}
+	m.unindexWorkspaceLocked(snap.ID)
+	en := &entry{ws: ws, lastUsed: m.now()}
+	m.items[snap.ID] = en
+	m.indexLocked(en, snap.ID, ws.Annotators())
 	m.mu.Unlock()
 	return nil
 }
@@ -811,6 +961,15 @@ func (m *Manager) Recover(events []journal.Event) RecoveryStats {
 	for _, ev := range events {
 		r.Apply(ev)
 	}
+	// Replay changes attachments through the workspaces alone; index what
+	// it left live.
+	m.mu.Lock()
+	clear(m.labelers)
+	for id, en := range m.items {
+		en.labelers = nil
+		m.indexLocked(en, id, en.ws.Annotators())
+	}
+	m.mu.Unlock()
 	stats := r.Stats()
 	recoveryDuration.Set(time.Since(start).Seconds())
 	recoveryEvents.Set(float64(stats.Events))

@@ -171,5 +171,6 @@ func Restore(eng *core.Engine, snap *Snapshot, log LogFunc) (*Workspace, error) 
 		}
 	}
 	ws.publishStatsLocked()
+	ws.publishAttachedLocked()
 	return ws, nil
 }

@@ -166,6 +166,9 @@ type Workspace struct {
 
 	annotators map[string]*annotator
 	annOrder   []string
+	// attached is annOrder as last published: Annotators (and through it
+	// the manager's labeler index) reads it without waiting on ws.mu.
+	attached atomic.Pointer[[]string]
 
 	// statsSnap is the cached status snapshot behind Stats: monitoring polls
 	// read it lock-free, so a status poll never waits on ws.mu held across an
@@ -185,6 +188,13 @@ type statsCounters struct {
 // ws.mu (or are in a constructor before the workspace is shared).
 func (ws *Workspace) publishStatsLocked() {
 	ws.statsSnap.Store(&statsCounters{questions: ws.questions, positives: ws.loop.Count()})
+}
+
+// publishAttachedLocked refreshes the lock-free copy of annOrder. Callers
+// hold ws.mu (or are in a constructor before the workspace is shared).
+func (ws *Workspace) publishAttachedLocked() {
+	names := append([]string(nil), ws.annOrder...)
+	ws.attached.Store(&names)
 }
 
 // mix derives a deterministic per-event RNG seed from the workspace seed and
@@ -279,6 +289,7 @@ func (ws *Workspace) Attach(name string) error {
 	//darwin:replaypure-exempt lastSeen is TTL bookkeeping that never enters journaled or replayed state
 	ws.annotators[name] = &annotator{name: name, lastSeen: time.Now()}
 	ws.annOrder = append(ws.annOrder, name)
+	ws.publishAttachedLocked()
 	ws.applied("attach", attachData{Annotator: name})
 	return ws.journalErrLocked()
 }
@@ -316,6 +327,7 @@ func (ws *Workspace) detachLocked(name string) {
 			break
 		}
 	}
+	ws.publishAttachedLocked()
 	ws.applied("detach", detachData{Annotator: name})
 }
 
@@ -340,14 +352,6 @@ func (ws *Workspace) DetachIdle(cutoff time.Time) []string {
 		wsAttachmentsExpired.Inc()
 	}
 	return idle
-}
-
-// HasAnnotator reports whether the named annotator is currently attached.
-func (ws *Workspace) HasAnnotator(name string) bool {
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
-	_, ok := ws.annotators[name]
-	return ok
 }
 
 // applied records one applied state change: it journals the event (while
@@ -515,12 +519,13 @@ func (ws *Workspace) Stats() (questions, positives int, done bool) {
 	return snap.questions, snap.positives, snap.questions >= ws.budget
 }
 
-// Annotators returns the attached annotator names in attach order — what the
-// serving layer re-adopts as labelers after journal recovery.
+// Annotators returns the attached annotator names in attach order, as last
+// published: it never waits on an in-flight suggest.
 func (ws *Workspace) Annotators() []string {
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
-	return append([]string(nil), ws.annOrder...)
+	if names := ws.attached.Load(); names != nil {
+		return append([]string(nil), *names...)
+	}
+	return nil
 }
 
 // PositivesMap returns a copy of the shared positive set.
