@@ -279,15 +279,24 @@ func (sj *sessionJournal) recordDelete(id string) error {
 // maybeCompact rewrites the log from the in-memory shadow once enough
 // appends accumulated, keeping only sessions still live in the store (TTL
 // eviction is not journaled, so compaction is where expired sessions fall
-// out of the log).
+// out of the log, and out of the shadow). It holds sj.mu through the
+// rewrite: an append that landed between capturing the shadow and the
+// rewrite would go to the file the rewrite replaces.
 func (sj *sessionJournal) maybeCompact() {
 	if sj.w.SinceRewrite() < sessCompactEvery {
 		return
 	}
 	sj.mu.Lock()
+	defer sj.mu.Unlock()
+	if sj.w.SinceRewrite() < sessCompactEvery {
+		return // compacted while this caller waited for the lock
+	}
 	var events []journal.Event
 	for id, data := range sj.creates {
 		if _, live := sj.srv.store.Peek(id); !live {
+			delete(sj.creates, id)
+			delete(sj.answers, id)
+			delete(sj.dataset, id)
 			continue
 		}
 		raw, err := json.Marshal(data)
@@ -303,7 +312,6 @@ func (sj *sessionJournal) maybeCompact() {
 			events = append(events, journal.Event{Type: sessEventAnswer, WS: id, Data: araw})
 		}
 	}
-	sj.mu.Unlock()
 	if err := sj.w.Rewrite(events); err != nil {
 		log.Printf("server: session journal compact: %v", err)
 	}

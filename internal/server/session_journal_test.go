@@ -8,8 +8,11 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/journal"
 	"repro/pkg/darwin"
 )
 
@@ -268,5 +271,106 @@ func TestSessionJournalFailureIsNotAcknowledged(t *testing.T) {
 	}
 	if _, ok := srv.store.Peek(lab.ID()); !ok {
 		t.Error("an unjournaled delete removed the session")
+	}
+}
+
+// sessionAnswerCounts counts the answer events per session in a session log.
+func sessionAnswerCounts(t *testing.T, path string) map[string]int {
+	t.Helper()
+	events, err := journal.ReadAll(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := make(map[string]int)
+	for _, ev := range events {
+		if ev.Type == sessEventAnswer {
+			counts[ev.WS]++
+		}
+	}
+	return counts
+}
+
+// TestSessionJournalCompactionKeepsConcurrentAppends records answers from
+// eight goroutines across the compaction threshold (twice): every
+// acknowledged answer must be in the log afterwards. A compaction that
+// captured the shadow, released the lock and then rewrote the log lost the
+// answers appended in between, to the file the rewrite replaced.
+func TestSessionJournalCompactionKeepsConcurrentAppends(t *testing.T) {
+	jp := filepath.Join(t.TempDir(), "ws.jsonl")
+	srv, _ := newTestServer(t, Config{JournalPath: jp})
+	const workers, perWorker = 8, 1200
+	ids := make([]string, workers)
+	for i := range ids {
+		st, err := srv.CreateLabeler(t.Context(), darwin.CreateOptions{
+			Dataset: "directions", SeedRules: []string{"best way to get to"}, Budget: 5,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = st.ID
+	}
+	var wg sync.WaitGroup
+	for _, id := range ids {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < perWorker; j++ {
+				rec := darwin.RuleRecord{Key: fmt.Sprintf("k%d", j), Accepted: j%2 == 0}
+				if err := srv.sessJournal.recordAnswers(id, []darwin.RuleRecord{rec}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	counts := sessionAnswerCounts(t, jp+".sessions")
+	for _, id := range ids {
+		if counts[id] != perWorker {
+			t.Errorf("session %s: %d answers in the log, %d acknowledged", id, counts[id], perWorker)
+		}
+	}
+}
+
+// TestSessionJournalCompactionForgetsExpiredSessions pins that compaction
+// drops a TTL-expired session from the in-memory shadow as well as from the
+// log, so the shadow does not grow with every session ever created.
+func TestSessionJournalCompactionForgetsExpiredSessions(t *testing.T) {
+	jp := filepath.Join(t.TempDir(), "ws.jsonl")
+	srv, _ := newTestServer(t, Config{JournalPath: jp, SessionTTL: time.Minute})
+	defer srv.Close()
+	create := func() string {
+		st, err := srv.CreateLabeler(t.Context(), darwin.CreateOptions{
+			Dataset: "directions", SeedRules: []string{"best way to get to"}, Budget: 5,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.ID
+	}
+	expired := create()
+	later := time.Now().Add(time.Hour)
+	srv.store.now = func() time.Time { return later }
+	live := create()
+	for j := 0; j < sessCompactEvery; j++ {
+		if err := srv.sessJournal.recordAnswers(live, []darwin.RuleRecord{{Key: fmt.Sprintf("k%d", j)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sj := srv.sessJournal
+	sj.mu.Lock()
+	_, keptExpired := sj.creates[expired]
+	_, keptLive := sj.creates[live]
+	shadow := len(sj.creates) + len(sj.answers) + len(sj.dataset)
+	sj.mu.Unlock()
+	if keptExpired || !keptLive || shadow != 3 {
+		t.Errorf("after compaction the shadow holds the expired session: %v, the live one: %v, %d entries (want false, true, 3)",
+			keptExpired, keptLive, shadow)
+	}
+	if counts := sessionAnswerCounts(t, jp+".sessions"); counts[live] != sessCompactEvery {
+		t.Errorf("live session: %d answers in the log, want %d", counts[live], sessCompactEvery)
 	}
 }
