@@ -19,7 +19,9 @@ const DefaultSyncTimeout = 2 * time.Second
 
 // NodeOptions wires a replication node into a darwind shard.
 type NodeOptions struct {
-	// Manager is the live workspace manager; Journal its live journal.
+	// Manager is the live workspace manager; Journal its live journal. The
+	// manager also names its attachments' labeler ids (LabelerIDs), which
+	// status and promote responses carry so the router can re-home handles.
 	Manager *workspace.Manager
 	Journal *journal.Writer
 	// Engines is the dataset → engine table the standbys replay against.

@@ -33,8 +33,9 @@ import (
 
 // Backend is the resource layer behind the /v2 handler set: it creates,
 // resolves, lists and deletes labelers. *Server implements it over its local
-// session store and workspace manager; internal/shard.Router implements it
-// over remote darwind shards.
+// session store and workspace manager (the manager alone maps a workspace
+// labeler id to its attachment); internal/shard.Router implements it over
+// remote darwind shards.
 type Backend interface {
 	// CreateLabeler validates opts, creates (or attaches) a labeler and
 	// returns its status with the ID set. Implementations journal the

@@ -50,9 +50,9 @@ func AttachWorkspace(mgr *workspace.Manager, wsID, annotator string) (*Workspace
 
 // AdoptWorkspace wraps an annotator's already-existing attachment as a
 // Labeler that owns it: like AttachWorkspace, Close detaches the annotator —
-// but the attachment itself is not created here. The serving layer uses it
-// to re-adopt journaled attachments after a restart, so a recovered
-// workspace's labelers keep their delete-detaches semantics.
+// but the attachment itself is not created here. The serving layer wraps
+// every attachment a labeler id resolves to with it, recovered and adopted
+// ones included, so each keeps its delete-detaches semantics.
 func AdoptWorkspace(mgr *workspace.Manager, wsID, annotator string) (*WorkspaceLabeler, error) {
 	if annotator == "" {
 		return nil, fmt.Errorf("%w: annotator name is required", ErrInvalid)
