@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -198,6 +199,41 @@ func walkLabelerIndex(t *testing.T, engines map[string]*core.Engine, seed int64)
 		t.Fatalf("the walk ran %v and attached %d distinct labelers", ops, len(seen))
 	}
 	t.Logf("ops %v, %d distinct labelers", ops, len(seen))
+}
+
+// TestLabelerIndexUnderConcurrentAttachments attaches, detaches, resolves
+// and lists the same few names on one workspace from several goroutines at
+// once (run it under -race), then holds the index to the workspace's
+// attachments.
+func TestLabelerIndexUnderConcurrentAttachments(t *testing.T) {
+	m := newTestManager(t, "", ManagerConfig{})
+	ws, err := m.Create("directions", Options{SeedRules: []string{seedRule}, Budget: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"ann", "bob"}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < 300; i++ {
+				name := names[rng.Intn(len(names))]
+				switch rng.Intn(3) {
+				case 0:
+					m.Attach(ws.ID(), name)
+				case 1:
+					m.Detach(ws.ID(), name)
+				default:
+					m.Attachment(LabelerID(ws.ID(), name))
+					m.LabelerIDs(m.IDs())
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	checkLabelerIndex(t, m, make(map[string]bool), 0, "concurrent attachments")
 }
 
 // TestAttachmentLookupsTakeNoWorkspaceLock holds a workspace's mutex, as an
