@@ -964,9 +964,7 @@ func (m *Manager) Recover(events []journal.Event) RecoveryStats {
 	// Replay changes attachments through the workspaces alone; index what
 	// it left live.
 	m.mu.Lock()
-	clear(m.labelers)
 	for id, en := range m.items {
-		en.labelers = nil
 		m.indexLocked(en, id, en.ws.Annotators())
 	}
 	m.mu.Unlock()
