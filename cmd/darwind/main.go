@@ -142,8 +142,7 @@ func main() {
 	}
 
 	stop := make(chan struct{})
-	go srv.Store().Janitor(time.Minute, stop)
-	go srv.Workspaces().Janitor(time.Minute, stop)
+	go srv.Janitor(time.Minute, stop)
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

@@ -41,10 +41,12 @@
 //	GET  /v1/workspaces/{id}/export              JSONL labeled corpus of the shared P
 //	DELETE /v1/workspaces/{id}                   evict a workspace
 //
-// When Config.JournalPath is set, labelers are durable: workspace events go
-// to that write-ahead log (internal/workspace, internal/journal) and solo
-// session events to "<JournalPath>.sessions" (session_journal.go), and New
-// replays both to recover the pre-crash state.
+// Solo sessions live in one registry (sessions.go) that owns their ids, TTL
+// and cap. When Config.JournalPath is set, labelers are durable: workspace
+// events go to that write-ahead log (internal/workspace, internal/journal)
+// and the registry journals every session create, answer, delete and TTL
+// eviction to "<JournalPath>.sessions", each in the critical section that
+// applies it; New replays both logs to recover the pre-crash state.
 //
 // When Config.Token is set, every /v1/* and /v2/* endpoint requires
 // "Authorization: Bearer <token>" (healthz stays open); Config.RatePerSec
@@ -52,7 +54,6 @@
 package server
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"log"
@@ -67,7 +68,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/replicate"
 	"repro/internal/workspace"
-	"repro/pkg/darwin"
 )
 
 // Dataset is one corpus served by the server: a name and the shared engine
@@ -152,7 +152,7 @@ type Server struct {
 	handler  http.Handler // mux wrapped with auth / rate-limit middleware
 	routes   []string     // every registered "METHOD /pattern", sorted
 	datasets map[string]*Dataset
-	store    *Store
+	sessions *sessionRegistry
 	mgr      *workspace.Manager
 	recovery workspace.RecoveryStats
 	// repl is the journal-replication node (nil without a journal; the
@@ -161,8 +161,6 @@ type Server struct {
 	// jobs is the labeling-job manager (nil without Config.JobsDir; the job
 	// endpoints then answer 503).
 	jobs *autolabel.Manager
-	// sessJournal journals solo-session events (nil without a journal).
-	sessJournal *sessionJournal
 }
 
 // New creates a server over the given datasets. When Config.JournalPath is
@@ -179,7 +177,7 @@ func New(cfg Config, datasets ...*Dataset) (*Server, error) {
 		cfg:      cfg,
 		mux:      http.NewServeMux(),
 		datasets: make(map[string]*Dataset, len(datasets)),
-		store:    NewStore(cfg.SessionTTL, cfg.MaxSessions),
+		sessions: newSessionRegistry(cfg.SessionTTL, cfg.MaxSessions),
 	}
 	engines := make(map[string]*core.Engine, len(datasets))
 	for _, d := range datasets {
@@ -225,11 +223,9 @@ func New(cfg Config, datasets ...*Dataset) (*Server, error) {
 		})
 	}
 	if jw != nil {
-		sj, err := openSessionJournal(cfg.JournalPath+".sessions", s)
-		if err != nil {
+		if err := s.sessions.open(cfg.JournalPath+".sessions", s.datasets); err != nil {
 			return nil, err
 		}
-		s.sessJournal = sj
 	}
 	if cfg.JobsDir != "" {
 		jobs, err := autolabel.NewManager(autolabel.ManagerConfig{
@@ -274,7 +270,7 @@ func New(cfg Config, datasets ...*Dataset) (*Server, error) {
 	// construction in tests tracks the newest instance.
 	obs.Default().GaugeFunc("darwin_sessions_live",
 		"Live solo sessions in the store.",
-		func() float64 { return float64(s.store.Len()) })
+		func() float64 { return float64(s.sessions.len()) })
 	obs.Default().GaugeFunc("darwin_workspaces_live",
 		"Live workspaces in the manager.",
 		func() float64 { return float64(s.mgr.Len()) })
@@ -303,8 +299,24 @@ func (s *Server) Routes() []string {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.handler.ServeHTTP(w, r) }
 
-// Store exposes the session store (for the janitor and diagnostics).
-func (s *Server) Store() *Store { return s.store }
+// Janitor evicts idle solo sessions and workspaces every interval until
+// stop is closed. Run it in a goroutine.
+func (s *Server) Janitor(interval time.Duration, stop <-chan struct{}) {
+	if interval <= 0 {
+		interval = time.Minute
+	}
+	t := time.NewTicker(interval)
+	defer t.Stop()
+	for {
+		select {
+		case <-t.C:
+			s.sessions.sweep()
+			s.mgr.Sweep()
+		case <-stop:
+			return
+		}
+	}
+}
 
 // Workspaces exposes the workspace manager (janitor, shutdown flush,
 // diagnostics).
@@ -323,10 +335,8 @@ func (s *Server) Close() error {
 			log.Printf("server: close job manager: %v", err)
 		}
 	}
-	if s.sessJournal != nil {
-		if err := s.sessJournal.Close(); err != nil {
-			log.Printf("server: close session journal: %v", err)
-		}
+	if err := s.sessions.close(); err != nil {
+		log.Printf("server: close session journal: %v", err)
 	}
 	if s.repl != nil {
 		s.repl.Close()
@@ -346,57 +356,4 @@ func (s *Server) DatasetNames() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// newSessionLabeler validates a session create request, builds the SDK
-// adapter and registers it in the store, journaled. It returns a typed
-// error.
-func (s *Server) newSessionLabeler(req darwin.CreateOptions) (*sessionEntry, error) {
-	d, ok := s.datasets[req.Dataset]
-	if !ok {
-		return nil, fmt.Errorf("%w: unknown dataset %q (have %v)", darwin.ErrNotFound, req.Dataset, s.DatasetNames())
-	}
-	if len(req.SeedRules) > s.cfg.MaxSeedRules {
-		return nil, fmt.Errorf("%w: too many seed rules (%d > %d)", darwin.ErrInvalid, len(req.SeedRules), s.cfg.MaxSeedRules)
-	}
-	// Reject a full store before paying for session construction (classifier
-	// training plus the engine's index write lock); Create re-checks under
-	// its lock.
-	if !s.store.HasCapacity() {
-		return nil, fmt.Errorf("%w: session limit reached", darwin.ErrUnavailable)
-	}
-	if err := s.sessJournal.failure(); err != nil {
-		return nil, err
-	}
-	budget := req.Budget
-	if budget <= 0 {
-		budget = s.cfg.DefaultBudget
-	}
-	lab, err := darwin.NewSession(d.Engine, d.Name, darwin.Options{
-		SeedRules:       req.SeedRules,
-		SeedPositiveIDs: req.SeedPositiveIDs,
-		Budget:          budget,
-		Seed:            req.Seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	en, err := s.store.Create(lab, s.sessJournal)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", darwin.ErrUnavailable, err)
-	}
-	// Journal the resolved options (server defaults applied), so replay
-	// does not depend on the config of the recovering process. A session
-	// whose create is not in the log is not served.
-	if err := s.sessJournal.recordCreate(en.id, d.Name, sessCreateData{
-		SeedRules:       req.SeedRules,
-		SeedPositiveIDs: req.SeedPositiveIDs,
-		Budget:          budget,
-		Seed:            req.Seed,
-	}); err != nil {
-		s.store.Delete(en.id)
-		_ = lab.Close(context.TODO())
-		return nil, err
-	}
-	return en, nil
 }

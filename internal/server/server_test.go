@@ -275,7 +275,7 @@ func TestConcurrentHTTPSessions(t *testing.T) {
 			t.Errorf("worker %d asked no questions", w)
 		}
 	}
-	if got := srv.Store().Len(); got != workers {
+	if got := srv.sessions.len(); got != workers {
 		t.Errorf("store has %d sessions, want %d", got, workers)
 	}
 }
@@ -296,12 +296,12 @@ func TestSessionTTLExpiry(t *testing.T) {
 
 	// Advance the store's clock past the TTL; the session must be gone both
 	// via lazy Get eviction and via an explicit sweep.
-	srv.Store().now = func() time.Time { return time.Now().Add(2 * time.Minute) }
+	srv.sessions.now = func() time.Time { return time.Now().Add(2 * time.Minute) }
 	if status := doJSON(t, ts, http.MethodGet, "/v1/sessions/"+created.ID+"/suggest", nil, nil); status != http.StatusNotFound {
 		t.Fatalf("expired session answered with status %d", status)
 	}
-	srv.Store().Sweep()
-	if got := srv.Store().Len(); got != 0 {
+	srv.sessions.sweep()
+	if got := srv.sessions.len(); got != 0 {
 		t.Errorf("store still holds %d sessions after sweep", got)
 	}
 }
@@ -403,29 +403,30 @@ func TestNewServerValidation(t *testing.T) {
 }
 
 func TestStoreSweepAndJanitor(t *testing.T) {
-	st := NewStore(time.Millisecond, 10)
-	if _, err := st.Create(nil, nil); err != nil {
+	srv, _ := newTestServer(t, Config{SessionTTL: time.Millisecond, MaxSessions: 10})
+	st := srv.sessions
+	if _, err := st.create(nil, "directions", sessCreateData{}); err != nil {
 		t.Fatal(err)
 	}
 	base := time.Now()
 	st.now = func() time.Time { return base.Add(time.Second) }
-	if n := st.Sweep(); n != 1 {
+	if n := st.sweep(); n != 1 {
 		t.Errorf("sweep evicted %d, want 1", n)
 	}
-	if st.Len() != 0 {
+	if st.len() != 0 {
 		t.Errorf("store not empty after sweep")
 	}
 
 	// The janitor sweeps periodically until stopped.
-	if _, err := st.Create(nil, nil); err != nil {
+	if _, err := st.create(nil, "directions", sessCreateData{}); err != nil {
 		t.Fatal(err)
 	}
 	st.now = func() time.Time { return base.Add(2 * time.Second) }
 	stop := make(chan struct{})
 	done := make(chan struct{})
-	go func() { st.Janitor(5*time.Millisecond, stop); close(done) }()
+	go func() { srv.Janitor(5*time.Millisecond, stop); close(done) }()
 	deadline := time.After(2 * time.Second)
-	for st.Len() != 0 {
+	for st.len() != 0 {
 		select {
 		case <-deadline:
 			t.Fatal("janitor never swept the expired session")
@@ -437,10 +438,10 @@ func TestStoreSweepAndJanitor(t *testing.T) {
 }
 
 func TestStoreIDsAreUnique(t *testing.T) {
-	st := NewStore(time.Minute, 100)
+	st := newSessionRegistry(time.Minute, 100)
 	seen := map[string]bool{}
 	for i := 0; i < 50; i++ {
-		en, err := st.Create(nil, nil)
+		en, err := st.create(nil, "directions", sessCreateData{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,10 +1,13 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -231,10 +234,10 @@ func TestSessionJournalFailureIsNotAcknowledged(t *testing.T) {
 	// Break the log: every later append fails. The first create to notice
 	// is the one whose own append fails; it must not leave its session in
 	// the store.
-	if err := srv.sessJournal.w.Close(); err != nil {
+	if err := srv.sessions.w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	sessions := srv.store.Len()
+	sessions := srv.sessions.len()
 	if _, err := client.NewLabeler(ctx, darwin.CreateOptions{Dataset: "directions", SeedRules: []string{"best way to get to"}}); !errors.Is(err, darwin.ErrUnavailable) {
 		t.Errorf("/v2 create on a broken session journal: %v, want ErrUnavailable", err)
 	}
@@ -263,15 +266,32 @@ func TestSessionJournalFailureIsNotAcknowledged(t *testing.T) {
 	if v1Create.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("/v1 create on a broken session journal: HTTP %d, want 503", v1Create.StatusCode)
 	}
-	if got := srv.store.Len(); got != sessions {
+	if got := srv.sessions.len(); got != sessions {
 		t.Errorf("failed creates left sessions behind: %d live, want %d", got, sessions)
 	}
 	if err := lab.Close(ctx); !errors.Is(err, darwin.ErrUnavailable) {
 		t.Errorf("/v2 delete on a broken session journal: %v, want ErrUnavailable", err)
 	}
-	if _, ok := srv.store.Peek(lab.ID()); !ok {
+	if _, ok := srv.sessions.peek(lab.ID()); !ok {
 		t.Error("an unjournaled delete removed the session")
 	}
+}
+
+// recordAnswers journals recs as one answer call of the live session id,
+// the way the served labeler does once it has applied them, without
+// applying them.
+func recordAnswers(srv *Server, id string, recs []darwin.RuleRecord) error {
+	r := srv.sessions
+	en, ok := r.peek(id)
+	if !ok {
+		return fmt.Errorf("no live session %s", id)
+	}
+	defer r.maybeCompact()
+	r.gate.RLock()
+	defer r.gate.RUnlock()
+	en.mu.Lock()
+	defer en.mu.Unlock()
+	return r.recordLocked(en, recs)
 }
 
 // sessionAnswerCounts counts the answer events per session in a session log.
@@ -316,7 +336,7 @@ func TestSessionJournalCompactionKeepsConcurrentAppends(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < perWorker; j++ {
 				rec := darwin.RuleRecord{Key: fmt.Sprintf("k%d", j), Accepted: j%2 == 0}
-				if err := srv.sessJournal.recordAnswers(id, []darwin.RuleRecord{rec}); err != nil {
+				if err := recordAnswers(srv, id, []darwin.RuleRecord{rec}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -336,8 +356,8 @@ func TestSessionJournalCompactionKeepsConcurrentAppends(t *testing.T) {
 }
 
 // TestSessionJournalCompactionForgetsExpiredSessions pins that compaction
-// drops a TTL-expired session from the in-memory shadow as well as from the
-// log, so the shadow does not grow with every session ever created.
+// drops a TTL-expired session from the log, so the log does not grow with
+// every session ever created.
 func TestSessionJournalCompactionForgetsExpiredSessions(t *testing.T) {
 	jp := filepath.Join(t.TempDir(), "ws.jsonl")
 	srv, _ := newTestServer(t, Config{JournalPath: jp, SessionTTL: time.Minute})
@@ -353,24 +373,190 @@ func TestSessionJournalCompactionForgetsExpiredSessions(t *testing.T) {
 	}
 	expired := create()
 	later := time.Now().Add(time.Hour)
-	srv.store.now = func() time.Time { return later }
+	srv.sessions.now = func() time.Time { return later }
 	live := create()
 	for j := 0; j < sessCompactEvery; j++ {
-		if err := srv.sessJournal.recordAnswers(live, []darwin.RuleRecord{{Key: fmt.Sprintf("k%d", j)}}); err != nil {
+		if err := recordAnswers(srv, live, []darwin.RuleRecord{{Key: fmt.Sprintf("k%d", j)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	sj := srv.sessJournal
-	sj.mu.Lock()
-	_, keptExpired := sj.creates[expired]
-	_, keptLive := sj.creates[live]
-	shadow := len(sj.creates) + len(sj.answers) + len(sj.dataset)
-	sj.mu.Unlock()
-	if keptExpired || !keptLive || shadow != 3 {
-		t.Errorf("after compaction the shadow holds the expired session: %v, the live one: %v, %d entries (want false, true, 3)",
-			keptExpired, keptLive, shadow)
+	events, err := journal.ReadAll(jp + ".sessions")
+	if err != nil {
+		t.Fatal(err)
+	}
+	keptExpired := false
+	creates := make(map[string]int)
+	for _, ev := range events {
+		keptExpired = keptExpired || ev.WS == expired
+		if ev.Type == sessEventCreate {
+			creates[ev.WS]++
+		}
+	}
+	if keptExpired || creates[live] != 1 || len(creates) != 1 {
+		t.Errorf("after compaction the log holds the expired session: %v, the live one's create %d times, %d sessions (want false, 1, 1)",
+			keptExpired, creates[live], len(creates))
 	}
 	if counts := sessionAnswerCounts(t, jp+".sessions"); counts[live] != sessCompactEvery {
 		t.Errorf("live session: %d answers in the log, want %d", counts[live], sessCompactEvery)
+	}
+}
+
+// TestSessionJournalRecordsTTLEviction pins that a TTL eviction is journaled
+// like a delete, whether a sweep or a lookup drops the expired session: both
+// stay gone after a restart over the same journal.
+func TestSessionJournalRecordsTTLEviction(t *testing.T) {
+	cfg := Config{JournalPath: filepath.Join(t.TempDir(), "ws.jsonl"), SessionTTL: time.Minute}
+	srv, _ := newTestServer(t, cfg)
+	var ids []string
+	for i := 0; i < 2; i++ {
+		st, err := srv.CreateLabeler(t.Context(), darwin.CreateOptions{
+			Dataset: "directions", SeedRules: []string{"best way to get to"}, Budget: 5,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, st.ID)
+	}
+	srv.sessions.now = func() time.Time { return time.Now().Add(2 * time.Minute) }
+	if _, err := srv.Labeler(ids[0]); !errors.Is(err, darwin.ErrNotFound) {
+		t.Fatalf("lookup of an expired session: %v, want ErrNotFound", err)
+	}
+	if n := srv.sessions.sweep(); n != 1 {
+		t.Fatalf("sweep evicted %d sessions, want 1", n)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	srv2, _ := newTestServer(t, cfg)
+	defer srv2.Close()
+	ts := httptest.NewServer(srv2)
+	defer ts.Close()
+	for _, id := range ids {
+		resp, err := http.Get(ts.URL + "/v2/labelers/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("TTL-expired session %s is live again after restart: HTTP %d", id, resp.StatusCode)
+		}
+	}
+}
+
+// TestSessionJournalKeepsAnswerOrder fires concurrent blind answers at one
+// journaled session. Each answer is logged in the critical section that
+// applies it, so replay after a restart rebuilds the same session; a log
+// out of apply order diverges on replay, and the session is dropped.
+func TestSessionJournalKeepsAnswerOrder(t *testing.T) {
+	cfg := Config{JournalPath: filepath.Join(t.TempDir(), "ws.jsonl")}
+	srv, _ := newTestServer(t, cfg)
+	ctx := t.Context()
+	st, err := srv.CreateLabeler(ctx, darwin.CreateOptions{
+		Dataset: "directions", SeedRules: []string{"best way to get to"}, Budget: 30, Seed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lab, err := srv.Labeler(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers, perWorker = 8, 3
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				if _, err := darwin.AnswerBatch(ctx, lab, []darwin.Answer{{Accept: (g+i)%2 == 0}}); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	want, err := lab.Report(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Questions != workers*perWorker {
+		t.Fatalf("session answered %d questions, want %d", want.Questions, workers*perWorker)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	srv2, _ := newTestServer(t, cfg)
+	defer srv2.Close()
+	lab2, err := srv2.Labeler(st.ID)
+	if err != nil {
+		t.Fatalf("session lost across restart: %v", err)
+	}
+	got, err := lab2.Report(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("report after restart differs:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// sessionLogFixture is testdata/sessions_log/reports.json: the reports an
+// earlier build of the server served, just before shutdown, for the
+// sessions in the logs beside it, and the ids of the sessions it deleted.
+type sessionLogFixture struct {
+	Reports map[string]darwin.Report `json:"reports"`
+	Deleted []string                 `json:"deleted"`
+}
+
+// TestSessionJournalRecoversRecordedLog recovers journals written by an
+// earlier build of the server: two sessions with keyed and blind answers,
+// and one deleted. Each survivor must serve the report that build served,
+// byte for byte, so the session log format is pinned by a test.
+func TestSessionJournalRecoversRecordedLog(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"ws.jsonl", "ws.jsonl.sessions"} {
+		raw, err := os.ReadFile(filepath.Join("testdata", "sessions_log", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantRaw, err := os.ReadFile(filepath.Join("testdata", "sessions_log", "reports.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want sessionLogFixture
+	if err := json.Unmarshal(wantRaw, &want); err != nil {
+		t.Fatal(err)
+	}
+
+	srv, _ := newTestServer(t, Config{JournalPath: filepath.Join(dir, "ws.jsonl")})
+	defer srv.Close()
+	ctx := t.Context()
+	got := sessionLogFixture{Reports: make(map[string]darwin.Report), Deleted: want.Deleted}
+	for id := range want.Reports {
+		lab, err := srv.Labeler(id)
+		if err != nil {
+			t.Fatalf("recorded session %s not recovered: %v", id, err)
+		}
+		if got.Reports[id], err = lab.Report(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range want.Deleted {
+		if _, err := srv.Labeler(id); !errors.Is(err, darwin.ErrNotFound) {
+			t.Errorf("deleted session %s recovered: %v", id, err)
+		}
+	}
+	gotRaw, err := json.MarshalIndent(got, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotRaw = append(gotRaw, '\n'); !bytes.Equal(gotRaw, wantRaw) {
+		t.Errorf("recovered reports differ from the recorded ones:\n got %s\nwant %s", gotRaw, wantRaw)
 	}
 }

@@ -310,15 +310,19 @@ func writeV1Answer(w http.ResponseWriter, r *http.Request, lab localLabeler, req
 // --- session handlers ---
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	steps, last, avg := s.store.StepStats()
+	steps := stepHist.Count()
+	var avg time.Duration
+	if steps > 0 {
+		avg = time.Duration(stepHist.Sum() / float64(steps) * float64(time.Second))
+	}
 	writeJSON(w, http.StatusOK, healthJSON{
 		Status:         "ok",
 		Datasets:       s.DatasetNames(),
-		Sessions:       s.store.Len(),
+		Sessions:       s.sessions.len(),
 		Workspaces:     s.mgr.Len(),
 		Recovered:      s.recovery.Workspaces,
-		Steps:          steps,
-		LastStepMillis: millis(last),
+		Steps:          int64(steps),
+		LastStepMillis: millis(time.Duration(stepHist.Last() * float64(time.Second))),
 		AvgStepMillis:  millis(avg),
 	})
 }
@@ -356,10 +360,10 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 
 // v1Session resolves the {id} path value through Labeler to a live solo
 // session, writing the v1 404 when it is unknown, expired or not a session.
-func (s *Server) v1Session(w http.ResponseWriter, r *http.Request) (*timedSessionLabeler, bool) {
+func (s *Server) v1Session(w http.ResponseWriter, r *http.Request) (*soloSession, bool) {
 	id := r.PathValue("id")
 	lab, _ := s.Labeler(id)
-	sess, ok := lab.(*timedSessionLabeler)
+	sess, ok := lab.(*soloSession)
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown or expired session %q", id)
 	}

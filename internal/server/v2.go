@@ -12,7 +12,6 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
-	"time"
 
 	"repro/internal/autolabel"
 	"repro/internal/ingest"
@@ -33,7 +32,7 @@ import (
 
 // Backend is the resource layer behind the /v2 handler set: it creates,
 // resolves, lists and deletes labelers. *Server implements it over its local
-// session store and workspace manager (the manager alone maps a workspace
+// session registry and workspace manager (the manager alone maps a workspace
 // labeler id to its attachment); internal/shard.Router implements it over
 // remote darwind shards.
 type Backend interface {
@@ -431,48 +430,6 @@ func parseLimit(r *http.Request) (int, error) {
 
 // --- *Server as the local Backend ---
 
-// timedSessionLabeler is the labeler a solo session is served as, on /v1
-// and /v2 alike: it folds suggest latency into the healthz aggregate and
-// journals applied answers when a journal is configured. Embedding keeps
-// every other Labeler/Statuser method on the adapter itself.
-type timedSessionLabeler struct {
-	*darwin.SessionLabeler
-	// id and sj journal applied answers (sj nil without a journal).
-	id string
-	sj *sessionJournal
-}
-
-func (l *timedSessionLabeler) Suggest(ctx context.Context) (darwin.Suggestion, error) {
-	start := time.Now()
-	sug, err := l.SessionLabeler.Suggest(ctx)
-	stepHist.Observe(time.Since(start).Seconds())
-	return sug, err
-}
-
-// Answer goes through AnswerBatch, so a single verdict is journaled too.
-func (l *timedSessionLabeler) Answer(ctx context.Context, ans darwin.Answer) error {
-	_, err := l.AnswerBatch(ctx, []darwin.Answer{ans})
-	return err
-}
-
-// AnswerBatch journals the applied prefix even on a mid-batch error: those
-// answers changed durable state. A journal failure acknowledges none of them.
-func (l *timedSessionLabeler) AnswerBatch(ctx context.Context, answers []darwin.Answer) ([]darwin.RuleRecord, error) {
-	recs, _, err := l.AnswerBatchStatus(ctx, answers)
-	return recs, err
-}
-
-func (l *timedSessionLabeler) AnswerBatchStatus(ctx context.Context, answers []darwin.Answer) ([]darwin.RuleRecord, darwin.Status, error) {
-	if err := l.sj.failure(); err != nil {
-		return nil, darwin.Status{}, err
-	}
-	recs, st, err := l.SessionLabeler.AnswerBatchStatus(ctx, answers)
-	if jerr := l.sj.recordAnswers(l.id, recs); jerr != nil {
-		return nil, darwin.Status{}, jerr
-	}
-	return recs, st, err
-}
-
 // CreateLabeler implements Backend.
 func (s *Server) CreateLabeler(ctx context.Context, req darwin.CreateOptions) (darwin.Status, error) {
 	switch req.Mode {
@@ -486,17 +443,37 @@ func (s *Server) CreateLabeler(ctx context.Context, req darwin.CreateOptions) (d
 	}
 }
 
+// createSessionLabeler validates a session create request, builds the SDK
+// adapter and registers it, journaled.
 func (s *Server) createSessionLabeler(ctx context.Context, req darwin.CreateOptions) (darwin.Status, error) {
-	en, err := s.newSessionLabeler(req)
+	d, budget, err := s.resolveCreate(req)
 	if err != nil {
 		return darwin.Status{}, err
 	}
-	st, err := en.lab.Status(ctx)
+	// Reject a full registry or a broken journal before paying for session
+	// construction (classifier training plus the engine's index write
+	// lock); create re-checks both.
+	if s.sessions.sweep(); s.sessions.len() >= s.sessions.max {
+		return darwin.Status{}, fmt.Errorf("%w: session limit reached", darwin.ErrUnavailable)
+	}
+	if err := s.sessions.failure(); err != nil {
+		return darwin.Status{}, err
+	}
+	// The resolved options are journaled, so replay does not depend on the
+	// config of the recovering process.
+	opts := sessCreateData{SeedRules: req.SeedRules, SeedPositiveIDs: req.SeedPositiveIDs, Budget: budget, Seed: req.Seed}
+	lab, err := darwin.NewSession(d.Engine, d.Name, darwin.Options(opts))
 	if err != nil {
 		return darwin.Status{}, err
 	}
+	en, err := s.sessions.create(lab, d.Name, opts)
+	if err != nil {
+		_ = lab.Close(ctx)
+		return darwin.Status{}, err
+	}
+	st, err := en.Status(ctx)
 	st.ID = en.id
-	return st, nil
+	return st, err
 }
 
 func (s *Server) createWorkspaceLabeler(ctx context.Context, req darwin.CreateOptions) (darwin.Status, error) {
@@ -552,22 +529,32 @@ func (s *Server) createWorkspaceLabeler(ctx context.Context, req darwin.CreateOp
 	return st, nil
 }
 
+// resolveCreate validates a request for a fresh session or workspace and
+// resolves its budget against the server default.
+func (s *Server) resolveCreate(req darwin.CreateOptions) (*Dataset, int, error) {
+	d, ok := s.datasets[req.Dataset]
+	if !ok {
+		return nil, 0, fmt.Errorf("%w: unknown dataset %q (have %v)", darwin.ErrNotFound, req.Dataset, s.DatasetNames())
+	}
+	if len(req.SeedRules) > s.cfg.MaxSeedRules {
+		return nil, 0, fmt.Errorf("%w: too many seed rules (%d > %d)", darwin.ErrInvalid, len(req.SeedRules), s.cfg.MaxSeedRules)
+	}
+	if req.Budget <= 0 {
+		return d, s.cfg.DefaultBudget, nil
+	}
+	return d, req.Budget, nil
+}
+
 // createWorkspace validates a fresh-workspace request and creates the
 // workspace, journaled; /v1 and /v2 creation share it. It returns a typed
 // error: a full manager or a dead journal is darwin.ErrUnavailable (retry
 // later).
 func (s *Server) createWorkspace(req darwin.CreateOptions) (*workspace.Workspace, error) {
-	if _, ok := s.datasets[req.Dataset]; !ok {
-		return nil, fmt.Errorf("%w: unknown dataset %q (have %v)", darwin.ErrNotFound, req.Dataset, s.DatasetNames())
+	d, budget, err := s.resolveCreate(req)
+	if err != nil {
+		return nil, err
 	}
-	if len(req.SeedRules) > s.cfg.MaxSeedRules {
-		return nil, fmt.Errorf("%w: too many seed rules (%d > %d)", darwin.ErrInvalid, len(req.SeedRules), s.cfg.MaxSeedRules)
-	}
-	budget := req.Budget
-	if budget <= 0 {
-		budget = s.cfg.DefaultBudget
-	}
-	ws, err := s.mgr.Create(req.Dataset, workspace.Options{
+	ws, err := s.mgr.Create(d.Name, workspace.Options{
 		SeedRules:       req.SeedRules,
 		SeedPositiveIDs: req.SeedPositiveIDs,
 		Budget:          budget,
@@ -580,8 +567,8 @@ func (s *Server) createWorkspace(req darwin.CreateOptions) (*workspace.Workspace
 // A workspace labeler id resolves through the workspace manager, which
 // tracks every live attachment, recovered and adopted ones included.
 func (s *Server) Labeler(id string) (darwin.Labeler, error) {
-	if en, ok := s.store.Get(id); ok {
-		return en.lab, nil
+	if en, ok := s.sessions.get(id); ok {
+		return en, nil
 	}
 	if a, ok := s.mgr.Attachment(id); ok {
 		return darwin.AdoptWorkspace(s.mgr, a.Workspace, a.Annotator)
@@ -595,8 +582,8 @@ func (s *Server) Labeler(id string) (darwin.Labeler, error) {
 // workspace's published counters, so it takes no workspace lock and never
 // waits on an in-flight suggest.
 func (s *Server) LabelerStatus(ctx context.Context, id string) (darwin.Status, error) {
-	if en, ok := s.store.Peek(id); ok {
-		st, err := en.lab.Status(ctx)
+	if en, ok := s.sessions.peek(id); ok {
+		st, err := en.Status(ctx)
 		if err != nil {
 			return darwin.Status{}, err
 		}
@@ -624,7 +611,7 @@ func (s *Server) LabelerStatus(ctx context.Context, id string) (darwin.Status, e
 
 // ListLabelers implements Backend.
 func (s *Server) ListLabelers(ctx context.Context, cursor string, limit int) (darwin.LabelerPage, error) {
-	ids := append(s.store.IDs(), s.mgr.LabelerIDs(s.mgr.IDs())...)
+	ids := append(s.sessions.ids(), s.mgr.LabelerIDs(s.mgr.IDs())...)
 	sort.Strings(ids)
 	pageIDs, next := Page(ids, cursor, limit)
 	page := darwin.LabelerPage{Labelers: make([]darwin.Status, 0, len(pageIDs)), NextCursor: next}
@@ -655,15 +642,5 @@ func (s *Server) DeleteLabeler(ctx context.Context, id string) error {
 		}
 		return nil
 	}
-	// A broken session journal fails the delete before anything is removed.
-	if en, ok := s.store.Get(id); ok {
-		if err := s.sessJournal.failure(); err != nil {
-			return err
-		}
-		_ = en.lab.Close(ctx)
-		if s.store.Delete(id) {
-			return s.sessJournal.recordDelete(id)
-		}
-	}
-	return fmt.Errorf("%w: unknown or expired labeler %q", darwin.ErrNotFound, id)
+	return s.sessions.delete(ctx, id)
 }

@@ -334,7 +334,7 @@ func TestSessionTTLEvictionRacingAnswer(t *testing.T) {
 
 	var mu sync.Mutex
 	expired := false
-	srv.Store().now = func() time.Time {
+	srv.sessions.now = func() time.Time {
 		mu.Lock()
 		defer mu.Unlock()
 		if expired {
@@ -373,14 +373,14 @@ func TestSessionTTLEvictionRacingAnswer(t *testing.T) {
 		expired = true
 		mu.Unlock()
 		for i := 0; i < 50; i++ {
-			srv.Store().Sweep()
+			srv.sessions.sweep()
 			time.Sleep(time.Millisecond)
 		}
 	}()
 	wg.Wait()
 	<-sweeps
-	srv.Store().Sweep()
-	if got := srv.Store().Len(); got != 0 {
+	srv.sessions.sweep()
+	if got := srv.sessions.len(); got != 0 {
 		t.Fatalf("store holds %d sessions after TTL race", got)
 	}
 	if status := doJSON(t, ts, http.MethodGet, base+"/report", nil, nil); status != http.StatusNotFound {
