@@ -272,3 +272,56 @@ func TestAttachmentLookupsTakeNoWorkspaceLock(t *testing.T) {
 		t.Fatalf("Attachment = %+v, %v; LabelerIDs = %v", a, ok, ids)
 	}
 }
+
+// TestSweepDoesNotStallLookups pins that a sweep holds no manager lock while
+// it detaches idle annotators: with one workspace's lock held, as an
+// in-flight suggest holds it, a Sweep waits on that workspace alone, and a
+// lookup of another workspace still returns.
+func TestSweepDoesNotStallLookups(t *testing.T) {
+	m := newTestManager(t, "", ManagerConfig{AttachmentTTL: time.Minute})
+	busy, err := m.Create("directions", Options{SeedRules: []string{seedRule}, Budget: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := m.Create("directions", Options{SeedRules: []string{seedRule}, Budget: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Attach(busy.ID(), "alice"); err != nil {
+		t.Fatal(err)
+	}
+	// Past the attachment TTL, well inside the workspace TTL: the sweep
+	// detaches alice and evicts nothing.
+	m.now = func() time.Time { return time.Now().Add(2 * time.Minute) }
+
+	busy.mu.Lock()
+	swept := make(chan struct{})
+	go func() {
+		defer close(swept)
+		m.Sweep()
+	}()
+	time.Sleep(100 * time.Millisecond) // let the sweep reach the busy workspace
+	peeked := make(chan bool, 1)
+	go func() {
+		_, ok := m.Peek(other.ID())
+		peeked <- ok
+	}()
+	select {
+	case ok := <-peeked:
+		if !ok {
+			t.Error("Peek lost a live workspace during a sweep")
+		}
+	case <-time.After(2 * time.Second):
+		busy.mu.Unlock()
+		<-swept
+		t.Fatal("Peek of another workspace waited behind a sweep blocked on a busy workspace")
+	}
+	busy.mu.Unlock()
+	<-swept
+	if _, ok := m.Attachment(LabelerID(busy.ID(), "alice")); ok {
+		t.Error("the sweep left the idle annotator attached")
+	}
+	if got := busy.Annotators(); len(got) != 0 {
+		t.Errorf("busy workspace still has annotators %v after the sweep", got)
+	}
+}

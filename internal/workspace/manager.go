@@ -255,8 +255,8 @@ func (m *Manager) create(dataset string, opts Options) (*Workspace, error) {
 	if opts.Seed == 0 {
 		opts.Seed = eng.DefaultSeed()
 	}
+	m.sweep()
 	m.mu.Lock()
-	m.sweepLocked(m.now())
 	full := len(m.items) >= m.cfg.MaxWorkspaces
 	m.mu.Unlock()
 	if full {
@@ -496,7 +496,9 @@ func (m *Manager) Attach(id, name string) error {
 	}
 	m.mu.Lock()
 	if len(m.labelers)+m.attaching >= maxLabelers {
-		m.sweepLocked(m.now())
+		m.mu.Unlock()
+		m.sweep()
+		m.mu.Lock()
 	}
 	full := len(m.labelers)+m.attaching >= maxLabelers
 	if !full {
@@ -619,25 +621,37 @@ func (m *Manager) evictLocked(id, reason string) error {
 func (m *Manager) Sweep() int {
 	m.gate.RLock()
 	defer m.gate.RUnlock()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.sweepLocked(m.now())
+	return m.sweep()
 }
 
-func (m *Manager) sweepLocked(now time.Time) int {
+// sweep evicts the expired workspaces under m.mu, then detaches idle
+// annotators outside it: DetachIdle takes each workspace's lock, which an
+// in-flight suggest may hold, and no lookup on the shard may wait behind
+// that. Callers hold the gate read lock and not m.mu.
+func (m *Manager) sweep() int {
+	m.mu.Lock()
+	now := m.now()
 	n := 0
+	var live []*entry
 	for id, en := range m.items {
 		if now.Sub(en.lastUsed) > m.cfg.TTL {
 			m.evictLocked(id, "ttl")
 			n++
-			continue
+		} else if m.cfg.AttachmentTTL > 0 && !m.recovering.Load() {
+			live = append(live, en)
 		}
-		if m.cfg.AttachmentTTL > 0 && !m.recovering.Load() {
-			// Reclaim individual abandoned attachments long before the
-			// workspace itself expires; each detach journals (and
-			// replicates) like a client-issued one.
-			m.unindexNamesLocked(en, id, en.ws.DetachIdle(now.Add(-m.cfg.AttachmentTTL)))
+	}
+	m.mu.Unlock()
+	// Reclaim individual abandoned attachments long before the workspace
+	// itself expires; each detach journals (and replicates) like a
+	// client-issued one.
+	for _, en := range live {
+		names := en.ws.DetachIdle(now.Add(-m.cfg.AttachmentTTL))
+		m.mu.Lock()
+		for _, name := range names {
+			m.syncAttachmentLocked(en.ws.ID(), en.ws, name)
 		}
+		m.mu.Unlock()
 	}
 	return n
 }
@@ -659,23 +673,6 @@ func (m *Manager) IDs() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Janitor sweeps expired workspaces every interval until stop is closed.
-func (m *Manager) Janitor(interval time.Duration, stop <-chan struct{}) {
-	if interval <= 0 {
-		interval = time.Minute
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			m.Sweep()
-		case <-stop:
-			return
-		}
-	}
 }
 
 // Compact rewrites the journal as (materialize events, one snapshot per
