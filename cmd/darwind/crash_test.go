@@ -16,10 +16,10 @@ import (
 )
 
 // TestCrashRecoverySIGKILL is the end-to-end durability test: a real
-// darwind process serving a two-annotator workspace is killed with SIGKILL
-// mid-session (no shutdown hook runs), restarted with the same -journal,
-// and must come back with a byte-identical workspace report and keep
-// serving suggestions from where it left off.
+// darwind process serving a two-annotator workspace and a solo session is
+// killed with SIGKILL mid-session (no shutdown hook runs), restarted with
+// the same -journal, and must come back with byte-identical workspace and
+// session reports and keep serving suggestions from where it left off.
 func TestCrashRecoverySIGKILL(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the darwind binary; skipped in -short")
@@ -148,6 +148,44 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 		t.Fatalf("report: status %d", status)
 	}
 
+	// A solo /v2 session rides the same run: journaled to
+	// "<journal>.sessions", keyed and blind answers alike, it must come back
+	// with the same report too.
+	var sess struct {
+		ID string `json:"id"`
+	}
+	if status := do(addr, "POST", "/v2/labelers", map[string]any{
+		"dataset":    "directions",
+		"seed_rules": []string{"best way to get to"},
+		"budget":     30,
+		"seed":       5,
+	}, &sess); status != http.StatusCreated {
+		t.Fatalf("create session: status %d", status)
+	}
+	sessBase := "/v2/labelers/" + sess.ID
+	for q := 0; q < 8; q++ {
+		var sug struct {
+			Key string `json:"key"`
+		}
+		if status := do(addr, "GET", sessBase+"/suggestion", nil, &sug); status != http.StatusOK {
+			t.Fatalf("session suggestion: status %d", status)
+		}
+		if status := do(addr, "POST", sessBase+"/answers", map[string]any{
+			"answers": []map[string]any{{"key": sug.Key, "accept": q%3 == 0}},
+		}, nil); status != http.StatusOK {
+			t.Fatalf("session answer: status %d", status)
+		}
+	}
+	if status := do(addr, "POST", sessBase+"/answers", map[string]any{
+		"answers": []map[string]any{{"accept": true}, {"accept": false}},
+	}, nil); status != http.StatusOK {
+		t.Fatalf("session blind answers: status %d", status)
+	}
+	var sessBefore any
+	if status := do(addr, "GET", sessBase+"/report", nil, &sessBefore); status != http.StatusOK {
+		t.Fatalf("session report: status %d", status)
+	}
+
 	// Kill -9: no flush hook, no graceful shutdown. Every acknowledged
 	// answer must already be in the kernel's page cache for the journal.
 	if err := proc1.Process.Kill(); err != nil {
@@ -172,6 +210,19 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 		b1, _ := json.MarshalIndent(before, "", " ")
 		b2, _ := json.MarshalIndent(after, "", " ")
 		t.Fatalf("report changed across SIGKILL+restart:\nbefore: %s\nafter:  %s", b1, b2)
+	}
+
+	var sessAfter any
+	if status := do(addr2, "GET", sessBase+"/report", nil, &sessAfter); status != http.StatusOK {
+		t.Fatalf("session report after restart: status %d", status)
+	}
+	if !reflect.DeepEqual(sessBefore, sessAfter) {
+		b1, _ := json.MarshalIndent(sessBefore, "", " ")
+		b2, _ := json.MarshalIndent(sessAfter, "", " ")
+		t.Fatalf("session report changed across SIGKILL+restart:\nbefore: %s\nafter:  %s", b1, b2)
+	}
+	if status := do(addr2, "GET", sessBase+"/suggestion", nil, nil); status != http.StatusOK {
+		t.Fatalf("post-recovery session suggestion: status %d", status)
 	}
 
 	// The recovered workspace keeps serving: both annotators can step on.
