@@ -1,11 +1,12 @@
 // Package journal implements a tiny append-only JSONL write-ahead log. Every
-// durable log in Darwin is one: the workspace journal, the solo-session
-// journal, each replication standby and the labeling jobs' jobs.log. The
-// owner's state evolution is fully determined by its event sequence (for
-// workspaces, by (engine, event sequence) — see internal/workspace), so
-// durability reduces to the classic log-then-replay pattern: every
-// state-changing event is appended as one JSON line, and recovery replays
-// the log through the same apply functions that served live traffic.
+// durable log in Darwin is one: the workspace journal, the solo-session log
+// (written by the server's session registry), each replication standby and
+// the labeling jobs' jobs.log. The owner's state evolution is fully
+// determined by its event sequence (for workspaces, by (engine, event
+// sequence) — see internal/workspace), so durability reduces to the classic
+// log-then-replay pattern: every state-changing event is appended as one JSON
+// line, and recovery replays the log through the same apply functions that
+// served live traffic.
 //
 // Durability contract: Append writes the line straight to the file descriptor
 // (no userspace buffering), so every acknowledged event survives a process
@@ -16,9 +17,10 @@
 //
 // Compaction: Rewrite atomically replaces the log with a caller-provided
 // event list (for workspaces, per-dataset materializations plus one snapshot
-// per live workspace; for jobs, each live job's records) via write-temp +
-// fsync + rename, truncating unbounded growth while preserving
-// recoverability at every instant.
+// per live workspace; for solo sessions, each live session's create and
+// verdicts; for jobs, each live job's records) via write-temp + fsync +
+// rename, truncating unbounded growth while preserving recoverability at
+// every instant.
 package journal
 
 import (
