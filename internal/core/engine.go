@@ -1,6 +1,8 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"sort"
 	"sync"
@@ -128,6 +130,9 @@ type Engine struct {
 	// compaction path uses it to re-emit the ingested tail [bootLen, Len) as
 	// one consolidated batch.
 	bootLen int
+	// fingerprint identifies what the engine was built from (see
+	// Fingerprint).
+	fingerprint string
 }
 
 // New prepares a Darwin engine: it preprocesses the corpus, trains word
@@ -165,8 +170,37 @@ func New(c *corpus.Corpus, cfg Config) (*Engine, error) {
 		indexBuild: indexBuild,
 		bootLen:    c.Len(),
 	}
+	e.fingerprint = fingerprint(cfg, reg, c, ix)
 	e.view.Store(c.View())
 	return e, nil
+}
+
+// Fingerprint identifies what the engine was built from: the configuration
+// that shapes its output (grammars, sketch and rule depths, candidate count,
+// coverage floor, classifier, embedding, scoring and sample settings, seed),
+// the text of every boot sentence, and the size of the pruned index. Two
+// engines with equal fingerprints rank, sample and score a replayed event
+// sequence identically, which is what lets a journal be replayed by key; a
+// journal written by an engine with another fingerprint cannot be. Ingested
+// sentences and materialized rules are journaled, so they are left out.
+func (e *Engine) Fingerprint() string { return e.fingerprint }
+
+// fingerprint computes Fingerprint for a freshly built engine.
+func fingerprint(cfg Config, reg *grammar.Registry, c *corpus.Corpus, ix *index.Index) string {
+	h := sha256.New()
+	for _, g := range reg.Grammars() {
+		fmt.Fprintf(h, "grammar %q\n", g.Name())
+	}
+	fmt.Fprintf(h, "parse %v sketch %d depth %d candidates %d mincov %d\n",
+		cfg.UseParseTrees, cfg.SketchDepth, cfg.MaxRuleDepth, cfg.NumCandidates, cfg.MinRuleCoverage)
+	fmt.Fprintf(h, "classifier %+v embedding %+v lazy %v %v samples %d seed %d\n",
+		cfg.Classifier, cfg.Embedding, cfg.LazyScoring, cfg.LazyScoreThreshold, cfg.OracleSampleSize, cfg.Seed)
+	fmt.Fprintf(h, "sentences %d\n", c.Len())
+	for _, s := range c.Sentences {
+		fmt.Fprintf(h, "%d:%s\n", len(s.Text), s.Text)
+	}
+	fmt.Fprintf(h, "index %d\n", ix.Len())
+	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 
 // Corpus returns the engine's corpus.

@@ -55,6 +55,10 @@ type Loop struct {
 	// a successful Refit or a grow bumps sVer. Nothing else invalidates it.
 	memo       traversal.Memo
 	pVer, sVer uint64
+	// queriedPos is queried as a mask over hier's node positions, rebuilt
+	// with every new hierarchy and kept in step by Take and Release, so the
+	// pick tests a candidate by position.
+	queriedPos traversal.Marks
 }
 
 // Suggestion is one candidate rule proposed to an annotator, with the
@@ -275,39 +279,60 @@ func (l *Loop) grow() {
 // View regenerates only when the index grew in between or the holder did
 // not expect a View to follow the refit. The state carries the loop's
 // benefit memo, stamped for this hierarchy, P and scores, so after a
-// rejected answer the pick reads cached benefits. f picks a rule (line 7)
-// and Takes it; it must not retain the index.
+// rejected answer the pick reads cached benefits, and the queried keys as a
+// mask over the hierarchy's positions. f picks a rule (line 7) and Takes
+// it; it must not retain the index.
 //
 //darwin:lockrank-callback index
 //darwin:replaypure
-func (l *Loop) View(f func(st *traversal.State)) {
+func (l *Loop) View(f func(st *traversal.State)) { l.view(true, f) }
+
+// Resolve runs f under the engine's index read lock with a state for taking
+// a key chosen elsewhere, such as one a journal names. It never regenerates
+// and never ranks: the state carries the cached hierarchy, memo and queried
+// mask only when the hierarchy is fresh for |P| and the index version, and
+// no hierarchy otherwise, so Take resolves the key through the published
+// index. Hierarchy nodes carry their index node's own coverage set and
+// heuristic, so Take returns the same suggestion either way.
+//
+//darwin:lockrank-callback index
+//darwin:replaypure
+func (l *Loop) Resolve(f func(st *traversal.State)) { l.view(false, f) }
+
+// view is View, regenerating a stale hierarchy only when regen is set.
+//
+//darwin:replaypure
+func (l *Loop) view(regen bool, f func(st *traversal.State)) {
 	e := l.e
 	e.ixMu.RLock()
 	defer e.ixMu.RUnlock()
 	l.grow()
-	if ver := e.ix.Version(); l.hierStale(ver) {
-		l.cacheHierarchy(l.generate(), ver)
-	}
-	l.memo.Stamp(l.hier, l.pVer, l.sVer)
-	f(&traversal.State{
-		Hierarchy: l.hier,
+	st := &traversal.State{
 		Index:     e.ix,
 		Positives: l.positives,
 		Scores:    l.scores,
 		Queried:   l.queried,
-		Memo:      &l.memo,
-	})
+	}
+	ver := e.ix.Version()
+	if regen && l.hierStale(ver) {
+		l.cacheHierarchy(l.generate(), ver)
+	}
+	if !l.hierStale(ver) {
+		l.memo.Stamp(l.hier, l.pVer, l.sVer)
+		st.Hierarchy, st.Memo, st.QueriedPos = l.hier, &l.memo, &l.queriedPos
+	}
+	f(st)
 }
 
 // Take marks key queried and returns its suggestion against st (the state
-// View passed): coverage, new coverage, benefit (read from the memo the
-// pick just filled), average benefit, display
-// string, and presentation samples drawn from rng. It also returns the
-// rule's full coverage set and its heuristic.
+// View or Resolve passed): coverage, new coverage, benefit (read from the
+// memo the pick just filled), average benefit, display string, and
+// presentation samples drawn from rng. It also returns the rule's full
+// coverage set and its heuristic.
 //
 //darwin:replaypure
 func (l *Loop) Take(st *traversal.State, key string, rng *rand.Rand) (Suggestion, []int, grammar.Heuristic) {
-	l.queried[key] = true
+	l.mark(key, true)
 	var cov []int
 	if set := coverageOf(st.Index, st.Hierarchy, key); set != nil {
 		cov = set.AppendTo(nil)
@@ -334,7 +359,22 @@ func (l *Loop) Take(st *traversal.State, key string, rng *rand.Rand) (Suggestion
 // was never answered).
 //
 //darwin:replaypure
-func (l *Loop) Release(key string) { delete(l.queried, key) }
+func (l *Loop) Release(key string) { l.mark(key, false) }
+
+// Queried reports whether key was taken (or is a seed rule) and not
+// released.
+func (l *Loop) Queried(key string) bool { return l.queried[key] }
+
+// mark adds key to the queried keys (on) or removes it, keeping the
+// position mask in step.
+func (l *Loop) mark(key string, on bool) {
+	if on {
+		l.queried[key] = true
+	} else {
+		delete(l.queried, key)
+	}
+	l.queriedPos.Mark(key, on)
+}
 
 // Verdict records the answer to question q on a taken rule with coverage
 // cov. An accept grows P by cov (Algorithm 1 line 9) and the record lists
@@ -413,6 +453,7 @@ func (l *Loop) generate() *hierarchy.Hierarchy {
 // version ver.
 func (l *Loop) cacheHierarchy(h *hierarchy.Hierarchy, ver uint64) {
 	l.hier = h
+	l.queriedPos.Reset(h, l.queried)
 	l.hierPos = l.npos
 	l.hierIxVer = ver
 	l.hierGens++

@@ -75,8 +75,18 @@ type Hierarchy struct {
 // Root returns the hierarchy's root node (the universal heuristic '*').
 func (h *Hierarchy) Root() *Node { return h.nodes[grammar.RootKey] }
 
-// Node returns the node with the given key, or nil.
-func (h *Hierarchy) Node(key string) *Node { return h.nodes[key] }
+// Node returns the node with the given key, or nil. A nil hierarchy holds
+// no node.
+func (h *Hierarchy) Node(key string) *Node {
+	if h == nil {
+		return nil
+	}
+	return h.nodes[key]
+}
+
+// Nodes returns the nodes in position order, root first: Nodes()[i].Pos()
+// is i. The slice is owned by the hierarchy and must not be modified.
+func (h *Hierarchy) Nodes() []*Node { return h.list }
 
 // Len returns the number of nodes including the root.
 func (h *Hierarchy) Len() int { return len(h.nodes) }

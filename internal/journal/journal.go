@@ -31,6 +31,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"time"
 
@@ -57,14 +58,15 @@ var (
 
 // Event is one journaled record. In the workspace journal exactly one of
 // WS / Dataset scopes it: workspace lifecycle events carry the workspace ID,
-// engine-level events (rule materializations) carry the dataset name.
+// engine-level events (rule materializations, engine fingerprints) carry the
+// dataset name.
 // Labeling-job events set neither; their Data names the job.
 type Event struct {
 	// Seq is the file-order sequence number assigned by the Writer.
 	Seq uint64 `json:"seq"`
 	// Type is the event kind (for workspaces create, attach, suggest,
-	// answer, detach, evict, materialize, snapshot; for labeling jobs
-	// create, done, failed, expire).
+	// answer, detach, evict, materialize, engine, snapshot; for labeling
+	// jobs create, done, failed, expire).
 	Type string `json:"type"`
 	// WS is the workspace ID for workspace-scoped events.
 	WS string `json:"ws,omitempty"`
@@ -260,16 +262,14 @@ func (w *Writer) Append(typ, ws, dataset string, data any) (Event, error) {
 //darwin:journals
 func (w *Writer) AppendBatch(recs ...Record) ([]Event, error) {
 	raws := make([]json.RawMessage, len(recs))
+	size := 0
 	for i, r := range recs {
-		if d, ok := r.Data.(json.RawMessage); ok && d != nil {
-			raws[i] = d
-		} else if r.Data != nil {
-			b, err := json.Marshal(r.Data)
-			if err != nil {
-				return nil, fmt.Errorf("journal: marshal %s event: %w", r.Type, err)
-			}
-			raws[i] = b
+		b, err := marshalData(r.Data)
+		if err != nil {
+			return nil, fmt.Errorf("journal: marshal %s event: %w", r.Type, err)
 		}
+		raws[i] = b
+		size += len(b) + len(r.Type) + len(r.WS) + len(r.Dataset) + 64
 	}
 	start := time.Now()
 	w.mu.Lock()
@@ -278,16 +278,12 @@ func (w *Writer) AppendBatch(recs ...Record) ([]Event, error) {
 		return nil, w.err
 	}
 	evs := make([]Event, len(recs))
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
+	buf := make([]byte, 0, size)
 	for i, r := range recs {
 		evs[i] = Event{Seq: w.seq + uint64(i) + 1, Type: r.Type, WS: r.WS, Dataset: r.Dataset, Data: raws[i]}
-		// Encode writes what json.Marshal returns, plus the newline.
-		if err := enc.Encode(evs[i]); err != nil {
-			return nil, fmt.Errorf("journal: marshal event: %w", err)
-		}
+		buf = appendLine(buf, &evs[i])
 	}
-	if _, err := w.f.Write(buf.Bytes()); err != nil {
+	if _, err := w.f.Write(buf); err != nil {
 		w.err = fmt.Errorf("journal: append: %w", err)
 		return nil, w.err
 	}
@@ -306,6 +302,57 @@ func (w *Writer) AppendBatch(recs ...Record) ([]Event, error) {
 		w.syncLocked()
 	}
 	return evs, nil
+}
+
+// marshalData returns a record's payload as the bytes its line carries:
+// what encoding/json writes for the Data field of an Event. json.Marshal's
+// output is that already; a json.RawMessage is compacted and HTML-escaped,
+// as encoding/json does to a marshaler's output, in the one pass Marshal
+// makes over it. A nil payload and an empty, non-nil json.RawMessage are
+// omitted from the line; a nil json.RawMessage marshals to null.
+func marshalData(data any) (json.RawMessage, error) {
+	if d, ok := data.(json.RawMessage); data == nil || ok && d != nil && len(d) == 0 {
+		return nil, nil
+	}
+	return json.Marshal(data)
+}
+
+// appendLine appends ev as the JSON line json.Encoder writes for it: the
+// fields in declaration order, empty WS, Dataset and Data omitted, and
+// ev.Data (already in its encoded form, see marshalData) copied verbatim.
+func appendLine(dst []byte, ev *Event) []byte {
+	dst = append(dst, `{"seq":`...)
+	dst = strconv.AppendUint(dst, ev.Seq, 10)
+	dst = append(dst, `,"type":`...)
+	dst = appendString(dst, ev.Type)
+	if ev.WS != "" {
+		dst = append(dst, `,"ws":`...)
+		dst = appendString(dst, ev.WS)
+	}
+	if ev.Dataset != "" {
+		dst = append(dst, `,"dataset":`...)
+		dst = appendString(dst, ev.Dataset)
+	}
+	if len(ev.Data) > 0 {
+		dst = append(dst, `,"data":`...)
+		dst = append(dst, ev.Data...)
+	}
+	return append(dst, '}', '\n')
+}
+
+// appendString appends s as encoding/json quotes it. Event types, ids and
+// dataset names are plain ASCII, which is copied between quotes; anything
+// else goes through json.Marshal, whose escaping it must match.
+func appendString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			b, _ := json.Marshal(s) // a string always marshals
+			return append(dst, b...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
 }
 
 // broadcastLocked wakes every follower blocked in Next by closing the

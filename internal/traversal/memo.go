@@ -70,20 +70,25 @@ func (m *Memo) Stamp(h *hierarchy.Hierarchy, pVer, sVer uint64) {
 }
 
 // eval returns (benefit, |C_r \ P|) for a rule key, counting the evaluation
-// in ev. A hierarchy node is read from the state's memo when it holds the
-// node, and scored into it otherwise; an index-only key (a local-search
-// neighbour) is scored by the kernel. Unknown keys and empty coverage score
-// (0, 0) without an evaluation.
+// in ev. A hierarchy node is scored by evalNode; an index-only key (a
+// local-search neighbour) is scored by the kernel. Unknown keys and empty
+// coverage score (0, 0) without an evaluation.
 func (st *State) eval(key string, ev *evals) (float64, int) {
-	hn := st.Hierarchy.Node(key)
-	if hn == nil {
-		cov, n := st.lookup(key)
-		if n == 0 {
-			return 0, 0
-		}
-		ev.kernel++
-		return cov.AndNotSum(st.Positives, st.Scores)
+	if hn := st.Hierarchy.Node(key); hn != nil {
+		return st.evalNode(hn, ev)
 	}
+	cov, n := st.lookup(key)
+	if n == 0 {
+		return 0, 0
+	}
+	ev.kernel++
+	return cov.AndNotSum(st.Positives, st.Scores)
+}
+
+// evalNode returns (benefit, |C_r \ P|) for a node of the state's
+// hierarchy: from the state's memo when it holds the node, else by one
+// kernel pass whose result fills the memo.
+func (st *State) evalNode(hn *hierarchy.Node, ev *evals) (float64, int) {
 	var v *memoVal
 	if m := st.Memo; m != nil && m.hier == st.Hierarchy {
 		v = &m.vals[hn.Pos()]
@@ -101,4 +106,47 @@ func (st *State) eval(key string, ev *evals) (float64, int) {
 		v.benefit, v.newCov = b, newCov
 	}
 	return b, newCov
+}
+
+// Marks is a set of rule keys held as a mask over one hierarchy's node
+// positions; keys the hierarchy does not hold are not represented. core.Loop
+// keeps its queried keys in one, in step with State.Queried, so a pick tests
+// a candidate by position instead of hashing its key. The zero Marks is
+// built for no hierarchy.
+type Marks struct {
+	hier *hierarchy.Hierarchy
+	set  []bool
+}
+
+// Reset rebuilds m for h from the keys marked in keys.
+func (m *Marks) Reset(h *hierarchy.Hierarchy, keys map[string]bool) {
+	m.hier = h
+	n := h.Len()
+	if cap(m.set) < n {
+		m.set = make([]bool, n)
+	}
+	m.set = m.set[:n]
+	clear(m.set)
+	for key, on := range keys {
+		if hn := h.Node(key); hn != nil && on {
+			m.set[hn.Pos()] = true
+		}
+	}
+}
+
+// Mark sets (on) or clears key's position; a key the hierarchy does not hold
+// is left out.
+func (m *Marks) Mark(key string, on bool) {
+	if hn := m.hier.Node(key); hn != nil {
+		m.set[hn.Pos()] = on
+	}
+}
+
+// For returns the mask indexed by h's node positions, or nil when m is nil
+// or was built for another hierarchy.
+func (m *Marks) For(h *hierarchy.Hierarchy) []bool {
+	if m == nil || m.hier != h || h == nil {
+		return nil
+	}
+	return m.set
 }

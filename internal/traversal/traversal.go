@@ -35,6 +35,10 @@ type State struct {
 	Scores []float64
 	// Queried marks rule keys already submitted to the oracle.
 	Queried map[string]bool
+	// QueriedPos, when set and built for Hierarchy, is Queried over the
+	// hierarchy's node positions: PickCandidate tests it instead of hashing
+	// each candidate's key into Queried. Its holder keeps the two in step.
+	QueriedPos *Marks
 	// Memo, when set, caches the benefits of Hierarchy's nodes for this P
 	// and these scores; its holder stamps it before handing out the state.
 	// A memo stamped for another hierarchy is ignored.
@@ -96,37 +100,85 @@ type Traversal interface {
 // PickBest returns the unqueried key with the highest benefit, breaking
 // ties by higher new coverage then lexicographic key for determinism, among
 // keys whose average benefit exceeds minAvgBenefit (when positive). The
-// boolean reports whether any eligible candidate exists. It is the one
-// max-benefit ranking every consumer shares: the traversals and the
-// multi-annotator workspace. Each candidate costs one node lookup and a
-// memo read, or one kernel pass (benefit and new coverage together) when the
-// state's memo does not hold it yet.
+// boolean reports whether any eligible candidate exists. Each key costs one
+// node lookup and a memo read, or one kernel pass (benefit and new coverage
+// together) when the state's memo does not hold it yet. It serves explicit
+// key lists, which may name index-only rules (local search's frontier);
+// PickCandidate ranks the whole hierarchy by the same rule.
 //
 //darwin:replaypure
 func PickBest(st *State, keys []string, minAvgBenefit float64) (string, bool) {
 	var ev evals
 	defer ev.publish()
-	bestKey := ""
-	bestBenefit := -1.0
-	bestNew := -1
+	r := ranking{minAvg: minAvgBenefit}
 	for _, key := range keys {
 		if st.Queried[key] || key == grammar.RootKey {
 			continue
 		}
 		b, newCov := st.eval(key, &ev)
-		if newCov == 0 {
-			continue
-		}
-		if minAvgBenefit > 0 && b/float64(newCov) <= minAvgBenefit {
-			continue
-		}
-		if b > bestBenefit || (b == bestBenefit && newCov > bestNew) ||
-			(b == bestBenefit && newCov == bestNew && (bestKey == "" || key < bestKey)) {
-			bestKey, bestBenefit, bestNew = key, b, newCov
-		}
+		r.offer(key, b, newCov)
 	}
-	return bestKey, bestKey != ""
+	return r.best()
 }
+
+// PickCandidate is PickBest over every candidate of the state's hierarchy:
+// the one max-benefit ranking the universal traversal and the
+// multi-annotator workspace share. It walks the nodes by position, reading
+// the memo and the queried mask (when the state carries them) by position
+// too, so no candidate's key is hashed.
+//
+//darwin:replaypure
+func PickCandidate(st *State, minAvgBenefit float64) (string, bool) {
+	var ev evals
+	defer ev.publish()
+	r := ranking{minAvg: minAvgBenefit}
+	h := st.Hierarchy
+	mask := st.QueriedPos.For(h)
+	root := h.Root()
+	for pos, n := range h.Nodes() {
+		if n == root {
+			continue
+		}
+		if mask != nil {
+			if mask[pos] {
+				continue
+			}
+		} else if st.Queried[n.Key] {
+			continue
+		}
+		b, newCov := st.evalNode(n, &ev)
+		r.offer(n.Key, b, newCov)
+	}
+	return r.best()
+}
+
+// ranking is the max-benefit argmax every pick shares: the highest benefit,
+// then the higher new coverage, then the smaller key, among candidates that
+// add new coverage and whose average benefit exceeds minAvg (when
+// positive).
+type ranking struct {
+	minAvg  float64
+	key     string
+	benefit float64
+	newCov  int
+}
+
+// offer ranks one unqueried candidate.
+func (r *ranking) offer(key string, b float64, newCov int) {
+	if newCov == 0 {
+		return
+	}
+	if r.minAvg > 0 && b/float64(newCov) <= r.minAvg {
+		return
+	}
+	if r.key == "" || b > r.benefit || (b == r.benefit && newCov > r.newCov) ||
+		(b == r.benefit && newCov == r.newCov && key < r.key) {
+		r.key, r.benefit, r.newCov = key, b, newCov
+	}
+}
+
+// best returns the winning key, if any candidate was eligible.
+func (r *ranking) best() (string, bool) { return r.key, r.key != "" }
 
 // sortedKeys returns the keys of a string set in sorted order.
 func sortedKeys(set map[string]bool) []string {

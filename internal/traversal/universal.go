@@ -24,12 +24,11 @@ func (us *UniversalSearch) Name() string { return "universal" }
 
 // Next implements Traversal.
 func (us *UniversalSearch) Next(st *State) (string, bool) {
-	keys := st.Hierarchy.NonRootKeys()
-	if key, ok := PickBest(st, keys, MinAvgBenefit); ok {
+	if key, ok := PickCandidate(st, MinAvgBenefit); ok {
 		return key, true
 	}
 	if us.Relax {
-		return PickBest(st, keys, 0)
+		return PickCandidate(st, 0)
 	}
 	return "", false
 }

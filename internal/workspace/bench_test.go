@@ -2,6 +2,7 @@ package workspace
 
 import (
 	"fmt"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/embedding"
 	"repro/internal/grammar"
+	"repro/internal/journal"
 	"repro/internal/tokensregex"
 )
 
@@ -86,4 +88,62 @@ func BenchmarkWorkspaceSuggestRejects(b *testing.B) {
 		}
 		i++
 	}
+}
+
+// BenchmarkFollowerApply measures what a replication follower's applier
+// does per replayed event: it records, untimed, a journal of four
+// 32-question workspaces on benchEngine (one annotator each, every 16th
+// answer an accept), then replays the whole journal through a fresh
+// manager's Replayer per iteration. Replayed suggests assign the journaled
+// key without ranking, so the cost is the answers' retrains plus one key's
+// coverage and benefit per suggest.
+func BenchmarkFollowerApply(b *testing.B) {
+	eng := benchEngine(b)
+	engines := map[string]*core.Engine{"directions": eng}
+	path := filepath.Join(b.TempDir(), "journal.jsonl")
+	jw, _, err := journal.Open(path, journal.Options{SyncEvery: 1 << 20, SyncInterval: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	live := NewManager(engines, jw, ManagerConfig{CompactEvery: -1})
+	for w := 0; w < 4; w++ {
+		ws, err := live.Create("directions", Options{SeedRules: []string{seedRule}, Budget: 32, Seed: int64(w + 1)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := live.Attach(ws.ID(), "a"); err != nil {
+			b.Fatal(err)
+		}
+		for q := 0; ; q++ {
+			sug, ok, err := live.Suggest(ws.ID(), "a")
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			if _, err := live.Answer(ws.ID(), "a", sug.Key, q%16 == 15); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	if err := live.Close(); err != nil {
+		b.Fatal(err)
+	}
+	events, err := journal.ReadAll(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := NewManager(engines, nil, ManagerConfig{}).NewReplayer()
+		for _, ev := range events {
+			r.Apply(ev)
+		}
+		r.Close()
+		if stats := r.Stats(); len(stats.Skipped) != 0 || stats.Workspaces != 4 {
+			b.Fatalf("replay recovered %d workspaces, skipped %v", stats.Workspaces, stats.Skipped)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(events)), "ns/event")
 }

@@ -16,6 +16,7 @@ const (
 	evSnapshot    = "snapshot"
 	evFence       = "fence"
 	evIngest      = "ingest"
+	evEngine      = "engine"
 )
 
 // createData records a workspace creation with the budget and seed already
@@ -36,9 +37,9 @@ type detachData struct {
 	Annotator string `json:"annotator"`
 }
 
-// suggestData records which rule the deterministic selection assigned, so
-// replay can verify it recomputes the same assignment (a mismatch means the
-// engine was rebuilt differently and the workspace cannot be recovered).
+// suggestData records which rule the deterministic selection assigned.
+// Replay assigns that key without ranking again; the engine event of the
+// workspace's dataset is what vouches that the engine would rank alike.
 type suggestData struct {
 	Annotator string `json:"annotator"`
 	Key       string `json:"key"`
@@ -79,4 +80,15 @@ type ingestData struct {
 // matches the order concurrent hierarchy generations observed them.
 type materializeData struct {
 	Specs []string `json:"specs"`
+}
+
+// engineData records the fingerprint (core.Engine.Fingerprint) of the
+// engine a dataset's workspaces were journaled against. It is journaled once
+// per dataset, before the first create or adopted snapshot on it, and
+// re-emitted by compaction. Replay compares it with the serving engine's in
+// O(1): workspaces of a dataset whose engine was rebuilt differently are
+// failed instead of replayed by key onto an engine that would not have
+// ranked the same keys.
+type engineData struct {
+	Fingerprint string `json:"fingerprint"`
 }

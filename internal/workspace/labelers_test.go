@@ -325,3 +325,43 @@ func TestSweepDoesNotStallLookups(t *testing.T) {
 		t.Errorf("busy workspace still has annotators %v after the sweep", got)
 	}
 }
+
+// TestCreateDoesNotWaitOnIdleDetach holds one workspace's lock, as an
+// in-flight suggest does, with an annotator past the attachment TTL, and
+// requires a create to return meanwhile: a create makes room by evicting
+// expired workspaces only and leaves idle detaches to the janitor.
+func TestCreateDoesNotWaitOnIdleDetach(t *testing.T) {
+	m := newTestManager(t, "", ManagerConfig{AttachmentTTL: time.Minute})
+	busy, err := m.Create("directions", Options{SeedRules: []string{seedRule}, Budget: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Attach(busy.ID(), "alice"); err != nil {
+		t.Fatal(err)
+	}
+	m.now = func() time.Time { return time.Now().Add(2 * time.Minute) }
+
+	busy.mu.Lock()
+	created := make(chan error, 1)
+	go func() {
+		_, err := m.Create("directions", Options{SeedRules: []string{seedRule}, Budget: 10})
+		created <- err
+	}()
+	select {
+	case err := <-created:
+		busy.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		busy.mu.Unlock()
+		<-created
+		t.Fatal("Create waited on the lock of a workspace with an idle annotator")
+	}
+	if got := busy.Annotators(); len(got) != 1 {
+		t.Errorf("create detached idle annotators: %v left attached, want [alice]", got)
+	}
+	if m.Sweep(); len(busy.Annotators()) != 0 {
+		t.Errorf("the janitor's sweep left %v attached", busy.Annotators())
+	}
+}

@@ -123,11 +123,12 @@ type Manager struct {
 	// matMu serializes materialize-hook appends (which run under the
 	// engines' index write locks, outside the gate) with compaction, and
 	// guards the record of journaled materializations that compaction must
-	// preserve.
+	// preserve, and the datasets whose engine fingerprint is journaled.
 	//darwin:lockrank mat
 	matMu    sync.Mutex
 	matSpecs map[string][]string
 	matSeen  map[string]map[string]bool
+	engSeen  map[string]bool
 
 	// fenceMu guards fences: the per-dataset minimum replication epoch this
 	// shard accepts. Fences are journaled (and re-emitted by compaction) so
@@ -159,6 +160,7 @@ func NewManager(engines map[string]*core.Engine, jw *journal.Writer, cfg Manager
 		labelers: make(map[string]Attachment),
 		matSpecs: make(map[string][]string),
 		matSeen:  make(map[string]map[string]bool),
+		engSeen:  make(map[string]bool),
 		fences:   make(map[string]uint64),
 	}
 	if jw != nil {
@@ -202,6 +204,26 @@ func (m *Manager) recordMaterializedLocked(dataset string, specs []string) []str
 		fresh = append(fresh, spec)
 	}
 	return fresh
+}
+
+// journalEngine journals the dataset's engine fingerprint unless this
+// journal already holds it, so that every create and snapshot event follows
+// the fingerprint its replay is checked against. Callers hold the gate read
+// lock.
+func (m *Manager) journalEngine(dataset string) error {
+	if m.jw == nil || m.recovering.Load() {
+		return nil
+	}
+	m.matMu.Lock()
+	defer m.matMu.Unlock()
+	if m.engSeen[dataset] {
+		return nil
+	}
+	if _, err := m.jw.Append(evEngine, "", dataset, engineData{Fingerprint: m.engines[dataset].Fingerprint()}); err != nil {
+		return fmt.Errorf("workspace: %w: %v", ErrJournal, err)
+	}
+	m.engSeen[dataset] = true
+	return nil
 }
 
 // logFor returns the workspace's journaling callback. Appends are suppressed
@@ -255,8 +277,11 @@ func (m *Manager) create(dataset string, opts Options) (*Workspace, error) {
 	if opts.Seed == 0 {
 		opts.Seed = eng.DefaultSeed()
 	}
-	m.sweep()
+	// Only expired workspaces make room here; detaching idle annotators is
+	// the janitor's job, and would make the create wait on every live
+	// workspace's lock.
 	m.mu.Lock()
+	m.evictExpiredLocked(m.now())
 	full := len(m.items) >= m.cfg.MaxWorkspaces
 	m.mu.Unlock()
 	if full {
@@ -277,6 +302,9 @@ func (m *Manager) create(dataset string, opts Options) (*Workspace, error) {
 	// same order recovery applies them in. A failed append fails the
 	// create: an unjournaled workspace would silently lose all its work at
 	// the next restart.
+	if err := m.journalEngine(dataset); err != nil {
+		return nil, err
+	}
 	if m.jw != nil {
 		if _, err := m.jw.Append(evCreate, id, "", createData{Dataset: dataset, CorpusLen: eng.Corpus().Len(), Options: opts}); err != nil {
 			return nil, fmt.Errorf("workspace: %w: %v", ErrJournal, err)
@@ -631,13 +659,10 @@ func (m *Manager) Sweep() int {
 func (m *Manager) sweep() int {
 	m.mu.Lock()
 	now := m.now()
-	n := 0
+	n := m.evictExpiredLocked(now)
 	var live []*entry
-	for id, en := range m.items {
-		if now.Sub(en.lastUsed) > m.cfg.TTL {
-			m.evictLocked(id, "ttl")
-			n++
-		} else if m.cfg.AttachmentTTL > 0 && !m.recovering.Load() {
+	if m.cfg.AttachmentTTL > 0 && !m.recovering.Load() {
+		for _, en := range m.items {
 			live = append(live, en)
 		}
 	}
@@ -652,6 +677,19 @@ func (m *Manager) sweep() int {
 			m.syncAttachmentLocked(en.ws.ID(), en.ws, name)
 		}
 		m.mu.Unlock()
+	}
+	return n
+}
+
+// evictExpiredLocked evicts the workspaces idle longer than the TTL at now
+// and returns how many. Callers hold m.mu (and the gate read lock).
+func (m *Manager) evictExpiredLocked(now time.Time) int {
+	n := 0
+	for id, en := range m.items {
+		if now.Sub(en.lastUsed) > m.cfg.TTL {
+			m.evictLocked(id, "ttl")
+			n++
+		}
 	}
 	return n
 }
@@ -748,6 +786,21 @@ func (m *Manager) Compact() error {
 		events = append(events, journal.Event{Type: evFence, Dataset: d, Data: data})
 	}
 	m.fenceMu.Unlock()
+	// Engine fingerprints precede the snapshots they vouch for.
+	fingerprinted := make([]string, 0, len(m.engSeen))
+	for d, seen := range m.engSeen {
+		if seen {
+			fingerprinted = append(fingerprinted, d)
+		}
+	}
+	sort.Strings(fingerprinted)
+	for _, d := range fingerprinted {
+		data, err := json.Marshal(engineData{Fingerprint: m.engines[d].Fingerprint()})
+		if err != nil {
+			return fmt.Errorf("workspace: compact engine: %w", err)
+		}
+		events = append(events, journal.Event{Type: evEngine, Dataset: d, Data: data})
+	}
 	// The manager rank (mu=60) is acquired here while matMu (20) is held —
 	// an inversion of the documented order. It is safe only because the
 	// appender gate is held exclusively above: no other goroutine can be
@@ -859,6 +912,9 @@ func (m *Manager) AdoptSnapshot(snap *Snapshot) error {
 	if err != nil {
 		return err
 	}
+	if err := m.journalEngine(snap.Dataset); err != nil {
+		return err
+	}
 	if m.jw != nil {
 		if _, err := m.jw.Append(evSnapshot, snap.ID, "", snap); err != nil {
 			return fmt.Errorf("workspace: %w: %v", ErrJournal, err)
@@ -947,9 +1003,10 @@ type RecoveryStats struct {
 // Recover replays a journal's events through the same apply methods that
 // served them live, reconstructing every live workspace byte-identically.
 // It must be called once, before the manager serves traffic. Workspaces
-// whose replay fails (missing dataset, corpus mismatch, or a suggest that
-// no longer recomputes the journaled assignment) are skipped and reported
-// in the stats; the rest recover normally. The event-by-event apply logic
+// whose replay fails (missing dataset, corpus mismatch, an engine whose
+// fingerprint differs from the journaled one, or a journaled assignment the
+// workspace could not have made) are skipped and reported in the stats; the
+// rest recover normally. The event-by-event apply logic
 // lives in Replayer (replay.go), shared with the replication standby path.
 func (m *Manager) Recover(events []journal.Event) RecoveryStats {
 	start := time.Now()

@@ -21,13 +21,16 @@ type Replayer struct {
 	m      *Manager
 	events int
 	broken map[string]string
+	// diverged maps a dataset whose journaled engine fingerprint differs
+	// from its serving engine's to the reason every workspace on it fails.
+	diverged map[string]string
 }
 
 // NewReplayer puts the manager into recovering mode and returns a replayer
 // over it. Call Close to leave recovering mode.
 func (m *Manager) NewReplayer() *Replayer {
 	m.recovering.Store(true)
-	return &Replayer{m: m, broken: make(map[string]string)}
+	return &Replayer{m: m, broken: make(map[string]string), diverged: make(map[string]string)}
 }
 
 // Close leaves recovering mode. The replayer must not be used afterwards.
@@ -95,6 +98,28 @@ func (r *Replayer) Apply(ev journal.Event) {
 			return
 		}
 		eng.Ingest(d.Sentences)
+	case evEngine:
+		var d engineData
+		eng, ok := m.engines[ev.Dataset]
+		if !ok || !decodeEvent(ev.Data, &d) {
+			return
+		}
+		match := d.Fingerprint == eng.Fingerprint()
+		// After a foreign fingerprint the journal must get this engine's
+		// own before the next create on the dataset; a later match (that
+		// create's) ends the divergence.
+		m.matMu.Lock()
+		m.engSeen[ev.Dataset] = match
+		m.matMu.Unlock()
+		if match {
+			delete(r.diverged, ev.Dataset)
+			return
+		}
+		reason := fmt.Sprintf("replay diverged: engine fingerprint is %s, journal says %s (engine rebuilt differently?)", eng.Fingerprint(), d.Fingerprint)
+		r.diverged[ev.Dataset] = reason
+		for _, id := range m.IDsByDataset(ev.Dataset) {
+			r.fail(id, "%s", reason)
+		}
 	case evFence:
 		var d fenceData
 		if decodeEvent(ev.Data, &d) {
@@ -112,6 +137,10 @@ func (r *Replayer) Apply(ev journal.Event) {
 		eng, ok := m.engines[d.Dataset]
 		if !ok {
 			r.fail(ev.WS, "dataset %q is not served", d.Dataset)
+			return
+		}
+		if reason, bad := r.diverged[d.Dataset]; bad {
+			r.fail(ev.WS, "%s", reason)
 			return
 		}
 		if eng.Corpus().Len() != d.CorpusLen {
@@ -135,6 +164,10 @@ func (r *Replayer) Apply(ev journal.Event) {
 		eng, ok := m.engines[snap.Dataset]
 		if !ok {
 			r.fail(ev.WS, "dataset %q is not served", snap.Dataset)
+			return
+		}
+		if reason, bad := r.diverged[snap.Dataset]; bad {
+			r.fail(ev.WS, "%s", reason)
 			return
 		}
 		ws, err := Restore(eng, &snap, m.logFor(ev.WS))
@@ -163,14 +196,8 @@ func (r *Replayer) Apply(ev journal.Event) {
 	case evSuggest:
 		var d suggestData
 		if ws, ok := m.replayTarget(ev.WS, ev.Data, &d, r.broken); ok {
-			sug, ok, err := ws.Suggest(d.Annotator)
-			switch {
-			case err != nil:
+			if err := ws.assignJournaled(d.Annotator, d.Key); err != nil {
 				r.fail(ev.WS, "replay suggest: %v", err)
-			case !ok:
-				r.fail(ev.WS, "replay suggest for %q produced no assignment (journaled %q)", d.Annotator, d.Key)
-			case sug.Key != d.Key:
-				r.fail(ev.WS, "replay diverged: suggest recomputed %q, journal says %q (engine rebuilt differently?)", sug.Key, d.Key)
 			}
 		}
 	case evAnswer:

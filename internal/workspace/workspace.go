@@ -18,7 +18,10 @@
 // (internal/journal) sufficient for crash recovery: replaying the event log
 // through the same apply methods that served live traffic reconstructs
 // byte-identical workspace state, and a snapshot (which captures the event
-// sequence number) resumes the same deterministic stream.
+// sequence number) resumes the same deterministic stream. Replay skips the
+// one derivation the journal already records: a suggest assigns the
+// journaled key instead of ranking again, and the journaled engine
+// fingerprint vouches that the engine would have ranked the same.
 //
 // The loop caches the shared hierarchy across events and regenerates it only
 // when |P| or the index version changes — once per positive-set change for
@@ -403,7 +406,9 @@ func (ws *Workspace) outstandingLocked() int {
 // candidates remain. The heavy work — regenerating the shared hierarchy
 // when |P| or the index changed and the accepting answer did not already
 // (see core.Loop.Refit), and one benefit-kernel pass over the candidates —
-// runs under the engine's read lock.
+// runs under the engine's read lock. The pick runs live only: replay
+// assigns the journaled key through the same assign step (see
+// assignJournaled).
 //
 //darwin:replaypure
 func (ws *Workspace) Suggest(name string) (Suggestion, bool, error) {
@@ -429,26 +434,69 @@ func (ws *Workspace) Suggest(name string) (Suggestion, bool, error) {
 	var sug Suggestion
 	found := false
 	ws.loop.View(func(st *traversal.State) {
-		key, ok := traversal.PickBest(st, st.Hierarchy.NonRootKeys(), 0)
-		if !ok {
-			return
+		var key string
+		if key, found = traversal.PickCandidate(st, 0); found {
+			sug = ws.assignLocked(an, st, key)
 		}
-		rng := rand.New(rand.NewSource(mix(ws.seed, ws.eventSeq)))
-		picked, cov, _ := ws.loop.Take(st, key, rng)
-		question := ws.questions + ws.outstandingLocked() + 1
-		sug = Suggestion{Suggestion: picked, Question: question, BudgetLeft: ws.budget - question}
-		an.pending = &sug
-		an.pendingCov = cov
-		found = true
-		// Journal inside the read lock: a concurrent seed-rule
-		// materialization (write lock) is journaled strictly before or
-		// after this suggestion, matching what the hierarchy saw.
-		ws.applied("suggest", suggestData{Annotator: name, Key: key})
 	})
 	if !found {
 		return Suggestion{}, false, nil
 	}
 	return sug, true, ws.journalErrLocked()
+}
+
+// assignJournaled replays a journaled suggest: it assigns key to the
+// annotator through the assign step the live Suggest uses, without ranking
+// or regenerating (see core.Loop.Resolve), so a replayed suggestion costs
+// one key's coverage and benefit. It refuses an assignment the live
+// workspace could not have made: an unknown annotator, one with a pending
+// suggestion, a spent budget, or a key the engine does not hold or that is
+// already queried.
+//
+//darwin:replaypure
+func (ws *Workspace) assignJournaled(name, key string) error {
+	ws.mu.Lock()
+	defer ws.mu.Unlock()
+	an, ok := ws.annotators[name]
+	switch {
+	case !ok:
+		return fmt.Errorf("workspace: %q: %w", name, ErrUnknownAnnotator)
+	case an.pending != nil:
+		return fmt.Errorf("annotator %q already holds %q", name, an.pending.Key)
+	case ws.questions+ws.outstandingLocked() >= ws.budget:
+		return fmt.Errorf("budget of %d is spent", ws.budget)
+	case ws.loop.Queried(key):
+		return fmt.Errorf("rule %q is already queried", key)
+	}
+	var err error
+	ws.loop.Resolve(func(st *traversal.State) {
+		if st.Index.Node(key) == nil {
+			err = fmt.Errorf("rule %q is not in the index", key)
+			return
+		}
+		ws.assignLocked(an, st, key)
+	})
+	return err
+}
+
+// assignLocked is the assign step Suggest and replay share: it takes key
+// against st, samples its presentation sentences from the event's RNG,
+// makes it the annotator's pending suggestion and journals the suggest.
+// Callers hold ws.mu and run inside a View or Resolve of the loop.
+//
+//darwin:replaypure
+func (ws *Workspace) assignLocked(an *annotator, st *traversal.State, key string) Suggestion {
+	rng := rand.New(rand.NewSource(mix(ws.seed, ws.eventSeq)))
+	picked, cov, _ := ws.loop.Take(st, key, rng)
+	question := ws.questions + ws.outstandingLocked() + 1
+	sug := Suggestion{Suggestion: picked, Question: question, BudgetLeft: ws.budget - question}
+	an.pending = &sug
+	an.pendingCov = cov
+	// Journal inside the read lock: a concurrent seed-rule materialization
+	// (write lock) is journaled strictly before or after this suggestion,
+	// matching what the hierarchy saw.
+	ws.applied("suggest", suggestData{Annotator: an.name, Key: key})
+	return sug
 }
 
 // Answer records an annotator's verdict on their pending suggestion: on

@@ -946,3 +946,108 @@ func TestReplayOntoDifferentEngineFailsWorkspace(t *testing.T) {
 		t.Fatal("a workspace whose replay diverged is still served")
 	}
 }
+
+// TestReplaySnapshotOntoDifferentEngineFailsWorkspace is the snapshot half
+// of TestReplayOntoDifferentEngineFailsWorkspace: a compacted journal (the
+// engine fingerprint, then a snapshot of a workspace with an outstanding
+// suggestion) must recover onto an identical engine and fail the workspace
+// on an engine with another candidate count. A snapshot adopted by another
+// manager is journaled after that manager's own fingerprint.
+func TestReplaySnapshotOntoDifferentEngineFailsWorkspace(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	live := newTestManager(t, path, ManagerConfig{})
+	ws, err := live.Create("directions", Options{SeedRules: []string{seedRule}, Budget: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := live.Attach(ws.ID(), "alice"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		sug, ok, err := live.Suggest(ws.ID(), "alice")
+		if err != nil || !ok {
+			t.Fatalf("suggest %d: ok=%v err=%v", i, ok, err)
+		}
+		if i < 2 {
+			if _, err := live.Answer(ws.ID(), "alice", sug.Key, i == 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := live.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	events, err := journal.ReadAll(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var types []string
+	for _, ev := range events {
+		types = append(types, ev.Type)
+	}
+	if !reflect.DeepEqual(types, []string{evMaterialize, evEngine, evSnapshot}) {
+		t.Fatalf("compacted journal holds %v, want the fingerprint before the snapshot", types)
+	}
+
+	same := newTestManager(t, "", ManagerConfig{})
+	if stats := same.Recover(events); len(stats.Skipped) != 0 {
+		t.Fatalf("identical engine: replay skipped %v", stats.Skipped)
+	}
+	other := NewManager(map[string]*core.Engine{"directions": newTestEngineWith(t, func(cfg *core.Config) {
+		cfg.NumCandidates = 25
+	})}, nil, ManagerConfig{})
+	stats := other.Recover(events)
+	if reason := stats.Skipped[ws.ID()]; !strings.Contains(reason, "replay diverged") {
+		t.Fatalf("different engine: skipped = %v, want %s marked diverged", stats.Skipped, ws.ID())
+	}
+	if _, ok := other.Get(ws.ID()); ok {
+		t.Fatal("a snapshot restored onto a different engine is still served")
+	}
+
+	// A shard that recovered the foreign journal journals its own
+	// fingerprint before its next create, so that create recovers.
+	rebuilt := func() *core.Engine {
+		return newTestEngineWith(t, func(cfg *core.Config) { cfg.NumCandidates = 25 })
+	}
+	jw, foreign, err := journal.Open(path, journal.Options{SyncEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { jw.Close() })
+	restarted := NewManager(map[string]*core.Engine{"directions": rebuilt()}, jw, ManagerConfig{})
+	restarted.Recover(foreign)
+	fresh, err := restarted.Create("directions", Options{SeedRules: []string{seedRule}, Budget: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := restarted.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	again, err := journal.ReadAll(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats = NewManager(map[string]*core.Engine{"directions": rebuilt()}, nil, ManagerConfig{}).Recover(again)
+	if _, bad := stats.Skipped[fresh.ID()]; bad || stats.Workspaces != 1 {
+		t.Fatalf("after a foreign fingerprint: recovered %d workspaces, skipped %v; want %s recovered", stats.Workspaces, stats.Skipped, fresh.ID())
+	}
+
+	adoptPath := filepath.Join(t.TempDir(), "adopt.jsonl")
+	adopter := newTestManager(t, adoptPath, ManagerConfig{})
+	if err := adopter.AdoptSnapshot(ws.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	adopted, err := journal.ReadAll(adoptPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	types = types[:0]
+	for _, ev := range adopted {
+		if ev.Type != evMaterialize {
+			types = append(types, ev.Type)
+		}
+	}
+	if !reflect.DeepEqual(types, []string{evEngine, evSnapshot}) {
+		t.Fatalf("adopting journaled %v, want the fingerprint before the snapshot", types)
+	}
+}
